@@ -111,20 +111,31 @@ class DecimalVector:
         never touch Python-level arithmetic at all: fold, negate and
         ``tolist`` all run in C.
         """
-        rows, width = self.words.shape
-        if rows == 0:
+        if self.rows == 0:
             return []
-        if width <= 2 and not (width == 2 and (self.words[:, 1] >> 31).any()):
-            acc = self.words[:, 0].astype(np.uint64)
-            if width == 2:
-                acc |= self.words[:, 1].astype(np.uint64) << _SHIFT64
-            signed = acc.astype(np.int64)
-            np.negative(signed, where=self.negative, out=signed)
+        signed = self.to_int64()
+        if signed is not None:
             return signed.tolist()
         values = _planes_to_magnitudes(self.words)
         for row in np.nonzero(self.negative)[0].tolist():
             values[row] = -values[row]
         return values
+
+    def to_int64(self) -> Optional[np.ndarray]:
+        """Signed unscaled values as int64, or None if any needs 64+ bits.
+
+        Exact whenever it answers: only ``Lw <= 2`` columns with bit 63
+        clear in every row qualify, so negation never wraps.
+        """
+        width = self.words.shape[1]
+        if width > 2 or (width == 2 and (self.words[:, 1] >> 31).any()):
+            return None
+        acc = self.words[:, 0].astype(np.uint64)
+        if width == 2:
+            acc |= self.words[:, 1].astype(np.uint64) << _SHIFT64
+        signed = acc.astype(np.int64)
+        np.negative(signed, where=self.negative, out=signed)
+        return signed
 
     def to_compact(self) -> np.ndarray:
         """Pack to the compact ``(N, Lb)`` form (the kernel store phase)."""

@@ -18,8 +18,11 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.decimal import inference
-from repro.core.decimal.context import DecimalSpec
+from repro.core.decimal.context import WORD_BITS, DecimalSpec
+from repro.core.decimal.vectorized import DecimalVector
 from repro.errors import MultithreadError
 from repro.gpusim.device import DEFAULT_DEVICE, GpuDevice
 
@@ -80,6 +83,23 @@ class AggregationRun:
 
 
 _SUPPORTED = ("sum", "min", "max", "count", "avg")
+_SEGMENTED = ("sum", "min", "max", "avg")
+
+
+def result_spec(op: str, input_spec: DecimalSpec, charged: int) -> DecimalSpec:
+    """Result spec of aggregate ``op`` over ``charged`` (simulated) tuples.
+
+    A function of the aggregate alone -- never of the values reduced -- so
+    a query's result types do not depend on whether any row survived.
+    """
+    charged = max(charged, 1)
+    if op == "count":
+        return inference.count_spec(charged)
+    if op in ("min", "max"):
+        return inference.minmax_result(input_spec)
+    if op == "avg":
+        return inference.avg_result(input_spec, charged)
+    return inference.sum_result(input_spec, charged)
 
 
 def aggregate(
@@ -96,9 +116,7 @@ def aggregate(
     ``simulate_tuples`` rows (default ``len(values)``) so benchmarks can run
     a sample while costing the paper's relation sizes.
     """
-    op = op.lower()
-    if op not in _SUPPORTED:
-        raise MultithreadError(f"unsupported aggregate {op!r}")
+    op = _checked(op)
     n = len(values)
     if n == 0:
         raise MultithreadError("cannot aggregate an empty column")
@@ -106,25 +124,153 @@ def aggregate(
 
     # Result values always reflect the real rows reduced; ``charged`` only
     # widens result specs and drives the timing model.
+    spec = result_spec(op, input_spec, charged)
     if op == "count":
-        result_spec = inference.count_spec(max(charged, 1))
         result: int = n
     elif op in ("min", "max"):
-        result_spec = inference.minmax_result(input_spec)
         result = min(values) if op == "min" else max(values)
     else:  # sum / avg
-        result_spec = inference.sum_result(input_spec, max(charged, 1))
-        result = _blockwise_sum(values, input_spec, result_spec, tpi, device)
+        sum_spec = result_spec("sum", input_spec, charged)
+        result = _blockwise_sum(values, input_spec, sum_spec, tpi, device)
         if op == "avg":
-            avg_spec = inference.avg_result(input_spec, max(charged, 1))
-            prescale = inference.div_prescale(inference.count_spec(max(charged, 1)))
-            magnitude = abs(result) * 10**prescale // n
-            result = -magnitude if result < 0 else magnitude
-            result_spec = avg_spec
+            result = _average(result, n, charged)
 
-    run = AggregationRun(value=result, spec=result_spec)
-    run.passes = _plan_passes(charged, result_spec.words, tpi, device)
+    run = AggregationRun(value=result, spec=spec)
+    run.passes = _plan_passes(charged, spec.words, tpi, device)
     return run
+
+
+@dataclass
+class SegmentedRun:
+    """One aggregate reduced over every segment (group) of a column.
+
+    Every segment is charged the same pass plan: the grouped operator
+    spreads its simulated tuples evenly over the groups.
+    """
+
+    values: List[int]  # one unscaled result per segment
+    spec: DecimalSpec
+    passes: List[PassInfo] = field(default_factory=list)
+
+    @property
+    def seconds(self) -> float:
+        """Simulated seconds of *one* segment's reduction."""
+        return sum(p.seconds for p in self.passes)
+
+
+def aggregate_segments(
+    vector: DecimalVector,
+    starts: np.ndarray,
+    op: str = "sum",
+    tpi: int = 8,
+    device: GpuDevice = DEFAULT_DEVICE,
+    simulate_tuples: int = 1,
+) -> SegmentedRun:
+    """Reduce every segment of ``vector`` straight from its limb planes.
+
+    Segment ``g`` is rows ``starts[g]`` up to the next start (the last one
+    runs to the end); segments must be non-empty and are given in row
+    order.  Results equal :func:`aggregate` over each segment's values,
+    spec and pass plan included, but the work is O(Lw) column passes
+    instead of one Python reduction per group:
+
+    * SUM/AVG add each 32-bit limb column separately with
+      ``np.add.reduceat`` into uint64 -- positives and negatives apart, so
+      every partial sum is a magnitude -- and resolve the inter-limb
+      carries once per segment (the blocked-carry formulation of Oancea
+      and Watt).  A uint64 limb sum stays exact below 2**32 rows.
+    * MIN/MAX run ``np.minimum/maximum.reduceat`` on int64 when every value
+      fits 63 bits, else compare the segments' Python ints.
+
+    COUNT is not reduced here: a segment's count is its length.
+    ``simulate_tuples`` is the per-segment charge; the pass plan is
+    computed once for all segments.
+    """
+    op = _checked(op, _SEGMENTED)
+    spec = result_spec(op, vector.spec, simulate_tuples)
+    run = SegmentedRun(values=[], spec=spec)
+    run.passes = _plan_passes(max(simulate_tuples, 1), spec.words, tpi, device)
+    rows = vector.rows
+    starts = np.asarray(starts, dtype=np.int64)
+    if len(starts) == 0:
+        if rows:
+            raise MultithreadError("rows outside every segment")
+        return run
+    counts = np.diff(np.append(starts, rows))
+    if starts[0] != 0 or (counts < 1).any():
+        raise MultithreadError("segments must be non-empty and start at row 0")
+    if op in ("min", "max"):
+        run.values = _segment_extremes(vector, starts, counts, op)
+    else:
+        totals = _segment_sums(vector, starts)
+        if op == "avg":
+            totals = [
+                _average(total, n, simulate_tuples)
+                for total, n in zip(totals, counts.tolist())
+            ]
+        run.values = totals
+    return run
+
+
+def _checked(op: str, supported: Sequence[str] = _SUPPORTED) -> str:
+    op = op.lower()
+    if op not in supported:
+        raise MultithreadError(f"unsupported aggregate {op!r}")
+    return op
+
+
+def _average(total: int, n: int, charged: int) -> int:
+    """AVG from an exact SUM: the division rule with a ``len(N)``-digit divisor."""
+    prescale = inference.div_prescale(inference.count_spec(max(charged, 1)))
+    magnitude = abs(total) * 10**prescale // n
+    return -magnitude if total < 0 else magnitude
+
+
+def _segment_sums(vector: DecimalVector, starts: np.ndarray) -> List[int]:
+    """Exact signed sum of every segment from per-limb column sums."""
+    words, negative = vector.words, vector.negative
+    totals = np.add.reduceat(words, starts, axis=0, dtype=np.uint64)
+    if not negative.any():
+        return _resolve_carries(totals)
+    negated = np.add.reduceat(
+        np.where(negative[:, None], words, 0), starts, axis=0, dtype=np.uint64
+    )
+    # Limb by limb, the positive rows' sum is the total minus the negative
+    # rows' sum: both are exact, so the difference cannot wrap.
+    return [
+        plus - minus
+        for plus, minus in zip(
+            _resolve_carries(totals - negated), _resolve_carries(negated)
+        )
+    ]
+
+
+def _resolve_carries(limb_sums: np.ndarray) -> List[int]:
+    """Fold ``(G, Lw)`` unnormalised limb sums into one exact int per row.
+
+    Column ``j`` holds a sum of 32-bit limbs of weight ``2**(32*j)``, up to
+    ``32 + log2(rows)`` bits wide; the object-dtype fold propagates every
+    carry in one pass over the limbs.
+    """
+    acc = limb_sums[:, -1].astype(object)
+    for limb in range(limb_sums.shape[1] - 2, -1, -1):
+        acc = (acc << WORD_BITS) + limb_sums[:, limb].astype(object)
+    return acc.tolist()
+
+
+def _segment_extremes(
+    vector: DecimalVector, starts: np.ndarray, counts: np.ndarray, op: str
+) -> List[int]:
+    signed = vector.to_int64()
+    if signed is not None:
+        reduce = np.minimum if op == "min" else np.maximum
+        return reduce.reduceat(signed, starts).tolist()
+    values = vector.to_unscaled()
+    pick = min if op == "min" else max
+    return [
+        pick(values[start : start + n])
+        for start, n in zip(starts.tolist(), counts.tolist())
+    ]
 
 
 def _blockwise_sum(

@@ -233,7 +233,7 @@ class Column:
         return Column(
             self.name,
             self.column_type,
-            self.data[indices],
+            np.take(self.data, indices, axis=0),
             codec=self.codec,
             encoding_chunk_rows=self.encoding_chunk_rows,
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Database
-from repro.errors import CatalogError, ParseError
+from repro.errors import CatalogError, ExecutionError, ParseError
 
 
 def make_db():
@@ -71,6 +71,31 @@ class TestHashJoin:
         db.create_table("b", {"kb": "DECIMAL(6, 2)", "y": "INT"}, rows=[("1.50", 8), ("2.00", 9)])
         result = db.execute("SELECT x, y FROM a JOIN b ON ka = kb")
         assert result.rows == [(7, 8)]
+
+    def test_decimal_keys_join_by_value_across_scales(self):
+        """1.50 = 1.5 matches; 0.15 (unscaled 15, like 1.5's) must not."""
+        db = Database()
+        db.create_table(
+            "a", {"ka": "DECIMAL(6, 2)", "x": "INT"}, rows=[("0.15", 1), ("1.50", 2)]
+        )
+        db.create_table("b", {"kb": "DECIMAL(6, 1)", "y": "INT"}, rows=[("1.5", 10)])
+        result = db.execute("SELECT x, y FROM a JOIN b ON ka = kb")
+        assert result.rows == [(2, 10)]
+
+    def test_decimal_key_joins_int_by_value(self):
+        """1.00 = 1 matches; 0.01 (unscaled 1) must not."""
+        db = Database()
+        db.create_table(
+            "a", {"ka": "DECIMAL(6, 2)", "x": "INT"}, rows=[("0.01", 1), ("1.00", 2)]
+        )
+        db.create_table("c", {"kc": "INT", "z": "INT"}, rows=[(1, 100)])
+        result = db.execute("SELECT x, z FROM a JOIN c ON ka = kc")
+        assert result.rows == [(2, 100)]
+
+    def test_incomparable_key_types_rejected(self):
+        db = make_db()
+        with pytest.raises(ExecutionError):
+            db.execute("SELECT i_qty FROM items JOIN orders ON i_orderkey = o_flag")
 
     def test_missing_joined_table(self):
         db = make_db()
