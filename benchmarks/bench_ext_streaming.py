@@ -75,5 +75,5 @@ def test_ext_streaming_bit_exact_end_to_end(benchmark):
     streamed = benchmark(run_streamed)
     assert streamed.rows == serial.rows
     for entry in streamed.report.streamed_kernels:
-        assert entry.chunks > 1
-        assert entry.pipelined_seconds < entry.serial_seconds
+        assert entry.timing.chunks > 1
+        assert entry.timing.pipelined_seconds < entry.timing.serial_seconds

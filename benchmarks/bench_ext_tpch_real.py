@@ -187,7 +187,9 @@ GOLDEN_JOIN_ORDERS = {
 
 
 def _smoke(rows: int) -> int:
-    experiment = emit(run_experiment(rows=rows))
+    """CI smoke: Q3 PCIe cut, hot-path wins, golden join orders (prints, never saves)."""
+    experiment = run_experiment(rows=rows)
+    print(experiment.format())
     cells = {row[0]: row for row in experiment.rows}
     optimized = cells["Q3-style"]
     naive = cells["Q3-style (no optimizer)"]

@@ -1,14 +1,14 @@
 """Structural verification pass (``STRUCT*`` rules).
 
-The original ``verify_kernel`` checks, reworked to *collect* every
-violation through the diagnostics framework instead of raising on the
-first one: registers defined before use, instruction specs consistent with
-the operation semantics (alignment exponents match the scale change,
-add/sub operands scale-aligned, division prescale/result scales follow the
-section III-B3 rules), and exactly one result stored.
+Collects every violation through the diagnostics framework instead of
+raising on the first one: registers defined before use, instruction specs
+consistent with the operation semantics (alignment exponents match the
+scale change, add/sub operands scale-aligned, division prescale/result
+scales follow the section III-B3 rules), and exactly one result stored.
 
 Later passes (ranges, lifetime) assume a structurally valid kernel, so the
-analyzer driver skips them when this pass reports errors.
+analyzer driver skips them when this pass reports errors, and the JIT
+pipeline raises :class:`~repro.errors.CodegenError` with the first finding.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def run(
         serial_hot = serial.report.kernel_seconds + serial.report.pcie_seconds
         streamed_hot = streamed.report.kernel_seconds + streamed.report.pcie_seconds
         chunks = max(
-            (entry.chunks for entry in streamed.report.streamed_kernels), default=1
+            (entry.timing.chunks for entry in streamed.report.streamed_kernels), default=1
         )
         table.append(
             [

@@ -26,6 +26,7 @@ from repro.core.jit import alignment, codegen, constant_folding, nary, type_infe
 from repro.core.jit.expr_ast import Expr
 from repro.core.jit.ir import KernelIR
 from repro.core.jit.parser import parse_expression
+from repro.errors import CodegenError
 
 Schema = Mapping[str, DecimalSpec]
 
@@ -171,10 +172,13 @@ def compile_expression(
         cse=options.subexpression_elimination,
     )
     from repro.analysis import analyze_kernel, apply_fast_paths
-    from repro.core.jit.verifier import verify_kernel
 
-    verify_kernel(kernel)
     report = analyze_kernel(kernel, tree=tree)
+    # A structurally broken kernel (undefined register, misaligned add, no
+    # stored result, ...) is a code generator bug: fail before it can run.
+    broken = [d for d in report.diagnostics if d.rule.startswith("STRUCT")]
+    if broken:
+        raise CodegenError(broken[0].message)
     if report.fast_paths and not report.has_errors:
         # Feed the proven division facts back into the IR (and the rendered
         # listing) so the executor skips the per-row size dispatch.  The

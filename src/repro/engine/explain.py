@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.analysis import AnalysisReport
 from repro.core.jit.pipeline import JitOptions
-from repro.engine.plan.cost import CostModel, OptimizerConfig
+from repro.engine.plan.cost import CostModel, OptimizerConfig, stream_chunk_rows
 from repro.engine.plan.physical import (
     AggregateOp,
     DropOp,
@@ -199,15 +199,15 @@ def explain_query(
             transfer_bytes = simulate_rows * sum(
                 compiled.kernel.input_columns[column].compact_bytes for column in fresh
             )
-            if cost_model is not None and optimizer is not None and optimizer.choose_streaming:
-                # Mirror the executor's cost-based chunk choice.
-                chunk_rows = cost_model.choose_chunk_rows(
-                    compiled.kernel, simulate_rows, streaming, transfer_bytes
-                )
-            else:
-                chunk_rows = streaming.resolve_chunk_rows(
-                    compiled.kernel, device, simulate_rows
-                )
+            chunk_rows = stream_chunk_rows(
+                compiled.kernel,
+                simulate_rows,
+                streaming,
+                transfer_bytes,
+                device,
+                cost_model,
+                optimizer,
+            )
             timing = stream_timing(
                 compiled.kernel,
                 simulate_rows,

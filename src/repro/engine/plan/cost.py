@@ -42,7 +42,6 @@ class OptimizerConfig:
     such as sort-key retention).
     """
 
-    enabled: bool = True
     #: Run the logical rewrite rules (pushdown, merge, pruning).
     rewrite: bool = True
     #: Statistics-driven multi-join reordering (requires ``rewrite``: the
@@ -54,7 +53,7 @@ class OptimizerConfig:
     choose_streaming: bool = True
     #: Run the plan-level static analyzer (``repro.analysis.plan``) over
     #: every planned query: schema dataflow, precision dataflow and
-    #: rewrite-soundness checks.  Deliberately *not* tied to ``enabled``:
+    #: rewrite-soundness checks.  Deliberately left on by ``off()``:
     #: un-optimized plans are analyzed too, so an analyzer finding always
     #: isolates to the plan itself or to a rewrite, never to "analysis was
     #: off on one side of the comparison".
@@ -67,19 +66,11 @@ class OptimizerConfig:
     @classmethod
     def off(cls) -> "OptimizerConfig":
         return cls(
-            enabled=False,
             rewrite=False,
             reorder_joins=False,
             choose_join=False,
             choose_streaming=False,
         )
-
-    def __post_init__(self) -> None:
-        if not self.enabled:
-            object.__setattr__(self, "rewrite", False)
-            object.__setattr__(self, "reorder_joins", False)
-            object.__setattr__(self, "choose_join", False)
-            object.__setattr__(self, "choose_streaming", False)
 
 
 @dataclass
@@ -437,9 +428,9 @@ class CostModel:
         candidates = {simulate_rows}  # one chunk == serial execution
         if streaming.chunk_rows is not None:
             candidates.add(streaming.chunk_rows)
-        auto = StreamingConfig(
-            enabled=True, chunk_rows=None, memory_fraction=streaming.memory_fraction
-        ).resolve_chunk_rows(kernel, self.device, simulate_rows)
+        auto = StreamingConfig(enabled=True, chunk_rows=None).resolve_chunk_rows(
+            kernel, self.device, simulate_rows
+        )
         candidates.add(auto)
         candidates.add(DEFAULT_CHUNK_ROWS)
         candidates.update(
@@ -457,3 +448,25 @@ class CostModel:
 
         # Deterministic tie-break: prefer the larger chunk (fewer launches).
         return min(sorted(candidates, reverse=True), key=pipelined)
+
+
+def stream_chunk_rows(
+    kernel: ir.KernelIR,
+    simulate_rows: int,
+    streaming: StreamingConfig,
+    transfer_bytes: float,
+    device: GpuDevice,
+    cost_model: Optional[CostModel],
+    optimizer: Optional[OptimizerConfig],
+) -> int:
+    """Rows per stream chunk for one kernel launch.
+
+    The one chunk-size rule: the executor and EXPLAIN both call it.  With
+    ``optimizer.choose_streaming`` set and a cost model present, the cost
+    model picks the size minimising the pipelined estimate; otherwise
+    :meth:`StreamingConfig.resolve_chunk_rows` applies the configured (or
+    memory-budget auto) size.
+    """
+    if cost_model is not None and optimizer is not None and optimizer.choose_streaming:
+        return cost_model.choose_chunk_rows(kernel, simulate_rows, streaming, transfer_bytes)
+    return streaming.resolve_chunk_rows(kernel, device, simulate_rows)

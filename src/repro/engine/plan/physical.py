@@ -21,7 +21,7 @@ from repro.core.decimal.value import DecimalValue
 from repro.core.decimal.vectorized import DecimalVector
 from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.core.multithread import aggregation as mt_aggregation
-from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig
+from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig, stream_chunk_rows
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey, SelectItem
 from repro.errors import ExecutionError, PlanningError, StorageError
 from repro.gpusim import executor as gpu_executor
@@ -29,7 +29,7 @@ from repro.gpusim import occupancy as gpu_occupancy
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.residency import DeviceResidency
 from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
-from repro.gpusim.streaming import StreamingConfig, execute_streamed
+from repro.gpusim.streaming import StreamingConfig, StreamTiming, execute_streamed
 from repro.storage.column import Column
 from repro.storage.relation import Relation
 from repro.storage.schema import CharType, DateType, DecimalType, DoubleType, IntType
@@ -37,22 +37,19 @@ from repro.storage.schema import CharType, DateType, DecimalType, DoubleType, In
 
 @dataclass
 class KernelExecution:
-    """Per-kernel launch record: chunking and pipelined-vs-serial timing.
+    """Per-kernel launch record: the launch's charge as a chunked pipeline.
 
-    On the serial path ``chunks=1`` and the two times coincide; on the
-    streamed path ``pipelined_seconds`` is what the report charges while
-    ``serial_seconds`` is what the unchunked path would have cost, so
-    ``overlap_speedup`` is the per-kernel win from transfer/compute overlap.
+    ``timing`` is what the report was charged: the pipelined
+    :func:`~repro.gpusim.streaming.stream_timing` on the streamed path, one
+    chunk with no transfer stage on the serial path (where serial and
+    pipelined seconds coincide).  ``timing.overlap_speedup`` is the
+    per-kernel win from transfer/compute overlap.
     """
 
     name: str
     expression: str
-    chunks: int
     streamed: bool
-    transfer_seconds_per_chunk: float
-    kernel_seconds_per_chunk: float
-    serial_seconds: float
-    pipelined_seconds: float
+    timing: StreamTiming
     #: Measured wall-clock of the kernel's *data plane* (the numpy limb
     #: arithmetic actually run in this process), as opposed to the simulated
     #: GPU seconds above which come from instruction counts.
@@ -62,12 +59,6 @@ class KernelExecution:
     #: launches from concurrent queries are co-resident while their
     #: occupancies sum to <= 1.
     occupancy: float = 1.0
-
-    @property
-    def overlap_speedup(self) -> float:
-        if self.pipelined_seconds == 0:
-            return 1.0
-        return self.serial_seconds / self.pipelined_seconds
 
 
 @dataclass
@@ -102,8 +93,8 @@ class ExecutionReport:
     #: of :attr:`total_seconds` -- the simulated times come from the timing
     #: model; this is the real cost of producing the bit-exact results.
     data_plane_seconds: float = 0.0
-    #: One record per JIT-kernel launch, in execution order.  Streamed
-    #: entries carry the chunk count and the pipelined-vs-serial split.
+    #: One record per JIT-kernel launch, in execution order, each holding
+    #: the :class:`StreamTiming` it was charged.
     kernel_executions: List[KernelExecution] = field(default_factory=list)
 
     @property
@@ -113,11 +104,11 @@ class ExecutionReport:
     @property
     def overlap_speedup(self) -> float:
         """Aggregate serial/pipelined ratio across the streamed kernels."""
-        streamed = self.streamed_kernels
-        pipelined = sum(entry.pipelined_seconds for entry in streamed)
+        streamed = [entry.timing for entry in self.streamed_kernels]
+        pipelined = sum(timing.pipelined_seconds for timing in streamed)
         if pipelined == 0:
             return 1.0
-        return sum(entry.serial_seconds for entry in streamed) / pipelined
+        return sum(timing.serial_seconds for timing in streamed) / pipelined
 
     @property
     def total_seconds(self) -> float:
@@ -761,88 +752,64 @@ def _evaluate_expression(
                 [compiled.kernel], include_base=include_base
             )
         context.report.kernels_compiled += 1
-    inputs = {
-        name: batch.column(name).data for name in compiled.kernel.input_columns
-    }
+    kernel = compiled.kernel
+    inputs = {name: batch.column(name).data for name in kernel.input_columns}
     sim = max(int(round(batch.simulated_rows)), 1)
-    if context.streaming.enabled:
-        return _execute_streamed_kernel(compiled.kernel, inputs, batch, sim, context)
-    started = time.perf_counter()
-    run = gpu_executor.execute(
-        compiled.kernel, inputs, batch.rows, device=context.device, simulate_tuples=sim
-    )
-    elapsed = time.perf_counter() - started
-    context.report.kernel_seconds += run.timing.seconds
-    context.report.data_plane_seconds += elapsed
-    context.report.kernel_executions.append(
-        KernelExecution(
-            name=compiled.kernel.name,
-            expression=compiled.kernel.expression_sql,
-            chunks=1,
-            streamed=False,
-            transfer_seconds_per_chunk=0.0,
-            kernel_seconds_per_chunk=run.timing.seconds,
-            serial_seconds=run.timing.seconds,
-            pipelined_seconds=run.timing.seconds,
-            data_plane_seconds=elapsed,
-            occupancy=run.timing.occupancy.occupancy,
+    streaming = context.streaming
+    if streaming.enabled:
+        # Only columns whose scan-time transfer is still pending (not yet
+        # on the device) feed the overlapped H2D copy.
+        transfer_bytes = 0.0
+        if context.include_transfer:
+            for column in kernel.input_columns:
+                transfer_bytes += context.pending_transfer.pop(column, 0.0)
+            context.report.pcie_bytes += transfer_bytes
+        chunk_rows = stream_chunk_rows(
+            kernel,
+            sim,
+            streaming,
+            transfer_bytes,
+            context.device,
+            context.cost_model,
+            context.optimizer,
         )
-    )
-    return run.result
-
-
-def _execute_streamed_kernel(
-    kernel, inputs: Dict[str, np.ndarray], batch: Batch, sim: int, context: QueryContext
-) -> DecimalVector:
-    """Run one kernel through the chunked streaming path.
-
-    Only columns not yet resident on the device (their scan-time transfer
-    is still pending) contribute to the overlapped H2D copy; the report
-    splits the pipelined total into pure compute (``kernel_seconds``) and
-    the exposed, non-overlapped transfer remainder (``pcie_seconds``), so
-    ``report.total_seconds`` reflects the pipelined time.
-    """
-    transfer_bytes = 0.0
-    if context.include_transfer:
-        for column in kernel.input_columns:
-            transfer_bytes += context.pending_transfer.pop(column, 0.0)
-        context.report.pcie_bytes += transfer_bytes
-    if context.cost_model is not None and context.optimizer.choose_streaming:
-        chunk_rows = context.cost_model.choose_chunk_rows(
-            kernel, sim, context.streaming, transfer_bytes
+        started = time.perf_counter()
+        result, timing = execute_streamed(
+            kernel,
+            inputs,
+            batch.rows,
+            simulate_tuples=sim,
+            chunk_rows=chunk_rows,
+            device=context.device,
+            transfer_bytes=int(transfer_bytes),
         )
+        elapsed = time.perf_counter() - started
+        occupancy = gpu_occupancy.compute(kernel, context.device).occupancy
     else:
-        chunk_rows = context.streaming.resolve_chunk_rows(kernel, context.device, sim)
-    started = time.perf_counter()
-    run = execute_streamed(
-        kernel,
-        inputs,
-        batch.rows,
-        simulate_tuples=sim,
-        chunk_rows=chunk_rows,
-        device=context.device,
-        transfer_bytes=int(transfer_bytes),
-    )
-    elapsed = time.perf_counter() - started
-    compute_total = run.kernel_seconds_per_chunk * run.chunks
-    context.report.kernel_seconds += compute_total
-    context.report.pcie_seconds += max(run.pipelined_seconds - compute_total, 0.0)
+        started = time.perf_counter()
+        run = gpu_executor.execute(
+            kernel, inputs, batch.rows, device=context.device, simulate_tuples=sim
+        )
+        elapsed = time.perf_counter() - started
+        result, timing = run.result, StreamTiming(1, 0.0, run.timing.seconds)
+        occupancy = run.timing.occupancy.occupancy
+    # The pipelined total splits into pure compute (``kernel_seconds``) and
+    # the exposed, non-overlapped transfer remainder (``pcie_seconds``); a
+    # serial launch has no transfer stage, so the remainder is zero.
+    context.report.kernel_seconds += timing.kernel_seconds
+    context.report.pcie_seconds += max(timing.pipelined_seconds - timing.kernel_seconds, 0.0)
     context.report.data_plane_seconds += elapsed
     context.report.kernel_executions.append(
         KernelExecution(
             name=kernel.name,
             expression=kernel.expression_sql,
-            chunks=run.chunks,
-            streamed=True,
-            transfer_seconds_per_chunk=run.transfer_seconds_per_chunk,
-            kernel_seconds_per_chunk=run.kernel_seconds_per_chunk,
-            serial_seconds=run.serial_seconds,
-            pipelined_seconds=run.pipelined_seconds,
+            streamed=streaming.enabled,
+            timing=timing,
             data_plane_seconds=elapsed,
-            occupancy=gpu_occupancy.compute(kernel, context.device).occupancy,
+            occupancy=occupancy,
         )
     )
-    return run.result
+    return result
 
 
 def _flush_pending_transfer(context: QueryContext, columns) -> None:

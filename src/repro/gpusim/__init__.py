@@ -17,7 +17,6 @@ from repro.gpusim.profiler import (
     profile_kernel_streamed,
 )
 from repro.gpusim.streaming import (
-    StreamedRun,
     StreamingConfig,
     StreamTiming,
     execute_streamed,
@@ -42,7 +41,6 @@ __all__ = [
     "Occupancy",
     "StreamTiming",
     "StreamedKernelProfile",
-    "StreamedRun",
     "StreamingConfig",
     "compile_time",
     "disk_scan_time",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 #: Resource identifiers a :class:`Segment` may run on.
 SM = "sm"
@@ -97,7 +97,7 @@ def segments_from_report(report) -> List[Segment]:
     _add(PCIE, report.pcie_seconds, label="pcie")
     kernel_attributed = 0.0
     for entry in report.kernel_executions:
-        seconds = entry.kernel_seconds_per_chunk * max(entry.chunks, 1)
+        seconds = entry.timing.kernel_seconds
         kernel_attributed += seconds
         _add(SM, seconds, demand=entry.occupancy, label=entry.name)
     # Kernel time the per-launch records did not cover (defensive: the two
@@ -250,7 +250,10 @@ class DeviceScheduler:
 
     def simulate(self) -> ScheduleResult:
         """Run the closed-loop discrete-event simulation."""
-        pending = {session: list(stream) for session, stream in self._streams.items()}
+        # Sessions activate in sorted order: the float sums below follow
+        # activation order, and the order in which sessions first submit
+        # depends on host-thread timing.
+        pending = {session: list(self._streams[session]) for session in sorted(self._streams)}
         cursor = {session: 0 for session in pending}
         active: List[_Task] = []
         completed: List[ScheduledQuery] = []

@@ -5,8 +5,9 @@ section V) is dominated by the PCIe transfer bottleneck; the standard
 remedy is to split a column batch into chunks and overlap chunk N+1's
 host-to-device copy with chunk N's kernel using CUDA streams.
 
-``execute_streamed`` models exactly that: the data plane runs chunk by
-chunk (bit-exact, results concatenated), and the time model pipelines the
+Chunking is a claim about *time* only: elementwise kernels return the
+same rows under any split, so ``execute_streamed`` runs the data plane in
+one launch and charges it through the time model, which pipelines the
 per-chunk transfer and kernel stages::
 
     total = first_transfer + max(transfer, kernel) * (chunks - 1) + last_kernel
@@ -15,15 +16,15 @@ compared with the serial ``transfer_total + kernel_total``.
 
 :class:`StreamingConfig` is the engine-facing knob: the ``Database``
 facade threads it through :class:`~repro.engine.plan.physical.QueryContext`
-to the projection/aggregation operators, which route every JIT kernel
-through this module instead of the monolithic executor.
+to the projection/aggregation operators, whose JIT kernels are then
+charged as :class:`StreamTiming` pipelines instead of serial launches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +45,10 @@ MIN_AUTO_CHUNK_ROWS = 65_536
 #: kernel (the pipeline's un-overlapped ends) are a small share of total.
 AUTO_PIPELINE_DEPTH = 8
 
+#: Auto-sizing budget: the fraction of device memory one pipelined chunk
+#: set (double-buffered inputs plus the result column) may occupy.
+AUTO_MEMORY_FRACTION = 0.125
+
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -51,16 +56,14 @@ class StreamingConfig:
 
     ``chunk_rows=None`` auto-sizes chunks per kernel: each in-flight chunk
     set (double-buffered inputs plus the result column) must fit in
-    ``memory_fraction`` of the device's DRAM -- so wide LEN configurations
-    stream in proportionally smaller chunks -- and the batch is split into
-    at least :data:`AUTO_PIPELINE_DEPTH` chunks so the pipeline's fill and
-    drain stages stay a small share of the total.
+    :data:`AUTO_MEMORY_FRACTION` of the device's DRAM -- so wide LEN
+    configurations stream in proportionally smaller chunks -- and the batch
+    is split into at least :data:`AUTO_PIPELINE_DEPTH` chunks so the
+    pipeline's fill and drain stages stay a small share of the total.
     """
 
     enabled: bool = False
     chunk_rows: Optional[int] = DEFAULT_CHUNK_ROWS
-    #: Fraction of device memory one pipelined chunk set may occupy.
-    memory_fraction: float = 0.125
 
     def __post_init__(self) -> None:
         # Validate at construction: ``chunk_rows=0`` used to survive until
@@ -81,7 +84,7 @@ class StreamingConfig:
         # Double-buffered inputs (copy of chunk N+1 overlaps compute on N)
         # plus the result column written back.
         bytes_per_row = 2 * kernel.bytes_read_per_tuple + kernel.bytes_written_per_tuple
-        budget = self.memory_fraction * device.memory_bytes
+        budget = AUTO_MEMORY_FRACTION * device.memory_bytes
         rows = int(budget / max(bytes_per_row, 1))
         if tuples is not None:
             rows = min(rows, math.ceil(tuples / AUTO_PIPELINE_DEPTH))
@@ -95,6 +98,11 @@ class StreamTiming:
     chunks: int
     transfer_seconds_per_chunk: float
     kernel_seconds_per_chunk: float
+
+    @property
+    def kernel_seconds(self) -> float:
+        """Compute summed over the chunks (no transfer)."""
+        return self.kernel_seconds_per_chunk * self.chunks
 
     @property
     def serial_seconds(self) -> float:
@@ -146,24 +154,6 @@ def stream_timing(
     return StreamTiming(chunks, transfer, compute)
 
 
-@dataclass
-class StreamedRun:
-    """Result + pipelined timing of a chunked kernel execution."""
-
-    result: DecimalVector
-    chunks: int
-    transfer_seconds_per_chunk: float
-    kernel_seconds_per_chunk: float
-    serial_seconds: float
-    pipelined_seconds: float
-
-    @property
-    def overlap_speedup(self) -> float:
-        if self.pipelined_seconds == 0:
-            return 1.0
-        return self.serial_seconds / self.pipelined_seconds
-
-
 def execute_streamed(
     kernel: ir.KernelIR,
     columns: Dict[str, np.ndarray],
@@ -172,69 +162,20 @@ def execute_streamed(
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     device: GpuDevice = DEFAULT_DEVICE,
     transfer_bytes: Optional[int] = None,
-) -> StreamedRun:
-    """Execute a kernel in chunks with modelled transfer/compute overlap.
+) -> Tuple[DecimalVector, StreamTiming]:
+    """Run a kernel once and charge it as a chunked, pipelined launch.
 
-    ``tuples`` real rows are processed (in ``ceil(tuples / real_chunk)``
-    chunks sized proportionally to the simulated chunking); timing uses
-    ``simulate_tuples`` split into ``chunk_rows`` chunks.  An empty input
-    (``tuples=0``) is a valid no-op: the run carries an empty result
-    vector, ``chunks=0`` and zero timings.
+    The ``tuples`` real rows go through one :func:`execute` call; the
+    returned :class:`StreamTiming` splits ``simulate_tuples`` into
+    ``chunk_rows`` chunks (see :func:`stream_timing`).  An empty input
+    (``tuples=0``) charges nothing: ``chunks=0`` and zero timings.
     """
     if chunk_rows < 1:
         raise ExecutionError("chunk_rows must be positive")
     if tuples == 0:
-        return StreamedRun(
-            result=_empty_vector(kernel),
-            chunks=0,
-            transfer_seconds_per_chunk=0.0,
-            kernel_seconds_per_chunk=0.0,
-            serial_seconds=0.0,
-            pipelined_seconds=0.0,
+        timing = StreamTiming(0, 0.0, 0.0)
+    else:
+        timing = stream_timing(
+            kernel, simulate_tuples, chunk_rows, device, transfer_bytes=transfer_bytes
         )
-    timing = stream_timing(
-        kernel, simulate_tuples, chunk_rows, device, transfer_bytes=transfer_bytes
-    )
-    chunks = max(timing.chunks, 1)
-
-    # Real data plane: process in the same number of chunks.
-    real_chunk = max(1, math.ceil(tuples / chunks))
-    pieces: List[DecimalVector] = []
-    for start in range(0, tuples, real_chunk):
-        stop = min(start + real_chunk, tuples)
-        piece = execute(
-            kernel,
-            {name: data[start:stop] for name, data in columns.items()},
-            stop - start,
-            device=device,
-            simulate_tuples=stop - start,
-        )
-        pieces.append(piece.result)
-    result = _concatenate(pieces)
-
-    return StreamedRun(
-        result=result,
-        chunks=timing.chunks,
-        transfer_seconds_per_chunk=timing.transfer_seconds_per_chunk,
-        kernel_seconds_per_chunk=timing.kernel_seconds_per_chunk,
-        serial_seconds=timing.serial_seconds,
-        pipelined_seconds=timing.pipelined_seconds,
-    )
-
-
-def _empty_vector(kernel: ir.KernelIR) -> DecimalVector:
-    spec = kernel.result_spec
-    return DecimalVector(
-        spec,
-        np.zeros(0, dtype=bool),
-        np.zeros((0, spec.words), dtype=np.uint32),
-    )
-
-
-def _concatenate(pieces: List[DecimalVector]) -> DecimalVector:
-    if not pieces:
-        raise ExecutionError("no chunks were executed")
-    spec = pieces[0].spec
-    negative = np.concatenate([piece.negative for piece in pieces])
-    words = np.concatenate([piece.words for piece in pieces], axis=0)
-    return DecimalVector(spec, negative, words)
+    return execute(kernel, columns, tuples, device=device).result, timing

@@ -73,9 +73,9 @@ class TestReport:
         entries = streamed_report.streamed_kernels
         assert entries, "streamed run must record per-kernel executions"
         for entry in entries:
-            assert entry.chunks > 1
-            assert entry.pipelined_seconds < entry.serial_seconds
-            assert entry.overlap_speedup > 1.0
+            assert entry.timing.chunks > 1
+            assert entry.timing.pipelined_seconds < entry.timing.serial_seconds
+            assert entry.timing.overlap_speedup > 1.0
         assert streamed_report.overlap_speedup > 1.0
         # The pipelined total undercuts the serial engine's total.
         assert streamed_report.total_seconds < serial_report.total_seconds
@@ -86,8 +86,8 @@ class TestReport:
         assert report.kernel_executions
         for entry in report.kernel_executions:
             assert not entry.streamed
-            assert entry.chunks == 1
-            assert entry.pipelined_seconds == entry.serial_seconds
+            assert entry.timing.chunks == 1
+            assert entry.timing.pipelined_seconds == entry.timing.serial_seconds
         assert report.streamed_kernels == []
         assert report.overlap_speedup == 1.0
 

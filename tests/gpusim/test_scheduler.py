@@ -9,6 +9,7 @@ overlap, and closed-loop arrivals.
 import pytest
 
 from repro.engine.plan.physical import ExecutionReport, KernelExecution
+from repro.gpusim.streaming import StreamTiming
 from repro.gpusim.scheduler import (
     HOST,
     PCIE,
@@ -165,12 +166,8 @@ class TestSegmentsFromReport:
                 KernelExecution(
                     name="calc_expr_0",
                     expression="a + b",
-                    chunks=4,
                     streamed=True,
-                    transfer_seconds_per_chunk=0.01,
-                    kernel_seconds_per_chunk=0.1,
-                    serial_seconds=0.44,
-                    pipelined_seconds=0.41,
+                    timing=StreamTiming(4, 0.01, 0.1),
                     occupancy=0.5,
                 )
             ],
@@ -218,6 +215,19 @@ class TestScheduler:
         assert [q.latency for q in ra.queries] == pytest.approx(
             [q.latency for q in rb.queries]
         )
+
+    def test_submission_order_leaves_no_float_trace(self):
+        """Regression: sessions used to activate in first-submission order,
+        so the float sums (serialized seconds, busy time) depended on which
+        host thread finished first -- 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1."""
+        seconds = {"a": 0.1, "b": 0.2, "c": 0.3}
+        results = []
+        for order in ("abc", "cba"):
+            scheduler = DeviceScheduler()
+            for session in order:
+                scheduler.submit(session, [Segment(SM, seconds[session], demand=0.6)])
+            results.append(scheduler.simulate())
+        assert results[0] == results[1]
 
     def test_bookkeeping(self):
         scheduler = DeviceScheduler()

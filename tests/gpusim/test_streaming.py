@@ -9,6 +9,7 @@ from repro.errors import ExecutionError
 from repro.gpusim import execute
 from repro.gpusim.device import GpuDevice
 from repro.gpusim.streaming import (
+    AUTO_MEMORY_FRACTION,
     MIN_AUTO_CHUNK_ROWS,
     StreamingConfig,
     execute_streamed,
@@ -34,24 +35,24 @@ def setup(rows=100):
 class TestCorrectness:
     def test_matches_monolithic(self):
         kernel, columns, expected = setup(rows=100)
-        run = execute_streamed(
+        result, timing = execute_streamed(
             kernel, columns, 100, simulate_tuples=10_000_000, chunk_rows=1_000_000
         )
-        assert run.result.to_unscaled() == expected
-        assert run.chunks == 10
+        assert result.to_unscaled() == expected
+        assert timing.chunks == 10
 
     def test_single_chunk(self):
         kernel, columns, expected = setup(rows=10)
-        run = execute_streamed(kernel, columns, 10, simulate_tuples=500_000)
-        assert run.chunks == 1
-        assert run.result.to_unscaled() == expected
+        result, timing = execute_streamed(kernel, columns, 10, simulate_tuples=500_000)
+        assert timing.chunks == 1
+        assert result.to_unscaled() == expected
 
     def test_uneven_chunks(self):
         kernel, columns, expected = setup(rows=97)
-        run = execute_streamed(
+        result, _ = execute_streamed(
             kernel, columns, 97, simulate_tuples=10_000_000, chunk_rows=3_000_000
         )
-        assert run.result.to_unscaled() == expected
+        assert result.to_unscaled() == expected
 
     def test_bad_chunk_rows(self):
         kernel, columns, _ = setup(rows=5)
@@ -60,28 +61,29 @@ class TestCorrectness:
 
     def test_chunk_rows_larger_than_tuples(self):
         kernel, columns, expected = setup(rows=7)
-        run = execute_streamed(
+        result, timing = execute_streamed(
             kernel, columns, 7, simulate_tuples=7, chunk_rows=1_000_000
         )
-        assert run.chunks == 1
-        assert run.result.to_unscaled() == expected
+        assert timing.chunks == 1
+        assert result.to_unscaled() == expected
 
     def test_empty_input_is_a_valid_noop(self):
-        """tuples=0 returns an empty StreamedRun, not an ExecutionError."""
+        """tuples=0 returns an empty result and a zero charge, not an
+        ExecutionError."""
         kernel, columns, _ = setup(rows=5)
         empty = {name: data[:0] for name, data in columns.items()}
-        run = execute_streamed(kernel, empty, 0, simulate_tuples=0)
-        assert run.chunks == 0
-        assert run.result.to_unscaled() == []
-        assert run.result.spec == kernel.result_spec
-        assert run.serial_seconds == 0.0
-        assert run.pipelined_seconds == 0.0
-        assert run.overlap_speedup == 1.0
+        result, timing = execute_streamed(kernel, empty, 0, simulate_tuples=0)
+        assert timing.chunks == 0
+        assert result.to_unscaled() == []
+        assert result.spec == kernel.result_spec
+        assert timing.serial_seconds == 0.0
+        assert timing.pipelined_seconds == 0.0
+        assert timing.overlap_speedup == 1.0
 
     @pytest.mark.parametrize("expression", ["a + b", "a * b", "a / b"])
     @pytest.mark.parametrize("chunk_rows", [1, 3, 10, 64, 1_000])
     def test_bit_exact_across_kernels_and_chunk_sizes(self, expression, chunk_rows):
-        """Chunked results equal the unchunked run for add/mul/div kernels."""
+        """Streamed results equal the plain launch for add/mul/div kernels."""
         spec = DecimalSpec(20, 2)
         schema = {"a": spec, "b": spec}
         compiled = compile_expression(expression, schema)
@@ -93,25 +95,25 @@ class TestCorrectness:
             "b": DecimalVector.from_unscaled(values_b, spec).to_compact(),
         }
         monolithic = execute(compiled.kernel, columns, rows)
-        streamed = execute_streamed(
+        streamed, _ = execute_streamed(
             compiled.kernel,
             columns,
             rows,
             simulate_tuples=rows,
             chunk_rows=chunk_rows,
         )
-        assert streamed.result.to_unscaled() == monolithic.result.to_unscaled()
-        assert streamed.result.spec == monolithic.result.spec
+        assert streamed.to_unscaled() == monolithic.result.to_unscaled()
+        assert streamed.spec == monolithic.result.spec
 
 
 class TestOverlapModel:
     def test_pipelining_beats_serial(self):
         kernel, columns, _ = setup(rows=20)
-        run = execute_streamed(
+        _, timing = execute_streamed(
             kernel, columns, 20, simulate_tuples=10_000_000, chunk_rows=1_000_000
         )
-        assert run.pipelined_seconds < run.serial_seconds
-        assert run.overlap_speedup > 1.1
+        assert timing.pipelined_seconds < timing.serial_seconds
+        assert timing.overlap_speedup > 1.1
 
     def test_balanced_stages_approach_2x(self):
         """When transfer and kernel times balance, overlap nears 2x."""
@@ -126,28 +128,28 @@ class TestOverlapModel:
             "a": DecimalVector.from_unscaled(values, spec).to_compact(),
             "b": DecimalVector.from_unscaled(divisors, spec).to_compact(),
         }
-        run = execute_streamed(
+        _, timing = execute_streamed(
             compiled.kernel, columns, 8, simulate_tuples=20_000_000, chunk_rows=1_000_000
         )
-        assert run.overlap_speedup > 1.5
+        assert timing.overlap_speedup > 1.5
 
     def test_speedup_bounded_by_two(self):
         # Perfect two-stage pipelining can at most halve the time.
         kernel, columns, _ = setup(rows=20)
-        run = execute_streamed(
+        _, timing = execute_streamed(
             kernel, columns, 20, simulate_tuples=20_000_000, chunk_rows=1_000_000
         )
-        assert run.overlap_speedup <= 2.0 + 1e-9
+        assert timing.overlap_speedup <= 2.0 + 1e-9
 
     def test_one_chunk_has_no_overlap(self):
         kernel, columns, _ = setup(rows=20)
-        run = execute_streamed(kernel, columns, 20, simulate_tuples=100_000)
-        assert run.pipelined_seconds == pytest.approx(run.serial_seconds)
+        _, timing = execute_streamed(kernel, columns, 20, simulate_tuples=100_000)
+        assert timing.pipelined_seconds == pytest.approx(timing.serial_seconds)
 
     def test_transfer_bytes_override(self):
         """transfer_bytes=0 models already-resident inputs: no PCIe stage."""
         kernel, columns, _ = setup(rows=20)
-        run = execute_streamed(
+        _, timing = execute_streamed(
             kernel,
             columns,
             20,
@@ -155,11 +157,9 @@ class TestOverlapModel:
             chunk_rows=1_000_000,
             transfer_bytes=0,
         )
-        assert run.transfer_seconds_per_chunk == 0.0
-        assert run.pipelined_seconds == pytest.approx(
-            run.kernel_seconds_per_chunk * run.chunks
-        )
-        assert run.serial_seconds == pytest.approx(run.pipelined_seconds)
+        assert timing.transfer_seconds_per_chunk == 0.0
+        assert timing.pipelined_seconds == pytest.approx(timing.kernel_seconds)
+        assert timing.serial_seconds == pytest.approx(timing.pipelined_seconds)
 
 
 class TestStreamingConfig:
@@ -182,7 +182,7 @@ class TestStreamingConfig:
         rows = config.resolve_chunk_rows(kernel, small)
         assert rows == max(
             MIN_AUTO_CHUNK_ROWS,
-            int(config.memory_fraction * small.memory_bytes / bytes_per_row),
+            int(AUTO_MEMORY_FRACTION * small.memory_bytes / bytes_per_row),
         )
 
     def test_auto_sizing_targets_pipeline_depth(self):

@@ -1,13 +1,14 @@
-"""Tests for the kernel IR verifier."""
+"""Tests for the kernel IR structural verifier (``check_structure``) and
+the JIT pipeline's refusal of structurally broken kernels."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.structure import check_structure
 from repro.core.decimal.context import DecimalSpec
-from repro.core.jit import ir
+from repro.core.jit import codegen, ir
 from repro.core.jit.pipeline import JitOptions, compile_expression
-from repro.core.jit.verifier import verify_kernel
 from repro.errors import CodegenError
 
 SCHEMA = {"a": DecimalSpec(10, 2), "b": DecimalSpec(8, 1)}
@@ -17,6 +18,12 @@ def valid_kernel():
     return compile_expression("a + b * 2", SCHEMA).kernel
 
 
+def first_finding(kernel) -> str:
+    findings = check_structure(kernel)
+    assert findings, "kernel should be structurally broken"
+    return findings[0].message
+
+
 class TestAcceptsGeneratedKernels:
     @pytest.mark.parametrize(
         "expression",
@@ -24,11 +31,11 @@ class TestAcceptsGeneratedKernels:
     )
     def test_generated_kernels_verify(self, expression):
         kernel = compile_expression(expression, SCHEMA).kernel
-        verify_kernel(kernel)  # must not raise
+        assert check_structure(kernel) == []
 
     def test_modulo_kernel(self):
         schema = {"x": DecimalSpec(18, 0), "n": DecimalSpec(18, 0)}
-        verify_kernel(compile_expression("x * x % n", schema).kernel)
+        assert check_structure(compile_expression("x * x % n", schema).kernel) == []
 
     @given(st.sampled_from(["a+b", "a*b+1", "(a-b)*(a+b)", "a/b+a"]))
     @settings(max_examples=10, deadline=None)
@@ -39,7 +46,8 @@ class TestAcceptsGeneratedKernels:
             JitOptions(subexpression_elimination=True),
             JitOptions(constant_construction=False, constant_alignment=False),
         ):
-            verify_kernel(compile_expression(expression, SCHEMA, options).kernel)
+            kernel = compile_expression(expression, SCHEMA, options).kernel
+            assert check_structure(kernel) == []
 
 
 class TestRejectsBrokenKernels:
@@ -48,8 +56,7 @@ class TestRejectsBrokenKernels:
         kernel.instructions.insert(
             0, ir.AddOp(99, DecimalSpec(4, 0), 50, 51)
         )
-        with pytest.raises(CodegenError, match="undefined register"):
-            verify_kernel(kernel)
+        assert "undefined register" in first_finding(kernel)
 
     def test_unaligned_addition(self):
         spec_a = DecimalSpec(6, 2)
@@ -67,16 +74,14 @@ class TestRejectsBrokenKernels:
             result_spec=DecimalSpec(7, 2),
             register_words=3,
         )
-        with pytest.raises(CodegenError, match="not scale-aligned"):
-            verify_kernel(kernel)
+        assert "not scale-aligned" in first_finding(kernel)
 
     def test_missing_store(self):
         kernel = valid_kernel()
         kernel.instructions = [
             i for i in kernel.instructions if not isinstance(i, ir.StoreResult)
         ]
-        with pytest.raises(CodegenError, match="exactly one result"):
-            verify_kernel(kernel)
+        assert "exactly one result" in first_finding(kernel)
 
     def test_wrong_align_exponent(self):
         spec = DecimalSpec(6, 1)
@@ -92,8 +97,7 @@ class TestRejectsBrokenKernels:
             result_spec=DecimalSpec(9, 3),
             register_words=3,
         )
-        with pytest.raises(CodegenError, match="Align scale mismatch"):
-            verify_kernel(kernel)
+        assert "Align scale mismatch" in first_finding(kernel)
 
     def test_overflowing_constant(self):
         kernel = ir.KernelIR(
@@ -107,8 +111,7 @@ class TestRejectsBrokenKernels:
             result_spec=DecimalSpec(2, 0),
             register_words=1,
         )
-        with pytest.raises(CodegenError, match="does not fit"):
-            verify_kernel(kernel)
+        assert "does not fit" in first_finding(kernel)
 
     def test_fractional_modulo(self):
         spec = DecimalSpec(6, 1)
@@ -124,14 +127,28 @@ class TestRejectsBrokenKernels:
             result_spec=DecimalSpec(6, 0),
             register_words=2,
         )
-        with pytest.raises(CodegenError, match="integer"):
-            verify_kernel(kernel)
+        assert "integer" in first_finding(kernel)
 
     def test_store_spec_mismatch(self):
         kernel = valid_kernel()
         kernel.result_spec = DecimalSpec(30, 5)
-        with pytest.raises(CodegenError, match="result spec"):
-            verify_kernel(kernel)
+        assert "result spec" in first_finding(kernel)
+
+
+class TestCompileRejectsBrokenCodegen:
+    def test_broken_generated_kernel_raises_codegen_error(self, monkeypatch):
+        """A code generator bug still fails the compile, before analysis
+        results or fast paths are attached to the kernel."""
+        generate = codegen.generate_kernel
+
+        def broken(*args, **kwargs):
+            kernel = generate(*args, **kwargs)
+            kernel.instructions.insert(0, ir.AddOp(99, DecimalSpec(4, 0), 50, 51))
+            return kernel
+
+        monkeypatch.setattr(codegen, "generate_kernel", broken)
+        with pytest.raises(CodegenError, match="undefined register"):
+            compile_expression("a + b * 2", SCHEMA)
 
 
 class TestCollectAllFindings:
@@ -152,17 +169,18 @@ class TestCollectAllFindings:
         )
 
     def test_non_strict_collects_every_finding(self):
-        findings = verify_kernel(self.multi_problem_kernel(), strict=False)
+        findings = check_structure(self.multi_problem_kernel())
         rules = {finding.rule for finding in findings}
         assert {"STRUCT001", "STRUCT002", "STRUCT003"} <= rules
         assert all(finding.severity.name == "ERROR" for finding in findings)
 
-    def test_strict_raises_the_first_finding(self):
+    def test_strict_raises_the_first_finding(self, monkeypatch):
+        """compile_expression raises the first STRUCT finding's message."""
         kernel = self.multi_problem_kernel()
-        first = verify_kernel(kernel, strict=False)[0]
+        monkeypatch.setattr(codegen, "generate_kernel", lambda *args, **kwargs: kernel)
         with pytest.raises(CodegenError) as excinfo:
-            verify_kernel(kernel)
-        assert str(excinfo.value) == first.message
+            compile_expression("a + b", SCHEMA)
+        assert str(excinfo.value) == first_finding(kernel)
 
     def test_valid_kernel_returns_no_findings(self):
-        assert verify_kernel(valid_kernel(), strict=False) == []
+        assert check_structure(valid_kernel()) == []
