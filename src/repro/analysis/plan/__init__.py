@@ -6,10 +6,10 @@ structure-gates-the-rest design (:mod:`repro.analysis.analyzer`):
 1. :mod:`schema_flow` -- ``PLAN*``: every column an operator consumes is
    produced upstream; sort keys survive to the Sort; zone pushdown is a
    sound subset of the adjacent filter.
-2. :mod:`precision` -- ``PREC*``: DECIMAL(p, s) dataflow through joins,
-   projections and aggregates; every expression's plan-level interval
-   proof is cross-checked against the kernel range pass so the two proof
-   layers can never silently disagree.
+2. :mod:`precision` -- ``PREC*``: DECIMAL(p, s) proofs over the kernels
+   the planner compiled and the aggregates they feed; every expression's
+   plan-level interval proof is cross-checked against the kernel range
+   pass so the two proof layers can never silently disagree.
 3. :mod:`rewrite_audit` -- ``RULE*``: a differential soundness audit of
    every optimizer rewrite, replayed from before/after snapshots.
 
@@ -17,10 +17,9 @@ Findings reuse :class:`repro.analysis.diagnostics.AnalysisReport`: the
 ``kernel`` field carries the plan label and ``instruction`` the operator
 position, so ``Diagnostic.format`` output reads naturally for plans too.
 
-The planner runs this automatically when ``OptimizerConfig.verify_plans``
-is set (the default); ``strict_plan_analysis`` escalates errors to
-:class:`repro.errors.PlanAnalysisError`.  ``python -m repro.analysis
---plans`` sweeps the workload queries through it in CI.
+The planner runs this over every plan it builds; ``strict_plan_analysis``
+escalates errors to :class:`repro.errors.PlanAnalysisError`.  ``python -m
+repro.analysis --plans`` sweeps the workload queries through it in CI.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ def analyze_plan(
     plan,
     *,
     stats=None,
-    jit_options=None,
     label: Optional[str] = None,
 ) -> AnalysisReport:
     """Run every plan-level pass over a physical plan.
@@ -61,8 +59,6 @@ def analyze_plan(
     ops = list(plan)
     report.extend(check_schema_flow(ops, stats=stats, label=name))
     if not report.has_errors:
-        report.extend(
-            check_precision_flow(ops, stats, label=name, jit_options=jit_options)
-        )
+        report.extend(check_precision_flow(ops, stats, label=name))
     report.extend(check_rewrites(getattr(plan, "events", []), stats=stats, label=name))
     return report

@@ -1,11 +1,11 @@
-"""Precision/scale dataflow pass over physical plans (``PREC*`` rules).
+"""Precision/scale proofs over a plan's compiled kernels (``PREC*`` rules).
 
-Propagates ``DECIMAL(p, s)`` specs through the plan exactly the way
-execution does -- the scan's column specs flow through joins and
-projections, every JIT expression is compiled against the schema its batch
-would carry, and aggregates widen through the section III-B3 inference
-rules -- then proves at the *plan* level that every expression result fits
-the register width the JIT allocates.
+The planner compiles every JIT expression of a plan once, against the
+DECIMAL schema of the batch its operator reads, and records the result
+on the operator.  This pass reads those kernels -- it compiles nothing --
+and proves at the *plan* level that every expression result fits the
+register width the JIT allocates; aggregates widen through the section
+III-B3 inference rules.
 
 The proof is deliberately redundant with the kernel range pass
 (``repro.analysis.ranges``): this pass walks the optimised expression
@@ -22,24 +22,18 @@ Rules:
   allocated word container (the plan-level analogue of ``RANGE001``).
 * ``PREC002`` (error): the plan-level overflow verdict disagrees with the
   kernel range pass on the same expression.
-* ``PREC003`` (error): an expression cannot compile against the decimal
-  schema its batch carries (e.g. pruning removed an input column).
 * ``PREC004`` (info): proof -- the expression result fits its container
   and the plan-level and kernel-level analyses agree.
 * ``PREC005`` (info/error): aggregate widening proof over the simulated
   tuple count (error when the widened spec cannot be constructed).
 
-Expressions are compiled through a module-private analysis-only
-:class:`~repro.core.jit.pipeline.KernelCache`: warming the session's
-shared cache from the analyzer would flip execution's compiled-vs-cached
-accounting, and strict analysis is forced off so an overflowing kernel is
-*reported* here rather than raising mid-analysis.
+An expression that cannot compile against its batch fails planning with
+the compiler's own error, so it never reaches this pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.ranges import (
@@ -55,38 +49,21 @@ from repro.analysis.ranges import (
 from repro.core.decimal import inference
 from repro.core.decimal.context import DecimalSpec
 from repro.core.jit import expr_ast
-from repro.core.jit.pipeline import JitOptions, KernelCache
-from repro.engine.plan.physical import (
-    AggregateOp,
-    DropOp,
-    GroupAggregateOp,
-    HashJoinOp,
-    NestedLoopJoinOp,
-    ProjectOp,
-    ScanOp,
-)
+from repro.core.jit.pipeline import CompiledExpression
+from repro.engine.plan.physical import _KernelOp
+from repro.engine.sql.ast_nodes import AggregateCall
 from repro.errors import ReproError
-from repro.storage.schema import DecimalType
 
 PLAN_OVERFLOW = "PREC001"
 PROOF_MISMATCH = "PREC002"
-EXPR_UNTYPABLE = "PREC003"
 EXPR_PROOF = "PREC004"
 AGGREGATE_PROOF = "PREC005"
 
 Interval = Tuple[int, int]
 
-#: Analysis-only compilation cache, shared across all plan analyses in the
-#: process.  Never the session's cache: pre-warming that would turn
-#: execution's first compile into a hit and silently stop charging compile
-#: time in reports.
-_ANALYSIS_CACHE = KernelCache()
 
-
-def check_precision_flow(
-    plan_ops, stats, label: str = "", jit_options: Optional[JitOptions] = None
-) -> List[Diagnostic]:
-    """Run the precision-dataflow pass; returns its diagnostics.
+def check_precision_flow(plan_ops, stats, label: str = "") -> List[Diagnostic]:
+    """Run the precision pass over the planned kernels; returns its diagnostics.
 
     Declines (empty list) without statistics: column specs come from the
     catalog, and a plan analysed without them could prove nothing sound.
@@ -94,7 +71,6 @@ def check_precision_flow(
     findings: List[Diagnostic] = []
     if stats is None:
         return findings
-    options = replace(jit_options or JitOptions(), strict_analysis=False)
 
     def report(
         rule: str, severity: Severity, message: str, position: Optional[int] = None
@@ -103,90 +79,22 @@ def check_precision_flow(
             Diagnostic(rule, severity, message, kernel=label, instruction=position)
         )
 
-    # The decimal schema the executor would build from the batch at each
-    # operator, plus the non-decimal columns flowing alongside (those pass
-    # through projections bare but never enter a kernel).
-    schema: Dict[str, DecimalSpec] = {}
-    non_decimal: Set[str] = set()
     sim_n = max(int(stats.simulate_rows), 1)
-
-    def spec_of(text: str, kernel_name: str, position: int) -> Optional[DecimalSpec]:
-        bare = text.strip()
-        if bare in schema:
-            return schema[bare]
-        if bare in non_decimal:
-            return None
-        return _check_expression(
-            text, schema, kernel_name, options, report, position
-        )
-
     for position, op in enumerate(plan_ops):
-        if isinstance(op, ScanOp):
-            schema, non_decimal = {}, set()
-            for name in op.columns:
-                column_type = stats.main.column_types.get(name)
-                if isinstance(column_type, DecimalType):
-                    schema[name] = column_type.spec
-                else:
-                    non_decimal.add(name)
-        elif isinstance(op, (HashJoinOp, NestedLoopJoinOp)):
-            right = stats.table(op.join.table)
-            for name in op.right_columns:
-                if name in schema or name in non_decimal:
-                    continue  # left side wins on name collisions
-                column_type = right.column_types.get(name) if right else None
-                if isinstance(column_type, DecimalType):
-                    schema[name] = column_type.spec
-                else:
-                    non_decimal.add(name)
-        elif isinstance(op, ProjectOp):
-            produced: Dict[str, DecimalSpec] = {}
-            produced_other: Set[str] = set()
-            for index, item in enumerate(op.items):
-                text = item.expression
-                assert isinstance(text, str)
-                spec = spec_of(text, f"calc_expr_{index}", position)
-                if spec is not None:
-                    produced[item.name] = spec
-                else:
-                    produced_other.add(item.name)
-            for name in op.carry:
-                if name in schema:
-                    produced.setdefault(name, schema[name])
-                elif name in non_decimal:
-                    produced_other.add(name)
-            schema, non_decimal = produced, produced_other
-        elif isinstance(op, (AggregateOp, GroupAggregateOp)):
-            produced = {}
-            produced_other = set()
-            if isinstance(op, GroupAggregateOp):
-                for name in op.group_by:
-                    if name in schema:
-                        produced[name] = schema[name]
-                    else:
-                        produced_other.add(name)
-            for index, item in enumerate(op.items):
-                call = item.expression
-                if call.function == "COUNT":
-                    produced[item.name] = inference.count_spec(sim_n)
-                    continue
-                arg_spec = spec_of(call.argument, f"agg_expr_{index}", position)
-                if arg_spec is None:
-                    produced_other.add(item.name)
-                    continue
-                result = _aggregate_spec(
-                    call.function, arg_spec, sim_n, report, position, str(call)
-                )
-                if result is None:
-                    produced_other.add(item.name)
-                else:
-                    produced[item.name] = result
-            schema, non_decimal = produced, produced_other
-        elif isinstance(op, DropOp):
-            for name in op.columns:
-                schema.pop(name, None)
-                non_decimal.discard(name)
-        # Filter/Sort/Limit leave the schema unchanged.
+        if not isinstance(op, _KernelOp):
+            continue
+        for item, planned in zip(op.items, op.kernels):
+            spec: Optional[DecimalSpec] = None
+            if planned is not None:
+                spec = _check_kernel(planned[0], report, position)
+            call = item.expression
+            if not isinstance(call, AggregateCall) or call.function == "COUNT":
+                continue
+            if spec is None:
+                # A bare DECIMAL argument, typed as the planner compiled it.
+                spec = op.schema.get(call.argument.strip())
+            if spec is not None:
+                _aggregate_spec(call.function, spec, sim_n, report, position, str(call))
     return findings
 
 
@@ -197,7 +105,7 @@ def _aggregate_spec(
     report,
     position: int,
     what: str,
-) -> Optional[DecimalSpec]:
+) -> None:
     """Widen an aggregate input spec and report the proof (``PREC005``)."""
     try:
         if function == "SUM":
@@ -213,7 +121,7 @@ def _aggregate_spec(
             f"{what}: no overflow-free spec over {sim_n} simulated rows: {error}",
             position,
         )
-        return None
+        return
     report(
         AGGREGATE_PROOF,
         Severity.INFO,
@@ -221,36 +129,14 @@ def _aggregate_spec(
         f"{result} ({result.words} word(s)) -- overflow-free by construction",
         position,
     )
-    return result
 
 
-def _check_expression(
-    text: str,
-    schema: Dict[str, DecimalSpec],
-    kernel_name: str,
-    options: JitOptions,
-    report,
-    position: int,
-) -> Optional[DecimalSpec]:
-    """Compile one expression and run the plan-level interval proof.
+def _check_kernel(compiled: CompiledExpression, report, position: int) -> DecimalSpec:
+    """Run the plan-level interval proof on one planned kernel.
 
-    Returns the result spec execution would see (the kernel's), or None
-    when the expression cannot compile against this plan's schema.
+    Returns the result spec execution will see (the kernel's).
     """
-    try:
-        compiled, _cached = _ANALYSIS_CACHE.compile(
-            text, dict(schema), options, name=kernel_name
-        )
-    except ReproError as error:
-        report(
-            EXPR_UNTYPABLE,
-            Severity.ERROR,
-            f"{kernel_name} ({text!r}) cannot compile against the plan "
-            f"schema: {error}",
-            position,
-        )
-        return None
-
+    kernel_name = compiled.kernel.name
     overflows: List[Tuple[str, int, DecimalSpec]] = []
     _walk_intervals(compiled.tree, overflows)
     plan_overflow = bool(overflows)

@@ -198,8 +198,7 @@ def iter_plan_reports(
 
     Each query is planned with the optimizer on and off under every
     storage-codec variant; the planner attaches the plan analyzer's report
-    (``OptimizerConfig.verify_plans`` is on in both configurations), which
-    the caller gates on.
+    in both configurations, which the caller gates on.
     """
     from repro.engine.plan.cost import OptimizerConfig
     from repro.storage import tpch

@@ -1,10 +1,10 @@
 """EXPLAIN support: inspect plans, kernels and cost estimates without
 executing a query's data plane at full size.
 
-``Database.explain(sql)`` plans the query, JIT-compiles its expressions,
-and returns an :class:`ExplainResult` carrying the operator chain, every
-generated kernel (with its CUDA-like source and per-kernel timing
-estimate), and the end-to-end simulated cost estimate.
+``Database.explain(sql)`` plans the query, which JIT-compiles its
+expressions, and returns an :class:`ExplainResult` carrying the operator
+chain, every planned kernel (with its CUDA-like source and per-kernel
+timing estimate), and the end-to-end simulated cost estimate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.analysis import AnalysisReport
-from repro.core.jit.pipeline import JitOptions
+from repro.core.jit.ir import KernelIR
 from repro.engine.plan.cost import CostModel, OptimizerConfig, stream_chunk_rows
 from repro.engine.plan.physical import (
     AggregateOp,
@@ -25,6 +25,7 @@ from repro.engine.plan.physical import (
     NestedLoopJoinOp,
     PhysicalOp,
     ProjectOp,
+    PlannedKernel,
     ScanOp,
     SortOp,
 )
@@ -32,7 +33,7 @@ from repro.engine.sql.ast_nodes import AggregateCall, Query
 from repro.gpusim import profiler as gpu_profiler
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.device import GpuDevice
-from repro.gpusim.streaming import StreamingConfig, stream_timing
+from repro.gpusim.streaming import StreamingConfig, StreamTiming, stream_timing
 from repro.storage.relation import Relation
 
 
@@ -49,10 +50,8 @@ class KernelPlan:
     estimated_ms: float
     source: str
     #: Chunked-streaming estimate (set when the plan streams): chunk count
-    #: and the serial-vs-pipelined millisecond split for this kernel.
-    chunks: int = 1
-    serial_ms: Optional[float] = None
-    pipelined_ms: Optional[float] = None
+    #: and the serial-vs-pipelined split for this kernel.
+    timing: Optional[StreamTiming] = None
     #: Measured data-plane wall clock (set by ``explain(...,
     #: measure_data_plane=True)``): the real numpy cost of one run over the
     #: stored rows, as opposed to ``estimated_ms`` which is simulated.
@@ -61,12 +60,6 @@ class KernelPlan:
     #: Static-analyzer findings for this kernel (an
     #: ``repro.analysis.AnalysisReport``), attached by the JIT pipeline.
     diagnostics: Optional["AnalysisReport"] = None
-
-    @property
-    def overlap_speedup(self) -> Optional[float]:
-        if self.serial_ms is None or not self.pipelined_ms:
-            return None
-        return self.serial_ms / self.pipelined_ms
 
 
 @dataclass
@@ -84,7 +77,7 @@ class ExplainResult:
     rewrites: List[str] = field(default_factory=list)
     choices: List[str] = field(default_factory=list)
     #: Plan-level static analyzer findings (``PLAN*``/``PREC*``/``RULE*``),
-    #: attached by the planner when ``OptimizerConfig.verify_plans`` is set.
+    #: attached by the planner.
     plan_diagnostics: Optional["AnalysisReport"] = None
 
     def format(self, with_source: bool = False) -> str:
@@ -112,13 +105,12 @@ class ExplainResult:
                     f"~{kernel.estimated_ms:.2f} ms "
                     f"(alignments {kernel.alignments_before}->{kernel.alignments_after})"
                 )
-                if kernel.pipelined_ms is not None:
-                    speedup = kernel.overlap_speedup or 1.0
+                if kernel.timing is not None:
                     lines.append(
-                        f"      streamed: {kernel.chunks} chunks, "
-                        f"serial {kernel.serial_ms:.2f} ms -> "
-                        f"pipelined {kernel.pipelined_ms:.2f} ms "
-                        f"({speedup:.2f}x overlap)"
+                        f"      streamed: {kernel.timing.chunks} chunks, "
+                        f"serial {kernel.timing.serial_seconds * 1e3:.2f} ms -> "
+                        f"pipelined {kernel.timing.pipelined_seconds * 1e3:.2f} ms "
+                        f"({kernel.timing.overlap_speedup:.2f}x overlap)"
                     )
                 if kernel.data_plane_ms is not None:
                     lines.append(
@@ -140,7 +132,6 @@ def explain_query(
     chain: List[PhysicalOp],
     relation: Relation,
     simulate_rows: int,
-    jit_options: JitOptions,
     device: GpuDevice,
     joined=None,
     streaming: Optional[StreamingConfig] = None,
@@ -150,36 +141,28 @@ def explain_query(
 ) -> ExplainResult:
     """Build an ExplainResult from a planned query.
 
-    With ``measure_data_plane`` each compiled kernel is additionally run
-    once over the relation's real stored columns and its wall-clock
+    The kernel table and the compile estimate come from the kernels the
+    planner recorded on the operators; nothing is compiled here.  With
+    ``measure_data_plane`` each kernel is additionally run once over the
+    relation's real stored columns and its wall-clock
     (``KernelPlan.data_plane_ms``) recorded -- the measured counterpart of
     the simulated ``estimated_ms``.
     """
-    from repro.core.jit.pipeline import compile_expression
-
-    schema = relation.decimal_schema()
-    for joined_relation in (joined or {}).values():
-        schema.update(joined_relation.decimal_schema())
-    # Bare references to *any* stored column (not just DECIMALs) pass
-    # through the executor without a kernel; EXPLAIN must not try to
-    # JIT-compile them.
-    stored_columns = set(relation.column_names)
-    for joined_relation in (joined or {}).values():
-        stored_columns.update(joined_relation.column_names)
     operators: List[str] = []
     kernels: List[KernelPlan] = []
+    compiled_irs: List[KernelIR] = []
     # Mirrors the executor's residency tracking: only a column's first
     # kernel use pays (and overlaps) its host-to-device transfer.
     resident: set = set()
 
-    def add_kernel(text: str, name: str) -> None:
-        bare = text.strip()
-        if bare in schema or bare in stored_columns or bare == "*":
-            return  # bare columns need no kernel
-        compiled = compile_expression(text, schema, jit_options, name=name)
+    def add_kernel(text: str, planned: Optional[PlannedKernel]) -> None:
+        if planned is None:
+            return  # bare columns and COUNT need no kernel
+        compiled = planned[0]
+        compiled_irs.append(compiled.kernel)
         estimate = gpu_timing.kernel_time(compiled.kernel, simulate_rows, device)
         plan = KernelPlan(
-            name=name,
+            name=compiled.kernel.name,
             expression=text,
             optimised_expression=compiled.tree.to_sql(),
             result_spec=str(compiled.kernel.result_spec),
@@ -208,16 +191,13 @@ def explain_query(
                 cost_model,
                 optimizer,
             )
-            timing = stream_timing(
+            plan.timing = stream_timing(
                 compiled.kernel,
                 simulate_rows,
                 chunk_rows,
                 device,
                 transfer_bytes=transfer_bytes,
             )
-            plan.chunks = timing.chunks
-            plan.serial_ms = timing.serial_seconds * 1e3
-            plan.pipelined_ms = timing.pipelined_seconds * 1e3
         if measure_data_plane:
             inputs = {}
             for column in compiled.kernel.input_columns:
@@ -253,23 +233,18 @@ def explain_query(
             line = "Project (JIT) [" + ", ".join(str(i.expression) for i in op.items) + "]"
             if op.carry:
                 line += f" carry [{', '.join(op.carry)}]"
-            for index, item in enumerate(op.items):
-                add_kernel(item.expression, f"calc_expr_{index}")
-        elif isinstance(op, AggregateOp):
-            line = "Aggregate [" + ", ".join(str(i.expression) for i in op.items) + "]"
-            for index, item in enumerate(op.items):
+            for item, planned in zip(op.items, op.kernels):
+                add_kernel(str(item.expression), planned)
+        elif isinstance(op, (AggregateOp, GroupAggregateOp)):
+            line = "[" + ", ".join(str(i.expression) for i in op.items) + "]"
+            if isinstance(op, GroupAggregateOp):
+                line = f"GroupAggregate keys=[{', '.join(op.group_by)}] {line}"
+            else:
+                line = f"Aggregate {line}"
+            for item, planned in zip(op.items, op.kernels):
                 call = item.expression
-                if isinstance(call, AggregateCall) and call.function != "COUNT":
-                    add_kernel(call.argument, f"agg_expr_{index}")
-        elif isinstance(op, GroupAggregateOp):
-            line = (
-                f"GroupAggregate keys=[{', '.join(op.group_by)}] "
-                "[" + ", ".join(str(i.expression) for i in op.items) + "]"
-            )
-            for index, item in enumerate(op.items):
-                call = item.expression
-                if isinstance(call, AggregateCall) and call.function != "COUNT":
-                    add_kernel(call.argument, f"agg_expr_{index}")
+                if isinstance(call, AggregateCall):
+                    add_kernel(call.argument, planned)
         elif isinstance(op, SortOp):
             line = "Sort [" + ", ".join(
                 f"{k.column} {'ASC' if k.ascending else 'DESC'}" for k in op.keys
@@ -293,18 +268,12 @@ def explain_query(
             operators.append(line)
 
     # Reuse the compile-time model on the actual kernel set.
-    compile_seconds = 0.0
-    if kernels:
-        compiled_irs = [
-            compile_expression(kernel.expression, schema, jit_options, name=kernel.name).kernel
-            for kernel in kernels
-        ]
-        compile_seconds = gpu_timing.compile_time(compiled_irs)
+    compile_seconds = gpu_timing.compile_time(compiled_irs)
 
     # Streamed kernels are estimated at their pipelined time (which folds
     # in the overlapped H2D transfer); serial kernels at their launch time.
     total_ms = compile_seconds * 1e3 + sum(
-        k.pipelined_ms if k.pipelined_ms is not None else k.estimated_ms
+        k.timing.pipelined_seconds * 1e3 if k.timing is not None else k.estimated_ms
         for k in kernels
     )
     return ExplainResult(

@@ -18,7 +18,6 @@ estimator being right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -51,16 +50,10 @@ class OptimizerConfig:
     choose_join: bool = True
     #: Cost-based stream chunk sizing / serial fallback per kernel.
     choose_streaming: bool = True
-    #: Run the plan-level static analyzer (``repro.analysis.plan``) over
-    #: every planned query: schema dataflow, precision dataflow and
-    #: rewrite-soundness checks.  Deliberately left on by ``off()``:
-    #: un-optimized plans are analyzed too, so an analyzer finding always
-    #: isolates to the plan itself or to a rewrite, never to "analysis was
-    #: off on one side of the comparison".
-    verify_plans: bool = True
     #: Raise :class:`repro.errors.PlanAnalysisError` when the plan
-    #: analyzer reports errors (default: attach diagnostics to the plan
-    #: and EXPLAIN output without failing the query).
+    #: analyzer, which runs over every planned query, reports errors
+    #: (default: attach diagnostics to the plan and EXPLAIN output without
+    #: failing the query).
     strict_plan_analysis: bool = False
 
     @classmethod
@@ -360,7 +353,7 @@ class CostModel:
         return CostEstimate(0.0, seconds, rows)
 
     def sort(self, key_bytes_per_row: float, rows: float) -> CostEstimate:
-        passes = max(1, int(math.log2(max(rows, 2)) / 8))
+        passes = gpu_timing.sort_passes(rows)
         seconds = (
             gpu_timing.dram_pass_time(passes * key_bytes_per_row * rows, self.device)
             + self.device.kernel_launch_overhead
@@ -372,7 +365,7 @@ class CostModel:
         self, key_bytes_per_row: float, value_bytes_per_row: float, rows: float, groups: float
     ) -> CostEstimate:
         key_sort = self.sort(key_bytes_per_row, rows).total_seconds
-        gather = value_bytes_per_row * rows / 4.0e9  # GROUP_GATHER_BANDWIDTH
+        gather = value_bytes_per_row * rows / gpu_timing.GROUP_GATHER_BANDWIDTH
         reduce_pass = gpu_timing.dram_pass_time(value_bytes_per_row * rows, self.device)
         total = key_sort + gather + reduce_pass
         return CostEstimate(total, total, groups)

@@ -8,7 +8,6 @@ executor threads a :class:`Batch` through the chain.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -17,9 +16,10 @@ import numpy as np
 
 from repro.core.decimal import inference
 from repro.core.decimal import vectorized as _vz
+from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.value import DecimalValue
 from repro.core.decimal.vectorized import DecimalVector
-from repro.core.jit.pipeline import JitOptions, KernelCache
+from repro.core.jit.pipeline import CompiledExpression
 from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig, stream_chunk_rows
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey, SelectItem
@@ -154,8 +154,6 @@ class QueryContext:
     joined: Dict[str, Relation] = field(default_factory=dict)
     device: GpuDevice = DEFAULT_DEVICE
     host: HostSystem = DEFAULT_HOST
-    kernel_cache: KernelCache = field(default_factory=KernelCache)
-    jit_options: JitOptions = field(default_factory=JitOptions)
     include_scan: bool = True
     include_transfer: bool = True
     include_compile: bool = True
@@ -196,6 +194,28 @@ class PhysicalOp:
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         raise NotImplementedError
+
+
+#: A kernel the planner compiled for one operator item: the compiled
+#: expression, and whether the session cache already held it when the
+#: query was planned (which decides the compile charge).
+PlannedKernel = Tuple[CompiledExpression, bool]
+
+
+class _KernelOp(PhysicalOp):
+    """An operator whose items run the JIT kernels the planner compiled.
+
+    ``kernels[i]`` is item ``i``'s :data:`PlannedKernel`, or None where no
+    kernel runs (a bare column, or COUNT); ``schema`` maps the input
+    batch's DECIMAL columns to the specs the planner compiled against.
+    An operator built without the planner has no kernels, so only its
+    bare columns evaluate.
+    """
+
+    def __init__(self, items: List[SelectItem]):
+        self.items = items
+        self.kernels: List[Optional[PlannedKernel]] = [None] * len(items)
+        self.schema: Dict[str, DecimalSpec] = {}
 
 
 class ScanOp(PhysicalOp):
@@ -327,9 +347,8 @@ class FilterOp(PhysicalOp):
             batch.column(name).bytes_stored / max(batch.rows, 1)
             for name in predicate_columns
         )
-        traffic = predicate_bytes * batch.simulated_rows
-        context.report.filter_seconds += traffic / (
-            context.device.dram_bandwidth * context.device.dram_efficiency
+        context.report.filter_seconds += gpu_timing.dram_pass_time(
+            predicate_bytes * batch.simulated_rows, context.device
         ) + context.device.kernel_launch_overhead
         return Batch(
             columns={name: column.take(indices) for name, column in batch.columns.items()},
@@ -475,11 +494,11 @@ class NestedLoopJoinOp(_JoinOp):
         return self._join(batch, right_relation, keep)
 
 
-class ProjectOp(PhysicalOp):
+class ProjectOp(_KernelOp):
     """Evaluate non-aggregate expressions through the JIT engine."""
 
     def __init__(self, items: List[SelectItem], carry: Optional[List[str]] = None):
-        self.items = items
+        super().__init__(items)
         #: Columns retained alongside the select items (ORDER BY keys that
         #: are not select items; the sort-key-retention rule fills this).
         #: They stay device-resident for the sort, so they are excluded
@@ -498,7 +517,7 @@ class ProjectOp(PhysicalOp):
                 column = batch.columns[bare]
                 out[item.name] = Column(item.name, column.column_type, column.data)
                 continue
-            vector = _evaluate_expression(text, batch, context, kernel_name=f"calc_expr_{index}")
+            vector = _evaluate_expression(text, batch, context, self.kernels[index])
             out[item.name] = Column(item.name, DecimalType(vector.spec), vector.to_compact())
         if context.include_transfer:
             result_bytes = sum(
@@ -512,11 +531,8 @@ class ProjectOp(PhysicalOp):
         return Batch(columns=out, rows=batch.rows, simulated_rows=batch.simulated_rows)
 
 
-class AggregateOp(PhysicalOp):
+class AggregateOp(_KernelOp):
     """Ungrouped aggregation via the multi-threaded multi-pass reducer."""
-
-    def __init__(self, items: List[SelectItem]):
-        self.items = items
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
@@ -529,9 +545,7 @@ class AggregateOp(PhysicalOp):
                 spec = inference.count_spec(sim_n)
                 out[item.name] = Column.decimal_from_unscaled(item.name, [batch.rows], spec)
                 continue
-            vector = _evaluate_expression(
-                call.argument, batch, context, kernel_name=f"agg_expr_{index}"
-            )
+            vector = _evaluate_expression(call.argument, batch, context, self.kernels[index])
             started = time.perf_counter()
             unscaled = vector.to_unscaled()
             context.report.data_plane_seconds += time.perf_counter() - started
@@ -548,13 +562,7 @@ class AggregateOp(PhysicalOp):
         return Batch(columns=out, rows=1, simulated_rows=1.0)
 
 
-#: Effective bandwidth of the grouped-aggregation data reorganisation:
-#: segment gather/scatter of wide decimal payloads after the key sort is
-#: far from streaming speed.  Calibrated on Figure 14(b)'s Q1 LEN sweep.
-GROUP_GATHER_BANDWIDTH = 4.0e9
-
-
-class GroupAggregateOp(PhysicalOp):
+class GroupAggregateOp(_KernelOp):
     """GROUP BY + aggregates.
 
     Tuples are grouped by sorting on the key columns (DECIMAL keys compare
@@ -566,8 +574,8 @@ class GroupAggregateOp(PhysicalOp):
     """
 
     def __init__(self, group_by: List[str], items: List[SelectItem]):
+        super().__init__(items)
         self.group_by = group_by
-        self.items = items
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
@@ -581,10 +589,9 @@ class GroupAggregateOp(PhysicalOp):
         key_bytes = sum(
             batch.column(name).bytes_stored / max(rows, 1) for name in self.group_by
         )
-        sort_passes = max(1, int(math.log2(max(sim_n, 2)) / 8))
-        context.report.sort_seconds += (
-            sort_passes * key_bytes * batch.simulated_rows
-        ) / (context.device.dram_bandwidth * context.device.dram_efficiency)
+        context.report.sort_seconds += gpu_timing.dram_pass_time(
+            gpu_timing.sort_passes(sim_n) * key_bytes * batch.simulated_rows, context.device
+        )
 
         columns: Dict[str, Column] = {}
         for name, ((codes,), values) in zip(self.group_by, keys):
@@ -603,14 +610,12 @@ class GroupAggregateOp(PhysicalOp):
                     item.name, counts, inference.count_spec(sim_n)
                 )
                 continue
-            vector = _evaluate_expression(
-                call.argument, batch, context, kernel_name=f"agg_expr_{index}"
-            )
+            vector = _evaluate_expression(call.argument, batch, context, self.kernels[index])
             # Payload gather: every (4*Lw+1)-byte value moves into its
             # group segment before the blockwise reduction.
             value_bytes = 4 * vector.spec.words + 1
             context.report.aggregate_seconds += (
-                batch.simulated_rows * value_bytes / GROUP_GATHER_BANDWIDTH
+                batch.simulated_rows * value_bytes / gpu_timing.GROUP_GATHER_BANDWIDTH
             )
             started = time.perf_counter()
             run = mt_aggregation.aggregate_segments(
@@ -715,32 +720,38 @@ class DropOp(PhysicalOp):
 
 
 def _evaluate_expression(
-    text: str, batch: Batch, context: QueryContext, kernel_name: str
+    text: str, batch: Batch, context: QueryContext, planned: Optional[PlannedKernel]
 ) -> DecimalVector:
-    """JIT-compile and run one expression kernel over the batch.
+    """Run one expression's planned kernel over the batch.
 
-    A bare column reference needs no kernel at all: the aggregation
-    operators (section III-E2) consume the compact column directly, so no
-    JIT compilation is charged.
+    ``planned`` is None for a bare DECIMAL column, which needs no kernel
+    at all: the aggregation operators (section III-E2) consume the compact
+    column directly, so no JIT compilation is charged.  Otherwise the
+    compile is charged here, from whether the kernel was already cached
+    when the query was planned.
     """
-    bare = text.strip()
-    if bare in batch.columns and isinstance(
-        batch.columns[bare].column_type, DecimalType
-    ):
+    if planned is None:
+        bare = text.strip()
+        column = batch.columns.get(bare)
+        if column is None or not isinstance(column.column_type, DecimalType):
+            raise ExecutionError(f"no kernel was planned for {text!r}")
         # No kernel to overlap with: a deferred transfer ships serially.
         _flush_pending_transfer(context, [bare])
         started = time.perf_counter()
-        vector = batch.columns[bare].decimal_vector()
+        vector = column.decimal_vector()
         context.report.data_plane_seconds += time.perf_counter() - started
         return vector
-    schema = {
-        name: column.column_type.spec
-        for name, column in batch.columns.items()
-        if isinstance(column.column_type, DecimalType)
-    }
-    compiled, cached = context.kernel_cache.compile(
-        text, schema, context.jit_options, name=kernel_name
-    )
+    compiled, cached = planned
+    kernel = compiled.kernel
+    # The planner compiled against the catalog's types; a batch that
+    # disagrees would decode the compact bytes at the wrong width.
+    for name, spec in kernel.input_columns.items():
+        column_type = batch.column(name).column_type
+        if column_type != DecimalType(spec):
+            raise ExecutionError(
+                f"kernel {kernel.name}: column {name!r} is {column_type} in the "
+                f"batch but was compiled as {spec}"
+            )
     if cached:
         context.report.kernels_cached += 1
     else:
@@ -752,7 +763,6 @@ def _evaluate_expression(
                 [compiled.kernel], include_base=include_base
             )
         context.report.kernels_compiled += 1
-    kernel = compiled.kernel
     inputs = {name: batch.column(name).data for name in kernel.input_columns}
     sim = max(int(round(batch.simulated_rows)), 1)
     streaming = context.streaming

@@ -7,6 +7,11 @@ nested-loop join) with the :class:`~repro.engine.plan.cost.CostModel` --
 and annotates every operator with an ISGBD-style per-node
 :class:`~repro.engine.plan.cost.CostEstimate` for EXPLAIN.
 
+It is also the one place that compiles: every kernel of the plan is
+compiled once, through the kernel cache the caller passes, and recorded
+on its operator, where the executor, the plan analyzer and EXPLAIN read
+it.
+
 The returned :class:`PhysicalPlan` behaves like the plain operator list
 older call sites expect, and additionally carries the rewrite trace and
 the cost-based choices.
@@ -15,8 +20,9 @@ the cost-based choices.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
+from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.engine.plan.cost import (
     CostEstimate,
     CostModel,
@@ -50,10 +56,13 @@ from repro.engine.plan.physical import (
     ProjectOp,
     ScanOp,
     SortOp,
+    _JoinOp,
+    _KernelOp,
 )
 from repro.engine.plan.rules import RewriteEvent, apply_rules, default_rules
-from repro.engine.sql.ast_nodes import Query
+from repro.engine.sql.ast_nodes import AggregateCall, Query
 from repro.errors import PlanningError
+from repro.storage.schema import DecimalType
 
 #: Estimated stored bytes per row of a computed (JIT) result column when
 #: the catalog has no entry for it: a 4-word DECIMAL payload plus sign.
@@ -78,7 +87,7 @@ class PhysicalPlan:
         self.events = list(events or [])
         self.choices = list(choices or [])
         #: :class:`repro.analysis.AnalysisReport` from the plan-level
-        #: static analyzer, when ``OptimizerConfig.verify_plans`` ran it.
+        #: static analyzer, which ``plan_query`` runs over every plan.
         self.analysis = None
 
     def __iter__(self) -> Iterator[PhysicalOp]:
@@ -99,17 +108,19 @@ def plan_query(
     stats: Optional[PlanStats] = None,
     optimizer: Optional[OptimizerConfig] = None,
     cost_model: Optional[CostModel] = None,
-    jit_options=None,
+    kernel_cache: Optional[KernelCache] = None,
+    jit_options: Optional[JitOptions] = None,
     label: Optional[str] = None,
 ) -> PhysicalPlan:
     """Build the physical operator plan for a parsed query.
 
     Without ``stats``/``optimizer``/``cost_model`` this reproduces the
     historical fixed-shape translation (plus the always-on sort-key
-    retention pass) and annotates no costs.  ``jit_options``/``label``
-    parameterize the plan-level static analyzer, which runs whenever
-    ``optimizer.verify_plans`` is set (the default, including for
-    ``OptimizerConfig.off()``).
+    retention pass) and annotates no costs.  With ``stats`` every kernel
+    is compiled through ``kernel_cache`` (a fresh one when None) with
+    ``jit_options``; without them no column type is known and nothing is
+    compiled.  The plan-level static analyzer then runs over the plan,
+    its findings labelled ``label``.
     """
     optimizer = optimizer if optimizer is not None else OptimizerConfig.off()
     logical = build_logical_plan(query, available_columns, joined_columns)
@@ -214,26 +225,81 @@ def plan_query(
         op.estimated = estimate
         ops.append(op)
     _push_zone_predicates(ops)
+    if stats is not None:
+        cache = kernel_cache if kernel_cache is not None else KernelCache()
+        for position, op in enumerate(ops):
+            if isinstance(op, _KernelOp):
+                _compile_kernels(op, _input_types(ops[:position], stats), cache, jit_options)
     plan = PhysicalPlan(ops, events, choices)
-    if optimizer.verify_plans:
-        # Imported lazily: repro.analysis.plan pulls in the JIT pipeline,
-        # which this module must not depend on at import time.
-        from repro.analysis import Severity
-        from repro.analysis.plan import analyze_plan
-        from repro.errors import PlanAnalysisError
+    # Imported lazily: repro.analysis.plan imports the physical operators,
+    # so importing it at module level would be circular.
+    from repro.analysis import Severity
+    from repro.analysis.plan import analyze_plan
+    from repro.errors import PlanAnalysisError
 
-        plan.analysis = analyze_plan(
-            plan,
-            stats=stats,
-            jit_options=jit_options,
-            label=label or query.table,
+    plan.analysis = analyze_plan(plan, stats=stats, label=label or query.table)
+    if optimizer.strict_plan_analysis and plan.analysis.has_errors:
+        raise PlanAnalysisError(
+            "plan analysis failed:\n" + plan.analysis.format(Severity.ERROR),
+            report=plan.analysis,
         )
-        if optimizer.strict_plan_analysis and plan.analysis.has_errors:
-            raise PlanAnalysisError(
-                "plan analysis failed:\n" + plan.analysis.format(Severity.ERROR),
-                report=plan.analysis,
-            )
     return plan
+
+
+def _input_types(upstream: List[PhysicalOp], stats: PlanStats) -> Dict[str, object]:
+    """Column types of the batch the operators ``upstream`` produce.
+
+    The one rule for which schema a kernel compiles against.  Every plan
+    has one kernel-bearing operator, fed by the scan and the joins (a
+    filter keeps the columns): the scan's columns plus each join's ship
+    columns, the left side winning on a name collision as in
+    :meth:`~repro.engine.plan.physical._JoinOp._join`.
+    """
+    types: Dict[str, object] = {}
+    for op in upstream:
+        if isinstance(op, ScanOp):
+            types = {name: stats.main.column_types.get(name) for name in op.columns}
+        elif isinstance(op, _JoinOp):
+            right = stats.table(op.join.table)
+            for name in op.right_columns:
+                types.setdefault(name, right.column_types.get(name) if right else None)
+    return types
+
+
+def _compile_kernels(
+    op: _KernelOp,
+    types: Dict[str, object],
+    cache: KernelCache,
+    jit_options: Optional[JitOptions],
+) -> None:
+    """Compile each of ``op``'s kernels once and record it on the operator.
+
+    No kernel runs for COUNT, for a projected bare column of any type, or
+    for an aggregated bare DECIMAL column; any other expression compiles
+    against the batch's DECIMAL columns, and one that cannot fails here
+    with the compiler's own error.
+    """
+    op.schema = {
+        name: column_type.spec
+        for name, column_type in types.items()
+        if isinstance(column_type, DecimalType)
+    }
+    if isinstance(op, ProjectOp):
+        prefix, bare_columns = "calc_expr", set(types)
+    else:
+        prefix, bare_columns = "agg_expr", set(op.schema)
+    for index, item in enumerate(op.items):
+        expression = item.expression
+        if isinstance(expression, AggregateCall):
+            if expression.function == "COUNT":
+                continue
+            text = expression.argument
+        else:
+            text = expression
+        if text.strip() not in bare_columns:
+            op.kernels[index] = cache.compile(
+                text, op.schema, jit_options, name=f"{prefix}_{index}"
+            )
 
 
 def _push_zone_predicates(ops: List[PhysicalOp]) -> None:

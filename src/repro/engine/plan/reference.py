@@ -29,7 +29,6 @@ from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.value import DecimalValue
 from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.physical import (
-    GROUP_GATHER_BANDWIDTH,
     Batch,
     GroupAggregateOp,
     QueryContext,
@@ -37,6 +36,7 @@ from repro.engine.plan.physical import (
     _evaluate_expression,
 )
 from repro.engine.sql.ast_nodes import AggregateCall
+from repro.gpusim.timing import GROUP_GATHER_BANDWIDTH
 from repro.storage.column import Column
 from repro.storage.schema import CharType, DecimalType
 
@@ -119,9 +119,7 @@ def group_aggregate(op: GroupAggregateOp, batch: Batch, context: QueryContext) -
     vectors: Dict[int, Tuple[List[int], DecimalSpec]] = {}
     for index, call in enumerate(calls):
         if call.function != "COUNT":
-            vector = _evaluate_expression(
-                call.argument, batch, context, kernel_name=f"agg_expr_{index}"
-            )
+            vector = _evaluate_expression(call.argument, batch, context, op.kernels[index])
             vectors[index] = (vector.to_unscaled(), vector.spec)
             value_bytes = 4 * vector.spec.words + 1
             context.report.aggregate_seconds += (

@@ -31,6 +31,7 @@ from repro.engine.plan.physical import Batch, ExecutionReport, QueryContext
 from repro.engine.plan.planner import plan_query
 from repro.engine.sql.ast_nodes import Query
 from repro.engine.sql.parser import parse_query
+from repro.errors import QueryCancelledError
 from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
 from repro.gpusim.residency import DeviceResidency
 from repro.gpusim.streaming import StreamingConfig
@@ -167,7 +168,8 @@ class Database:
         ``simulate_rows`` overrides the database-level setting for this
         query; an explicit ``0`` is honoured (charge nothing), only ``None``
         falls back.  ``streaming`` and ``optimizer`` likewise override the
-        database-level configs per query.  ``cancel_check`` is polled at
+        database-level configs per query.  ``cancel_check`` is polled once
+        before planning (which compiles the query's kernels) and then at
         operator boundaries; when it returns True the query raises
         :class:`repro.errors.QueryCancelledError` (the serving layer's
         timeout path).
@@ -175,6 +177,8 @@ class Database:
         query = parse_query(sql)
         relation = self.catalog.get(query.table)
         joined = {join.table: self.catalog.get(join.table) for join in query.joins}
+        if cancel_check is not None and cancel_check():
+            raise QueryCancelledError("query cancelled before planning")
         sim = self._resolve_simulate_rows(simulate_rows, relation)
         optimizer = optimizer if optimizer is not None else self.optimizer
         cost_model = CostModel(
@@ -186,8 +190,6 @@ class Database:
             simulate_rows=sim,
             device=self.device,
             host=self.host,
-            kernel_cache=self.kernel_cache,
-            jit_options=self.jit_options,
             include_scan=include_scan,
             include_transfer=include_transfer,
             include_compile=include_compile,
@@ -205,6 +207,7 @@ class Database:
             stats=self._plan_stats(relation, joined, sim),
             optimizer=optimizer,
             cost_model=cost_model,
+            kernel_cache=self.kernel_cache,
             jit_options=self.jit_options,
             label=query.table,
         )
@@ -233,6 +236,8 @@ class Database:
         kernel's chunk count and pipelined-vs-serial estimate.  With
         ``measure_data_plane`` each kernel is also run once over the stored
         rows and its measured wall clock reported alongside the estimates.
+        The plan compiles through a private kernel cache, so explaining
+        never turns a later execution's compile into a cache hit.
         """
         from repro.engine.explain import explain_query
 
@@ -249,6 +254,7 @@ class Database:
             stats=self._plan_stats(relation, joined, sim),
             optimizer=optimizer,
             cost_model=cost_model,
+            kernel_cache=KernelCache(),
             jit_options=self.jit_options,
             label=query.table,
         )
@@ -257,7 +263,6 @@ class Database:
             chain,
             relation,
             sim,
-            self.jit_options,
             self.device,
             joined=joined,
             streaming=streaming if streaming is not None else self.streaming,

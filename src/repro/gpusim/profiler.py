@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.jit import ir
 from repro.gpusim.device import DEFAULT_DEVICE, GpuDevice
-from repro.gpusim.streaming import DEFAULT_CHUNK_ROWS, stream_timing
+from repro.gpusim.streaming import DEFAULT_CHUNK_ROWS, StreamTiming, stream_timing
 from repro.gpusim.timing import kernel_time
 
 
@@ -62,21 +62,17 @@ class StreamedKernelProfile:
     """A kernel's chunked-execution profile: the Nsight 'streams' view."""
 
     profile: KernelProfile
-    chunks: int
-    transfer_ms_per_chunk: float
-    kernel_ms_per_chunk: float
-    serial_ms: float
-    pipelined_ms: float
-    overlap_speedup: float
-    transfer_bound: bool
+    timing: StreamTiming
 
     def __str__(self) -> str:
-        stage = "transfer" if self.transfer_bound else "compute"
+        timing = self.timing
+        transfer_bound = timing.transfer_seconds_per_chunk >= timing.kernel_seconds_per_chunk
+        stage = "transfer" if transfer_bound else "compute"
         return (
             f"{self.profile}\n"
-            f"  streamed x{self.chunks}: serial {self.serial_ms:.2f} ms -> "
-            f"pipelined {self.pipelined_ms:.2f} ms "
-            f"({self.overlap_speedup:.2f}x, {stage}-limited pipeline)"
+            f"  streamed x{timing.chunks}: serial {timing.serial_seconds * 1e3:.2f} ms -> "
+            f"pipelined {timing.pipelined_seconds * 1e3:.2f} ms "
+            f"({timing.overlap_speedup:.2f}x, {stage}-limited pipeline)"
         )
 
 
@@ -137,17 +133,7 @@ def profile_kernel_streamed(
     transfer_bytes: Optional[int] = None,
 ) -> StreamedKernelProfile:
     """Profile a kernel's chunked execution: per-chunk stages + overlap."""
-    timing = stream_timing(
-        kernel, tuples, chunk_rows, device, transfer_bytes=transfer_bytes
-    )
     return StreamedKernelProfile(
         profile=profile_kernel(kernel, tuples, device),
-        chunks=timing.chunks,
-        transfer_ms_per_chunk=timing.transfer_seconds_per_chunk * 1e3,
-        kernel_ms_per_chunk=timing.kernel_seconds_per_chunk * 1e3,
-        serial_ms=timing.serial_seconds * 1e3,
-        pipelined_ms=timing.pipelined_seconds * 1e3,
-        overlap_speedup=timing.overlap_speedup,
-        transfer_bound=timing.transfer_seconds_per_chunk
-        >= timing.kernel_seconds_per_chunk,
+        timing=stream_timing(kernel, tuples, chunk_rows, device, transfer_bytes=transfer_bytes),
     )

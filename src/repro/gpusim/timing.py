@@ -209,6 +209,18 @@ def dram_pass_time(
     return bytes_moved / bandwidth
 
 
+def sort_passes(rows: float) -> int:
+    """Key passes of the device sort over ``rows`` tuples:
+    ``log2(rows) / 8`` rounded down, at least one."""
+    return max(1, int(math.log2(max(rows, 2)) / 8))
+
+
+#: Effective bandwidth of the grouped-aggregation data reorganisation:
+#: segment gather/scatter of wide decimal payloads after the key sort is
+#: far from streaming speed.  Calibrated on Figure 14(b)'s Q1 LEN sweep.
+GROUP_GATHER_BANDWIDTH = 4.0e9
+
+
 def hash_join_time(
     left_tuples: float, right_tuples: float, device: GpuDevice = DEFAULT_DEVICE
 ) -> float:

@@ -5,8 +5,15 @@ import pytest
 
 from repro.core.decimal import inference
 from repro.core.decimal.context import DecimalSpec
+from repro.core.jit import pipeline
 from repro.engine import Database
-from repro.errors import CatalogError, PlanningError
+from repro.engine.ddl import build_relation
+from repro.engine.executor import run_plan
+from repro.engine.plan.cost import PlanStats, TableStats
+from repro.engine.plan.physical import QueryContext
+from repro.engine.plan.planner import plan_query
+from repro.engine.sql.parser import parse_query
+from repro.errors import CatalogError, ExecutionError, PlanningError
 from repro.storage import Column, Relation
 from repro.storage.datagen import decimal_column
 
@@ -201,3 +208,51 @@ class TestReports:
         db, _ = make_db()
         with pytest.raises(CatalogError):
             db.execute("SELECT a FROM nope")
+
+
+class TestCompileOnce:
+    """Planning compiles each kernel once; execution and EXPLAIN reuse it."""
+
+    SQL = "SELECT a * 7 - b AS p, b * 11 + a AS q FROM r"
+
+    @staticmethod
+    def count_compiles(monkeypatch):
+        compiled = []
+        original = pipeline.compile_expression
+
+        def counting(text, *args, **kwargs):
+            compiled.append(text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compile_expression", counting)
+        return compiled
+
+    def test_execute_compiles_each_kernel_once(self, monkeypatch):
+        compiled = self.count_compiles(monkeypatch)
+        db, _ = make_db(rows=20)
+        cold = db.execute(self.SQL)
+        assert len(compiled) == 2
+        assert cold.report.kernels_compiled == 2
+        warm = db.execute(self.SQL)
+        assert len(compiled) == 2
+        assert warm.report.kernels_cached == 2
+        assert warm.rows == cold.rows
+
+    def test_explain_compiles_privately(self, monkeypatch):
+        db, _ = make_db(rows=20)
+        db.execute(self.SQL)
+        cached = len(db.kernel_cache)
+        compiled = self.count_compiles(monkeypatch)
+        explained = db.explain(self.SQL)
+        assert len(compiled) == 2
+        assert len(explained.kernels) == 2
+        assert len(db.kernel_cache) == cached
+
+    def test_batch_spec_must_match_the_planned_kernel(self):
+        planned_on = build_relation("t", {"a": "DECIMAL(10, 2)"}, [("1.25",), ("2.50",)])
+        stats = PlanStats(main=TableStats.from_relation(planned_on), simulate_rows=1_000)
+        plan = plan_query(parse_query("SELECT a * 2 AS d FROM t"), ["a"], stats=stats)
+        wider = build_relation("t", {"a": "DECIMAL(12, 4)"}, [("1.2500",), ("2.5000",)])
+        context = QueryContext(relation=wider, simulate_rows=1_000)
+        with pytest.raises(ExecutionError, match=r"calc_expr_0: column 'a'"):
+            run_plan(plan, context)

@@ -151,16 +151,16 @@ class TestExplainStreaming:
     def test_explain_surfaces_chunking(self):
         _, streamed = make_pair()
         result = streamed.explain("SELECT a * (1 - b) FROM r")
-        kernels = [k for k in result.kernels if k.pipelined_ms is not None]
+        kernels = [k for k in result.kernels if k.timing is not None]
         assert kernels
         for kernel in kernels:
-            assert kernel.chunks > 1
-            assert kernel.pipelined_ms < kernel.serial_ms
-            assert kernel.overlap_speedup > 1.0
+            assert kernel.timing.chunks > 1
+            assert kernel.timing.pipelined_seconds < kernel.timing.serial_seconds
+            assert kernel.timing.overlap_speedup > 1.0
         assert "streamed:" in result.format()
 
     def test_explain_serial_has_no_stream_lines(self):
         serial, _ = make_pair()
         result = serial.explain("SELECT a * (1 - b) FROM r")
-        assert all(k.pipelined_ms is None for k in result.kernels)
+        assert all(k.timing is None for k in result.kernels)
         assert "streamed:" not in result.format()

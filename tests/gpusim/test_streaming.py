@@ -215,8 +215,8 @@ class TestStreamedProfiler:
         profile = profile_kernel_streamed(
             kernel, tuples=10_000_000, chunk_rows=1_000_000
         )
-        assert profile.chunks == 10
-        assert profile.pipelined_ms < profile.serial_ms
-        assert profile.overlap_speedup > 1.0
+        assert profile.timing.chunks == 10
+        assert profile.timing.pipelined_seconds < profile.timing.serial_seconds
+        assert profile.timing.overlap_speedup > 1.0
         assert profile.profile.kernel_name == kernel.name
         assert "streamed x10" in str(profile)
