@@ -32,7 +32,7 @@ enough for every spec the paper's LEN sweep stores (precision 285 needs
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,8 +57,12 @@ def _nbytes(magnitude: int) -> int:
     return (magnitude.bit_length() + 7) // 8
 
 
-def encode(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+def encode(values: Union[Sequence[int], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Encode signed ints into a zero-padded ``(N, width)`` uint8 matrix.
+
+    ``values`` is a sequence of Python ints, or an int64 array whose
+    magnitudes stay below ``2**63`` (``DecimalVector.to_int64``'s
+    guarantee), which encodes with no per-row Python.
 
     Returns ``(data, lengths)`` where ``lengths[i]`` is row ``i``'s true
     encoded byte count (prefix included) and ``width = lengths.max()``.
@@ -67,48 +71,67 @@ def encode(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     comparisons (sound because no encoding prefixes another -- see module
     docstring).
     """
-    n = len(values)
-    magnitudes = [-v if v < 0 else v for v in values]
-    nbytes = np.fromiter((_nbytes(m) for m in magnitudes), dtype=np.int64, count=n)
-    if n and int(nbytes.max()) > MAX_MAGNITUDE_BYTES:
-        row = int(np.argmax(nbytes))
-        raise ValueError(
-            f"magnitude at row {row} needs {int(nbytes[row])} bytes; the "
-            f"order-preserving encoding caps at {MAX_MAGNITUDE_BYTES}"
-        )
-    lengths = (nbytes + 1).astype(np.int32)
-    width = int(lengths.max()) if n else 1
-    out = np.zeros((n, width), dtype=np.uint8)
-    negative = np.fromiter((v < 0 for v in values), dtype=bool, count=n)
-    out[:, 0] = np.where(
-        negative, ZERO_PREFIX - nbytes, ZERO_PREFIX + nbytes
-    ).astype(np.uint8)
-
-    # Magnitudes that fit uint64 write their big-endian bytes in bulk, one
-    # gather per distinct length; wider rows fall back to int.to_bytes.
-    small = np.nonzero((nbytes >= 1) & (nbytes <= 8))[0]
-    if small.size:
+    if isinstance(values, np.ndarray):
+        negative = values < 0
+        # |v| < 2**63, so np.abs cannot wrap.
+        folded = np.abs(values).astype(np.uint64)
+        nbytes = np.zeros(folded.shape, dtype=np.int64)
+        for shift in range(0, 64, 8):
+            nbytes += (folded >> np.uint64(shift)) != 0
+        out, lengths = _frame(negative, nbytes, np.arange(folded.size), folded)
+    else:
+        n = len(values)
+        magnitudes = [-v if v < 0 else v for v in values]
+        nbytes = np.fromiter((_nbytes(m) for m in magnitudes), dtype=np.int64, count=n)
+        if n and int(nbytes.max()) > MAX_MAGNITUDE_BYTES:
+            row = int(np.argmax(nbytes))
+            raise ValueError(
+                f"magnitude at row {row} needs {int(nbytes[row])} bytes; the "
+                f"order-preserving encoding caps at {MAX_MAGNITUDE_BYTES}"
+            )
+        negative = np.fromiter((v < 0 for v in values), dtype=bool, count=n)
+        # Magnitudes that fit uint64 write their big-endian bytes in bulk;
+        # wider rows fall back to int.to_bytes.
+        small = np.nonzero((nbytes >= 1) & (nbytes <= 8))[0]
         folded = np.fromiter(
             (magnitudes[i] for i in small.tolist()), dtype=np.uint64, count=small.size
         )
-        be = np.ascontiguousarray(folded.astype(">u8")).view(np.uint8)
-        be = be.reshape(small.size, 8)
-        small_nbytes = nbytes[small]
-        for nb in np.unique(small_nbytes).tolist():
-            pos = np.nonzero(small_nbytes == nb)[0]
-            out[small[pos], 1 : 1 + nb] = be[pos, 8 - nb : 8]
-    for i in np.nonzero(nbytes > 8)[0].tolist():
-        nb = int(nbytes[i])
-        out[i, 1 : 1 + nb] = np.frombuffer(
-            magnitudes[i].to_bytes(nb, "big"), dtype=np.uint8
-        )
+        out, lengths = _frame(negative, nbytes, small, folded)
+        for i in np.nonzero(nbytes > 8)[0].tolist():
+            nb = int(nbytes[i])
+            out[i, 1 : 1 + nb] = np.frombuffer(
+                magnitudes[i].to_bytes(nb, "big"), dtype=np.uint8
+            )
 
     if negative.any():
         # Complement the magnitude bytes of negative rows (prefix excluded,
         # padding excluded) so bigger magnitudes sort lower.
-        columns = np.arange(width)[None, :]
+        columns = np.arange(out.shape[1])[None, :]
         payload = negative[:, None] & (columns >= 1) & (columns < lengths[:, None])
         out[payload] = 0xFF - out[payload]
+    return out, lengths
+
+
+def _frame(
+    negative: np.ndarray, nbytes: np.ndarray, rows: np.ndarray, folded: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The padded matrix with every prefix byte and the uint64 magnitudes.
+
+    ``folded[k]`` is the magnitude of row ``rows[k]``; its big-endian bytes
+    are written in bulk, one gather per distinct byte length.
+    """
+    lengths = (nbytes + 1).astype(np.int32)
+    width = int(lengths.max()) if lengths.size else 1
+    out = np.zeros((lengths.size, width), dtype=np.uint8)
+    out[:, 0] = np.where(
+        negative, ZERO_PREFIX - nbytes, ZERO_PREFIX + nbytes
+    ).astype(np.uint8)
+    be = np.ascontiguousarray(folded.astype(">u8")).view(np.uint8)
+    be = be.reshape(folded.size, 8)
+    row_nbytes = nbytes[rows]
+    for nb in np.unique(row_nbytes).tolist():
+        pos = np.nonzero(row_nbytes == nb)[0]
+        out[rows[pos], 1 : 1 + nb] = be[pos, 8 - nb : 8]
     return out, lengths
 
 

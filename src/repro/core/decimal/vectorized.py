@@ -106,10 +106,10 @@ class DecimalVector:
         """Signed unscaled Python ints (the verification oracle interface).
 
         Batched: the ``(N, Lw)`` word matrix folds to Python ints in O(Lw)
-        column operations rather than a nested per-row limb loop.  Values
-        that fit int64 (always for ``Lw <= 2`` unless bit 63 is in use)
-        never touch Python-level arithmetic at all: fold, negate and
-        ``tolist`` all run in C.
+        column operations rather than a nested per-row limb loop.  A column
+        whose values all fit int64 (:meth:`to_int64` answers: limbs 2 and up
+        zero and bit 63 clear, at any ``Lw``) never touches Python-level
+        arithmetic at all: fold, negate and ``tolist`` all run in C.
         """
         if self.rows == 0:
             return []
@@ -124,16 +124,19 @@ class DecimalVector:
     def to_int64(self) -> Optional[np.ndarray]:
         """Signed unscaled values as int64, or None if any needs 64+ bits.
 
-        Exact whenever it answers: only ``Lw <= 2`` columns with bit 63
-        clear in every row qualify, so negation never wraps.
+        Answers for any ``Lw`` when, in every row, limbs 2 and up are zero
+        and bit 63 is clear: a wide type whose values are small, the usual
+        case (decimal data carries far fewer digits than its container).
+        Exact whenever it answers: every magnitude is below ``2**63``, so
+        neither this negation nor a caller's ``np.abs`` can wrap.
         """
-        width = self.words.shape[1]
-        if width > 2 or (width == 2 and (self.words[:, 1] >> 31).any()):
+        words = self.words
+        width = words.shape[1]
+        if width > 2 and words[:, 2:].any():
             return None
-        acc = self.words[:, 0].astype(np.uint64)
-        if width == 2:
-            acc |= self.words[:, 1].astype(np.uint64) << _SHIFT64
-        signed = acc.astype(np.int64)
+        if width >= 2 and (words[:, 1] >> 31).any():
+            return None
+        signed = _fold_low64(words).astype(np.int64)
         np.negative(signed, where=self.negative, out=signed)
         return signed
 

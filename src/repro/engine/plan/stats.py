@@ -26,6 +26,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.storage.column import Column
 from repro.storage.schema import DecimalType
 
@@ -169,13 +171,63 @@ def build_histogram(
     return ColumnHistogram(buckets=tuple(built), total_rows=total)
 
 
+def _sorted_lane_stats(
+    ordered: np.ndarray, exact_cap: int, buckets: int
+) -> ColumnStats:
+    """:func:`collect_column_stats` over a DECIMAL column's sorted int64 lanes.
+
+    The exact NDV and every bucket of :func:`build_histogram` come from the
+    one sorted array; the stored fields are Python ints.
+    """
+    total = int(ordered.size)
+    if total == 0:
+        return ColumnStats(rows=0, ndv=0, exact_ndv=True)
+    # changes[i] counts the value changes before row i, so rows
+    # [start, stop) hold 1 + changes[stop - 1] - changes[start] values.
+    changes = np.zeros(total, dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=changes[1:])
+    count = min(buckets, total)  # so every bucket holds at least one row
+    bounds = (np.arange(count + 1, dtype=np.int64) * total) // count
+    start, stop = bounds[:-1], bounds[1:]
+    histogram = ColumnHistogram(
+        buckets=tuple(
+            HistogramBucket(lo=lo, hi=hi, rows=rows, ndv=ndv)
+            for lo, hi, rows, ndv in zip(
+                ordered[start].tolist(),
+                ordered[stop - 1].tolist(),
+                (stop - start).tolist(),
+                (1 + changes[stop - 1] - changes[start]).tolist(),
+            )
+        ),
+        total_rows=total,
+    )
+    if total <= exact_cap:
+        return ColumnStats(
+            rows=total, ndv=1 + int(changes[-1]), exact_ndv=True, histogram=histogram
+        )
+    # The sketch hashes ``repr`` of Python ints, never of numpy scalars.
+    return ColumnStats(
+        rows=total,
+        ndv=min(sketch_ndv(ordered.tolist()), total),
+        exact_ndv=False,
+        histogram=histogram,
+    )
+
+
 def collect_column_stats(
     column: Column,
     exact_cap: int = NDV_EXACT_CAP,
     histogram_buckets: int = HISTOGRAM_BUCKETS,
 ) -> ColumnStats:
-    """Compute statistics for one column (no caching -- see :func:`column_stats`)."""
+    """Compute statistics for one column (no caching -- see :func:`column_stats`).
+
+    A DECIMAL column whose values fit 63 bits sorts its int64 lanes once
+    (:func:`_sorted_lane_stats`); wider values go through Python ints.
+    """
     if isinstance(column.column_type, DecimalType):
+        lanes = column.decimal_vector().to_int64()
+        if lanes is not None:
+            return _sorted_lane_stats(np.sort(lanes), exact_cap, histogram_buckets)
         values: Sequence = column.unscaled()
         histogram = build_histogram(values, histogram_buckets)
     else:

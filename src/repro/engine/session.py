@@ -21,8 +21,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.core.decimal.value import DecimalValue
 from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.engine.executor import run_plan
@@ -36,7 +34,6 @@ from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSys
 from repro.gpusim.residency import DeviceResidency
 from repro.gpusim.streaming import StreamingConfig
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column
 from repro.storage.relation import Relation
 from repro.storage.schema import CharType, DecimalType
 
@@ -121,12 +118,17 @@ class Database:
         """Append host-literal rows to a registered relation (INSERT).
 
         Snapshot isolation by construction: the merged table is built from
-        *new* :class:`~repro.storage.column.Column` objects (fresh version
-        counters) and swapped into the catalog atomically, so a reader that
+        *new* :class:`~repro.storage.column.Column` versions
+        (:meth:`~repro.storage.column.Column.appended`: fresh version
+        counters, carrying the old version's encoded chunks and register
+        planes) and swapped into the catalog atomically, so a reader that
         captured the old relation keeps seeing exactly the rows it started
         with, while later queries -- and the device-residency and
-        register-expansion caches, which key on column versions -- pick up
-        the new data.  Writers serialize on the database write lock.
+        statistics caches, which key on column versions -- pick up the new
+        data.  Every codec column is encoded before the swap, so rows a
+        codec cannot hold raise :class:`~repro.errors.StorageError` here
+        and the table keeps its old rows.  Writers serialize on the
+        database write lock.
         """
         from repro.engine.ddl import build_relation
 
@@ -137,13 +139,7 @@ class Database:
             merged = Relation(
                 name,
                 [
-                    Column(
-                        old.name,
-                        old.column_type,
-                        np.concatenate([old.data, new.data], axis=0),
-                        codec=old.codec,
-                        encoding_chunk_rows=old.encoding_chunk_rows,
-                    )
+                    old.appended(new)
                     for old, new in zip(current.columns, addition.columns)
                 ],
             )

@@ -14,7 +14,8 @@ cross PCIe.  This module turns bytes-on-the-wire into a per-column choice:
   (``RANGE005``, :func:`repro.analysis.ranges.prove_narrow_container`).
   Constructing it without a proof raises; encoding re-validates every
   value so an observed-interval proof can never be silently violated by
-  later appends.
+  later appends (``Database.append`` encodes before it publishes, so the
+  append itself raises).
 
 Every codec (compact included) records a :class:`ZoneMap` per chunk at
 encode time -- min/max unscaled value, null and zero counts -- so scans
@@ -32,7 +33,7 @@ evaluation strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,11 +147,15 @@ class DecimalCodec:
 
     def _encode_chunk(
         self,
-        values: List[int],
+        values: Union[List[int], np.ndarray],
         compact_slice: np.ndarray,
         spec: DecimalSpec,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Encode one chunk; returns ``(data, lengths, wire_bytes)``."""
+        """Encode one chunk; returns ``(data, lengths, wire_bytes)``.
+
+        ``values`` is an int64 slice or a list of Python ints, as
+        :meth:`encode_column` received them.
+        """
         raise NotImplementedError
 
     def decode_chunk(self, chunk: EncodedChunk, spec: DecimalSpec) -> List[int]:
@@ -170,27 +175,43 @@ class DecimalCodec:
     def encode_column(
         self,
         compact: np.ndarray,
-        unscaled: Sequence[int],
+        unscaled: Union[Sequence[int], np.ndarray],
         spec: DecimalSpec,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        row_start: int = 0,
     ) -> EncodedColumn:
-        """Chunk a column, encode each chunk, record its zone map."""
+        """Chunk a column, encode each chunk, record its zone map.
+
+        ``unscaled`` is either the column's int64 lanes, when every value
+        fits 63 bits (``DecimalVector.to_int64``), or a sequence of Python
+        ints, the only form for wider values.  ``row_start`` is the
+        absolute row of ``compact[0]``, so a column's tail can be encoded
+        on its own (``Column.appended``): each chunk's bytes, padding and
+        zone depend only on its own rows.
+        """
         if chunk_rows <= 0:
             raise StorageError(f"chunk_rows must be positive, got {chunk_rows}")
         rows = len(unscaled)
         encoded = EncodedColumn(codec=self, spec=spec, chunk_rows=chunk_rows)
         for start in range(0, rows, chunk_rows):
-            values = list(unscaled[start : start + chunk_rows])
+            values = unscaled[start : start + chunk_rows]
+            if isinstance(values, np.ndarray):
+                lo, hi = int(values.min()), int(values.max())
+                zeros = int(np.count_nonzero(values == 0))
+            else:
+                values = list(values)
+                lo, hi = min(values), max(values)
+                zeros = sum(1 for v in values if v == 0)
             data, lengths, wire = self._encode_chunk(
                 values, compact[start : start + len(values)], spec
             )
             zone = ZoneMap(
-                row_start=start,
+                row_start=row_start + start,
                 rows=len(values),
-                min_unscaled=min(values),
-                max_unscaled=max(values),
+                min_unscaled=lo,
+                max_unscaled=hi,
                 null_count=0,
-                zero_count=sum(1 for v in values if v == 0),
+                zero_count=zeros,
             )
             encoded.chunks.append(EncodedChunk(zone, data, lengths, wire))
         return encoded
@@ -250,8 +271,10 @@ class NarrowCodec(DecimalCodec):
     bytes whose memcmp order equals numeric order.  Only constructible
     from a ``RANGE005`` :class:`~repro.analysis.ranges.NarrowContainerProof`
     for the exact column spec; encode re-checks every value against the
-    container, so data that outgrows an observed-interval proof (e.g.
-    after an append) raises rather than truncating.
+    container and raises rather than truncating.  Appended rows that
+    outgrow an observed-interval proof therefore make ``Database.append``
+    raise :class:`~repro.errors.StorageError` before the new version is
+    published, and the table keeps its old rows.
     """
 
     name = "narrow32"
@@ -275,15 +298,17 @@ class NarrowCodec(DecimalCodec):
 
     def _encode_chunk(self, values, compact_slice, spec):
         self._require_spec(spec)
-        arr = np.array(values, dtype=object)
-        if len(values) and (
-            min(values) < -_INT32_MAX - 1 or max(values) > _INT32_MAX
-        ):
+        if isinstance(values, np.ndarray):
+            lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+        else:
+            lo, hi = (min(values), max(values)) if values else (0, 0)
+        if lo < -_NARROW_OFFSET or hi > _INT32_MAX:
             raise StorageError(
                 "column data exceeds the proven 32-bit narrow container "
                 f"(proof interval [{self.proof.lo}, {self.proof.hi}])"
             )
-        offset = (arr + _NARROW_OFFSET).astype(np.uint32)
+        # In range, so every value fits int64 and its offset fits uint32.
+        offset = (np.asarray(values, dtype=np.int64) + _NARROW_OFFSET).astype(np.uint32)
         data = np.ascontiguousarray(offset.astype(">u4")).view(np.uint8)
         data = data.reshape(len(values), NARROW_WIDTH)
         return data, None, int(data.nbytes)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,21 +161,38 @@ class Column:
         """Encode under the attached codec (chunked, zone maps included).
 
         Version-keyed like :meth:`decimal_vector`: the encode runs once per
-        (data, codec) generation, and ``Database.append`` building fresh
-        Columns naturally invalidates -- snapshot isolation for zone maps.
+        (data, codec) generation.  ``Database.append`` builds the next
+        version with :meth:`appended`, which encodes it before it is
+        published -- snapshot isolation for zone maps.
         """
         if self.codec is None:
             raise SchemaError(f"column {self.name!r} has no storage codec")
-        spec = self._decimal_spec()
+        self._decimal_spec()
         cached = self._encoding_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        chunk_rows = self.encoding_chunk_rows or DEFAULT_CHUNK_ROWS
-        encoded = self.codec.encode_column(
-            self.data, self.unscaled(), spec, chunk_rows=chunk_rows
-        )
+        encoded = self._encode(self.codec, self.decimal_vector(), 0)
         self._encoding_cache = (self._version, encoded)
         return encoded
+
+    def _encode(
+        self, codec: DecimalCodec, vector: DecimalVector, row_start: int
+    ) -> EncodedColumn:
+        """Encode the rows ``row_start:``, whose expansion is ``vector``.
+
+        The codec reads int64 lanes whenever every value fits 63 bits, and
+        Python ints only otherwise.
+        """
+        values: Union[np.ndarray, List[int], None] = vector.to_int64()
+        if values is None:
+            values = vector.to_unscaled()
+        return codec.encode_column(
+            self.data[row_start:],
+            values,
+            self._decimal_spec(),
+            chunk_rows=self.encoding_chunk_rows or DEFAULT_CHUNK_ROWS,
+            row_start=row_start,
+        )
 
     def cached_encoding(self) -> Optional[EncodedColumn]:
         """The current-version encoding if already materialised, else None.
@@ -189,6 +206,66 @@ class Column:
         if cached is not None and cached[0] == self._version:
             return cached[1]
         return None
+
+    def appended(self, addition: "Column") -> "Column":
+        """The next version: this column's rows followed by ``addition``'s.
+
+        A DECIMAL version carries what the old one already paid for: a
+        cached register expansion is extended by the new rows' expansion,
+        and every full chunk of a cached encoding is reused by reference,
+        zone map included, so only the last partial chunk and the new rows
+        are encoded (each chunk depends only on its own rows).  Without a
+        cached encoding the new version is encoded from scratch.  Either
+        way a codec column is encoded here, before the caller publishes
+        it, so rows the codec cannot hold raise
+        :class:`~repro.errors.StorageError`.  Statistics are not carried:
+        equi-depth buckets do not merge exactly.
+
+        This Column is never modified.  Reader threads may be filling its
+        caches, so each is read once; what is carried is shared under the
+        ``DecimalVector`` aliasing contract.
+        """
+        merged = Column(
+            self.name,
+            self.column_type,
+            np.concatenate([self.data, addition.data], axis=0),
+            codec=self.codec,
+            encoding_chunk_rows=self.encoding_chunk_rows,
+        )
+        if not isinstance(self.column_type, DecimalType):
+            return merged
+        spec = self.column_type.spec
+        vector_cache = self._vector_cache
+        if vector_cache is not None and vector_cache[0] == self._version:
+            old, new = vector_cache[1], addition.decimal_vector()
+            vector = DecimalVector(
+                spec,
+                np.concatenate([old.negative, new.negative]),
+                np.concatenate([old.words, new.words], axis=0),
+            )
+            merged._vector_cache = (merged._version, vector)
+        if self.codec is None:
+            return merged
+        encoding_cache = self._encoding_cache
+        if encoding_cache is None or encoding_cache[0] != self._version:
+            merged.encoding()
+            return merged
+        prefix = encoding_cache[1]
+        full = self.rows // prefix.chunk_rows
+        tail_start = full * prefix.chunk_rows
+        tail = merged._encode(
+            self.codec,
+            DecimalVector.from_compact(merged.data[tail_start:], spec),
+            tail_start,
+        )
+        encoded = EncodedColumn(
+            codec=self.codec,
+            spec=spec,
+            chunk_rows=prefix.chunk_rows,
+            chunks=prefix.chunks[:full] + tail.chunks,
+        )
+        merged._encoding_cache = (merged._version, encoded)
+        return merged
 
     # ------------------------------------------------------------ statistics
 

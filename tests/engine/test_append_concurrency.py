@@ -1,0 +1,145 @@
+"""Readers race the writer whose appends carry their caches.
+
+``Database.append`` reads the current column version's register-expansion
+and encoding caches, which reader threads may be filling at that moment.
+More reader threads than cores query whichever version is current while
+one writer appends; a short switch interval forces fine interleavings.
+Every read must see exactly one snapshot, and every version's carried
+encoding must equal a from-scratch encode.
+"""
+
+import os
+import random
+import sys
+import threading
+import time
+
+from repro.analysis.ranges import prove_narrow_container
+from repro.core.decimal.context import DecimalSpec
+from repro.engine import Database
+from repro.storage.codecs import CompactCodec, NarrowCodec, OrderPreservingCodec
+from repro.storage.column import Column
+from repro.storage.relation import Relation
+
+from tests.storage.test_append_carry import assert_same_encoding, fresh_encoding
+
+SPEC = DecimalSpec(9, 2)
+CHUNK_ROWS = 5
+APPENDS = 40
+READERS = 2 * (os.cpu_count() or 1) + 2
+#: Seconds every thread together gets to finish (the test takes about 3).
+JOIN_TIMEOUT = 120.0
+READS = (
+    "SELECT COUNT(*), SUM(v), SUM(w), SUM(x) FROM t",
+    "SELECT COUNT(*), SUM(w), MAX(x) FROM t WHERE v >= 0",
+)
+
+
+def expected_results(rows):
+    """Each read's answer over the first ``len(rows)`` rows."""
+    kept = [row for row in rows if row[0] >= 0]
+    return {
+        READS[0]: (len(rows), sum(r[0] for r in rows), sum(r[1] for r in rows),
+                   sum(r[2] for r in rows)),
+        READS[1]: (len(kept), sum(r[1] for r in kept),
+                   max((r[2] for r in kept), default=None)),
+    }
+
+
+def cold(column):
+    """A new version of ``column`` over the same bytes, with empty caches."""
+    return Column(
+        column.name, column.column_type, column.data, column.codec,
+        column.encoding_chunk_rows,
+    )
+
+
+def as_text(unscaled):
+    sign = "-" if unscaled < 0 else ""
+    whole, cents = divmod(abs(unscaled), 100)
+    return f"{sign}{whole}.{cents:02d}"
+
+
+def test_readers_race_the_carrying_writer():
+    rng = random.Random(17)
+
+    def row():
+        return tuple(rng.randint(-10**8, 10**8) for _ in range(3))
+
+    initial = [row() for _ in range(12)]
+    batches = [[row() for _ in range(rng.choice([0, 1, 3, 5, 9]))] for _ in range(APPENDS)]
+    narrow = NarrowCodec(prove_narrow_container(SPEC))
+    relation = Relation(
+        "t",
+        [
+            Column.decimal_from_unscaled(name, [r[i] for r in initial], SPEC)
+            for i, name in enumerate("vwx")
+        ],
+    ).with_codecs(
+        {"v": OrderPreservingCodec(), "w": narrow, "x": CompactCodec()}, CHUNK_ROWS
+    )
+    db = Database(simulate_rows=1_000_000)
+    db.catalog.register(relation)
+
+    prefix = list(initial)
+    snapshots = {}
+    for batch in [[]] + batches:
+        prefix += batch
+        for sql, answer in expected_results(prefix).items():
+            snapshots.setdefault(sql, set()).add(answer)
+
+    versions = [relation]
+    failures = []
+    reads = [0] * READERS
+    done = threading.Event()
+
+    def reader(index):
+        try:
+            while not done.is_set() or reads[index] == 0:
+                sql = READS[reads[index] % len(READS)]
+                result = db.execute(sql).rows[0]
+                answer = tuple(None if v is None else v.unscaled for v in result)
+                if answer not in snapshots[sql]:
+                    failures.append((sql, answer))
+                reads[index] += 1
+        except Exception as error:  # reported by the main thread
+            failures.append(error)
+
+    def writer():
+        try:
+            for number, batch in enumerate(batches):
+                if number % 4 == 0:
+                    # Publish a cache-cold copy, so readers are filling its
+                    # caches while the next append reads them.
+                    db.register(Relation("t", [cold(c) for c in versions[-1].columns]), True)
+                    time.sleep(0.002)
+                literals = [[as_text(value) for value in r] for r in batch]
+                versions.append(db.append("t", literals))
+        except Exception as error:  # reported by the main thread
+            failures.append(error)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(READERS)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(versions) == APPENDS + 1 and all(reads)
+    assert db.catalog.get("t").rows == len(prefix)
+    for version in versions[1:]:
+        for column in version.columns:
+            carried = column.cached_encoding()
+            assert carried is not None
+            assert_same_encoding(carried, fresh_encoding(column))

@@ -21,9 +21,12 @@ from repro.engine.plan.physical import (
 from repro.engine.plan.planner import plan_query
 from repro.engine.sql.ast_nodes import Comparison
 from repro.engine.sql.parser import parse_query
-from repro.storage.codecs import CompactCodec, OrderPreservingCodec
+from repro.errors import StorageError
+from repro.storage.codecs import CompactCodec, OrderPreservingCodec, choose_codec
 from repro.storage.column import Column
 from repro.storage.relation import Relation
+
+from tests.storage.test_append_carry import assert_same_encoding, fresh_encoding
 
 SPEC = DecimalSpec(12, 2)
 OPS = ["=", "<>", "<", "<=", ">", ">="]
@@ -193,12 +196,15 @@ class TestAppendSnapshotIsolation:
         before_encoding = before.column("v").encoding()
         merged = db.append("t", [["990.00", "1.00"]])
         after = merged.column("v")
-        # Codec and chunking carry over; the encoding is rebuilt fresh.
+        # Codec and chunking carry over; the append encodes the new version,
+        # and what it carries equals a from-scratch encode.
         assert after.codec is before.column("v").codec
         assert after.encoding_chunk_rows == before.column("v").encoding_chunk_rows
         assert after.version != before.column("v").version
-        assert after.cached_encoding() is None
-        assert after.encoding().zones[-1].max_unscaled == 99000
+        carried = after.cached_encoding()
+        assert carried is not None
+        assert_same_encoding(carried, fresh_encoding(after))
+        assert carried.zones[-1].max_unscaled == 99000
         # The snapshot a reader captured still serves its original zones.
         assert before.column("v").cached_encoding() is before_encoding
         assert before_encoding.zones[-1].max_unscaled == 1500
@@ -210,3 +216,28 @@ class TestAppendSnapshotIsolation:
         db.append("t", [["9990.00", "1.00"]])
         after = db.execute(sql)  # the appended row re-encodes and matches
         assert before.rows != after.rows
+
+    def test_append_outgrowing_a_narrow_proof_raises_and_keeps_the_table(self):
+        # v's observed interval proves the narrow 32-bit container; the
+        # appended 99999999999.00 does not fit it.
+        columns = [
+            Column.decimal_from_unscaled(
+                "v", [2**30, -(2**30), 2**29, 5], DecimalSpec(20, 2)
+            ),
+            Column.decimal_from_unscaled("w", [100, 200, 300, 400], DecimalSpec(6, 2)),
+        ]
+        relation = Relation("t", columns)
+        codecs = {
+            column.name: choose_codec(column.column_type.spec, column.unscaled())
+            for column in columns
+        }
+        assert codecs["v"].name == "narrow32"
+        db = Database(simulate_rows=1_000_000)
+        db.catalog.register(relation.with_codecs(codecs))
+        sql = "SELECT SUM(w) FROM t"
+        before = db.execute(sql).rows
+        with pytest.raises(StorageError, match="narrow container"):
+            db.append("t", [["99999999999.00", "1.00"]])
+        assert db.catalog.get("t").rows == 4
+        assert db.execute(sql).rows == before
+        assert db.execute("SELECT SUM(v) FROM t").scalar.unscaled == 2**29 + 5
