@@ -22,7 +22,7 @@ guarantees bit-exact results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +39,9 @@ _SHIFT64 = np.uint64(WORD_BITS)
 #: native ``div`` fast path must stay below this).
 _UINT64_MAX = (1 << 64) - 1
 
+#: The one int64 whose magnitude does not fit 63 bits.
+_INT64_MIN = -(1 << 63)
+
 
 @dataclass
 class DecimalVector:
@@ -50,12 +53,20 @@ class DecimalVector:
     share ``words``; ``rescale`` to the same scale returns ``self``), and
     :meth:`repro.storage.column.Column.decimal_vector` hands out one cached
     expansion to every caller.  Never write into a vector's planes in
-    place -- build new arrays (or :meth:`copy` first).
+    place -- build new arrays (or :meth:`copy` first).  The int64 lanes
+    :meth:`to_int64` memoizes are shared the same way and are read-only
+    (``writeable`` is off); reader threads may fill the memo concurrently,
+    and every fill stores the same values.
     """
 
     spec: DecimalSpec
     negative: np.ndarray  # (N,) bool
     words: np.ndarray  # (N, Lw) uint32
+    #: ``(lanes,)`` once :meth:`to_int64` has answered (``(None,)`` when the
+    #: values do not fit int64); None before.
+    _int64: Optional[Tuple[Optional[np.ndarray]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ---------------------------------------------------------------- create
 
@@ -83,6 +94,29 @@ class DecimalVector:
         """Expand a compact ``(N, Lb)`` uint8 column (the kernel load phase)."""
         negative, words = compact.unpack_column(data, spec)
         return cls(spec, negative, words)
+
+    @classmethod
+    def from_int64(cls, values: np.ndarray, spec: DecimalSpec) -> "DecimalVector":
+        """Build from signed int64 unscaled values, keeping them as the lanes.
+
+        Every ``|value|`` must be below ``2**63`` and within ``spec``'s
+        precision (the kernel executor's bounds guarantee both).  The planes
+        are the low two limbs of each magnitude; ``values`` becomes this
+        vector's read-only :meth:`to_int64` answer, so the caller must not
+        write to it afterwards.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.size and int(values.min()) == _INT64_MIN:
+            raise ValueError("int64 lanes must stay above -2**63")
+        magnitude = np.abs(values).view(np.uint64)
+        words = np.zeros((values.shape[0], spec.words), dtype=np.uint32)
+        if spec.words == 1 and (magnitude >> _SHIFT64).any():
+            raise PrecisionOverflowError(f"values do not fit {spec}")
+        _store_uint64(words, magnitude)
+        values.setflags(write=False)
+        vector = cls(spec, values < 0, words)
+        vector._int64 = (values,)
+        return vector
 
     @classmethod
     def zeros(cls, rows: int, spec: DecimalSpec) -> "DecimalVector":
@@ -128,8 +162,20 @@ class DecimalVector:
         and bit 63 is clear: a wide type whose values are small, the usual
         case (decimal data carries far fewer digits than its container).
         Exact whenever it answers: every magnitude is below ``2**63``, so
-        neither this negation nor a caller's ``np.abs`` can wrap.
+        neither this negation nor a caller's ``np.abs`` can wrap.  A
+        negative zero (sign set on a zero magnitude, which only hand-built
+        compact bytes hold) also answers None, so the lanes always rebuild
+        these exact planes (:meth:`from_int64`).
+
+        The answer is memoized, None included, and the array is read-only.
         """
+        memo = self._int64
+        if memo is None:
+            memo = (self._fold_int64(),)
+            self._int64 = memo
+        return memo[0]
+
+    def _fold_int64(self) -> Optional[np.ndarray]:
         words = self.words
         width = words.shape[1]
         if width > 2 and words[:, 2:].any():
@@ -138,6 +184,9 @@ class DecimalVector:
             return None
         signed = _fold_low64(words).astype(np.int64)
         np.negative(signed, where=self.negative, out=signed)
+        if np.count_nonzero(signed < 0) != np.count_nonzero(self.negative):
+            return None
+        signed.setflags(write=False)
         return signed
 
     def to_compact(self) -> np.ndarray:
@@ -147,6 +196,23 @@ class DecimalVector:
     def copy(self) -> "DecimalVector":
         """Deep copy (the one way to get privately writable planes)."""
         return DecimalVector(self.spec, self.negative.copy(), self.words.copy())
+
+    def take(self, indices: np.ndarray) -> "DecimalVector":
+        """The rows ``indices``, with their int64 lanes when the values fit.
+
+        The lanes are gathered from this vector's :meth:`to_int64`, which
+        folds once per vector: a cached column expansion pays it once per
+        version, not once per query.
+        """
+        taken = DecimalVector(
+            self.spec, self.negative[indices], np.take(self.words, indices, axis=0)
+        )
+        source = self.to_int64()
+        if source is not None:
+            lanes = source[indices]
+            lanes.setflags(write=False)
+            taken._int64 = (lanes,)
+        return taken
 
     # --------------------------------------------------------------- rescale
 

@@ -82,6 +82,9 @@ class AggregationRun:
         return len(self.passes)
 
 
+#: Int64 partial sums are exact while ``rows * max|x|`` stays below this.
+_INT64_LIMIT = 1 << 63
+
 _SUPPORTED = ("sum", "min", "max", "count", "avg")
 _SEGMENTED = ("sum", "min", "max", "avg")
 
@@ -166,7 +169,7 @@ def aggregate_segments(
     device: GpuDevice = DEFAULT_DEVICE,
     simulate_tuples: int = 1,
 ) -> SegmentedRun:
-    """Reduce every segment of ``vector`` straight from its limb planes.
+    """Reduce every segment of ``vector`` straight from its lanes or limb planes.
 
     Segment ``g`` is rows ``starts[g]`` up to the next start (the last one
     runs to the end); segments must be non-empty and are given in row
@@ -174,8 +177,9 @@ def aggregate_segments(
     spec and pass plan included, but the work is O(Lw) column passes
     instead of one Python reduction per group:
 
-    * SUM/AVG add each 32-bit limb column separately with
-      ``np.add.reduceat`` into uint64 -- positives and negatives apart, so
+    * SUM/AVG run one ``np.add.reduceat`` over the int64 lanes when
+      ``rows * max|x| < 2**63``.  Otherwise they add each 32-bit limb
+      column separately into uint64 -- positives and negatives apart, so
       every partial sum is a magnitude -- and resolve the inter-limb
       carries once per segment (the blocked-carry formulation of Oancea
       and Watt).  A uint64 limb sum stays exact below 2**32 rows.
@@ -227,7 +231,16 @@ def _average(total: int, n: int, charged: int) -> int:
 
 
 def _segment_sums(vector: DecimalVector, starts: np.ndarray) -> List[int]:
-    """Exact signed sum of every segment from per-limb column sums."""
+    """Exact signed sum of every segment.
+
+    Int64 lanes sum directly when ``rows * max|x|`` stays below ``2**63``,
+    so no partial sum can wrap; otherwise per-limb column sums.
+    """
+    lanes = vector.to_int64()
+    if lanes is not None:
+        bound = max(int(lanes.max()), -int(lanes.min()))
+        if lanes.size * bound < _INT64_LIMIT:
+            return np.add.reduceat(lanes, starts).tolist()
     words, negative = vector.words, vector.negative
     totals = np.add.reduceat(words, starts, axis=0, dtype=np.uint64)
     if not negative.any():

@@ -14,7 +14,7 @@ touch limb arrays:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.convert import literal_to_unscaled
@@ -77,12 +77,8 @@ def build_relation(
     for (column_name, column_type), values in zip(types.items(), transposed):
         values = list(values)
         if isinstance(column_type, DecimalType):
-            spec = column_type.spec
-            unscaled = []
-            for value in values:
-                negative, magnitude = literal_to_unscaled(value, spec)
-                unscaled.append(-magnitude if negative else magnitude)
-            columns.append(Column.decimal_from_unscaled(column_name, unscaled, spec))
+            unscaled = _unscaled_values(values, column_type.spec)
+            columns.append(Column.decimal_from_unscaled(column_name, unscaled, column_type.spec))
         elif isinstance(column_type, CharType):
             columns.append(Column.chars(column_name, [str(v) for v in values], column_type.width))
         elif isinstance(column_type, DoubleType):
@@ -92,3 +88,30 @@ def build_relation(
         else:
             columns.append(Column.integers(column_name, [int(v) for v in values]))
     return Relation(name, columns)
+
+
+def _unscaled_values(values: Sequence, spec: DecimalSpec) -> List[int]:
+    """Signed unscaled ints of host literals, each distinct literal converted once.
+
+    Appended batches repeat values (prices, quantities, flags), so the
+    conversion is memoized per column.  The key holds the literal's type:
+    ``True == 1`` with equal hashes, and a value-only key would let a
+    boolean through once ``1`` had converted (booleans are rejected).
+    """
+    converted: Dict[Tuple[type, object], int] = {}
+    unscaled = []
+    for value in values:
+        key = (type(value), value)
+        try:
+            result = converted[key]
+        except KeyError:
+            result = converted[key] = _signed(value, spec)
+        except TypeError:  # unhashable: the conversion itself says why
+            result = _signed(value, spec)
+        unscaled.append(result)
+    return unscaled
+
+
+def _signed(value, spec: DecimalSpec) -> int:
+    negative, magnitude = literal_to_unscaled(value, spec)
+    return -magnitude if negative else magnitude

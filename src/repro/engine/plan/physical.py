@@ -23,7 +23,7 @@ from repro.core.jit.pipeline import CompiledExpression
 from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig, stream_chunk_rows
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey, SelectItem
-from repro.errors import ExecutionError, PlanningError, StorageError
+from repro.errors import ExecutionError, MultithreadError, PlanningError, StorageError
 from repro.gpusim import executor as gpu_executor
 from repro.gpusim import occupancy as gpu_occupancy
 from repro.gpusim import timing as gpu_timing
@@ -531,8 +531,17 @@ class ProjectOp(_KernelOp):
         return Batch(columns=out, rows=batch.rows, simulated_rows=batch.simulated_rows)
 
 
+#: The segment starts of an ungrouped aggregate: one segment, from row 0.
+_ONE_SEGMENT = np.zeros(1, dtype=np.int64)
+
+
 class AggregateOp(_KernelOp):
-    """Ungrouped aggregation via the multi-threaded multi-pass reducer."""
+    """Ungrouped aggregation via the multi-threaded multi-pass reducer.
+
+    The whole input is one segment of the segmented reduction the grouped
+    operator uses, so value, result spec and pass plan are those of
+    :func:`~repro.core.multithread.aggregation.aggregate` over every row.
+    """
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
@@ -546,19 +555,20 @@ class AggregateOp(_KernelOp):
                 out[item.name] = Column.decimal_from_unscaled(item.name, [batch.rows], spec)
                 continue
             vector = _evaluate_expression(call.argument, batch, context, self.kernels[index])
+            if vector.rows == 0:
+                raise MultithreadError("cannot aggregate an empty column")
             started = time.perf_counter()
-            unscaled = vector.to_unscaled()
-            context.report.data_plane_seconds += time.perf_counter() - started
-            run = mt_aggregation.aggregate(
-                unscaled,
-                vector.spec,
+            run = mt_aggregation.aggregate_segments(
+                vector,
+                _ONE_SEGMENT,
                 op=call.function.lower(),
                 tpi=context.tpi,
                 device=context.device,
                 simulate_tuples=sim_n,
             )
+            context.report.data_plane_seconds += time.perf_counter() - started
             context.report.aggregate_seconds += run.seconds
-            out[item.name] = Column.decimal_from_unscaled(item.name, [run.value], run.spec)
+            out[item.name] = Column.decimal_from_unscaled(item.name, run.values, run.spec)
         return Batch(columns=out, rows=1, simulated_rows=1.0)
 
 
@@ -619,9 +629,7 @@ class GroupAggregateOp(_KernelOp):
             )
             started = time.perf_counter()
             run = mt_aggregation.aggregate_segments(
-                DecimalVector(
-                    vector.spec, vector.negative[order], np.take(vector.words, order, axis=0)
-                ),
+                vector.take(order),
                 starts,
                 op=call.function.lower(),
                 tpi=context.tpi,
@@ -763,7 +771,9 @@ def _evaluate_expression(
                 [compiled.kernel], include_base=include_base
             )
         context.report.kernels_compiled += 1
-    inputs = {name: batch.column(name).data for name in kernel.input_columns}
+    started = time.perf_counter()
+    inputs = {name: batch.column(name).decimal_vector() for name in kernel.input_columns}
+    context.report.data_plane_seconds += time.perf_counter() - started
     sim = max(int(round(batch.simulated_rows)), 1)
     streaming = context.streaming
     if streaming.enabled:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def stream_timing(
 
 def execute_streamed(
     kernel: ir.KernelIR,
-    columns: Dict[str, np.ndarray],
+    columns: Mapping[str, Union[np.ndarray, DecimalVector]],
     tuples: int,
     simulate_tuples: int,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,

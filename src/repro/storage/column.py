@@ -50,6 +50,12 @@ class Column:
     _vector_cache: "Optional[Tuple[int, DecimalVector]]" = field(
         init=False, repr=False, compare=False, default=None
     )
+    #: Set by :meth:`take` when the source column's expansion was cached:
+    #: that vector and the row indices, which :meth:`decimal_vector`
+    #: gathers (lanes included) instead of unpacking ``data``.
+    _taken_from: "Optional[Tuple[DecimalVector, np.ndarray]]" = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _encoding_cache: "Optional[Tuple[int, EncodedColumn]]" = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -83,6 +89,7 @@ class Column:
         """
         self._version = next(_VERSIONS)
         self._vector_cache = None
+        self._taken_from = None
         self._encoding_cache = None
         self._stats_cache = None
 
@@ -120,8 +127,9 @@ class Column:
         """Expand to register form (what a kernel's load phase does).
 
         The expansion is cached against :attr:`version`, so repeated calls
-        across operators and queries run ``unpack_column`` once.  Callers
-        receive a *shared* vector and must honour the
+        across operators and queries run ``unpack_column`` once; a column
+        built by :meth:`take` from an expanded one gathers that expansion
+        instead.  Callers receive a *shared* vector and must honour the
         :class:`~repro.core.decimal.vectorized.DecimalVector` aliasing
         contract: never write into its planes (``.copy()`` first).
         """
@@ -129,7 +137,11 @@ class Column:
         cached = self._vector_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        vector = DecimalVector.from_compact(self.data, spec)
+        source = self._taken_from
+        if source is not None:
+            vector = source[0].take(source[1])
+        else:
+            vector = DecimalVector.from_compact(self.data, spec)
         self._vector_cache = (self._version, vector)
         return vector
 
@@ -306,14 +318,22 @@ class Column:
         return cls(name, CharType(width), data)
 
     def take(self, indices: np.ndarray) -> "Column":
-        """Row subset (selection vectors from filters)."""
-        return Column(
+        """Row subset (selection vectors from filters).
+
+        A DECIMAL column whose expansion is cached hands it on: the subset's
+        :meth:`decimal_vector` gathers those planes and lanes on first use.
+        """
+        taken = Column(
             self.name,
             self.column_type,
             np.take(self.data, indices, axis=0),
             codec=self.codec,
             encoding_chunk_rows=self.encoding_chunk_rows,
         )
+        cached = self._vector_cache
+        if cached is not None and cached[0] == self._version:
+            taken._taken_from = (cached[1], indices)
+        return taken
 
     def head(self, count: int) -> "Column":
         """First ``count`` rows (benchmark sampling)."""

@@ -181,8 +181,20 @@ class TestSegmentedReduction:
     def test_matches_one_aggregate_call_per_segment(self, data):
         spec = len_spec(data.draw)
         sizes = data.draw(st.lists(st.integers(1, 6), max_size=8))
+        # Magnitudes near 2**63 / rows, where int64 partial sums would start
+        # to wrap (a segment of one sign), so the lane sum must hand them to
+        # the limb sum.
+        edge = 2**63 // max(sum(sizes), 1)
+        straddle = st.integers(edge - 2, edge + 2).map(lambda m: min(m, spec.max_unscaled))
+        sign = data.draw(st.sampled_from([1, -1]))
+        near_edge = straddle.map(lambda m: sign * m)
+        mixed = st.one_of(unscaled_values(spec), near_edge)
         segments = [
-            data.draw(st.lists(unscaled_values(spec), min_size=size, max_size=size))
+            data.draw(
+                st.lists(
+                    data.draw(st.sampled_from([mixed, near_edge])), min_size=size, max_size=size
+                )
+            )
             for size in sizes
         ]
         op = data.draw(st.sampled_from(["sum", "min", "max", "avg"]))
@@ -197,6 +209,48 @@ class TestSegmentedReduction:
         assert run.values == [each.value for each in expected]
         assert run.spec == result_spec(op, spec, charged)
         assert all(each.spec == run.spec and each.seconds == run.seconds for each in expected)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [[2**62 - 1, 2**62 - 1]],  # rows * max just below 2**63: int64 lanes
+            [[2**62 + 2, 2**62 + 2]],  # the int64 sum would wrap
+            [[5], [-(2**62) - 2, -(2**62) - 2]],
+            [[2**62 + 2], [2**62 + 2]],  # rows * max past 2**63, no sum wraps
+        ],
+    )
+    def test_sums_straddling_int64(self, segments):
+        spec = DecimalSpec(28, 0)
+        flat = [value for segment in segments for value in segment]
+        starts = np.cumsum([0] + [len(segment) for segment in segments[:-1]])
+        for op in ("sum", "avg"):
+            run = aggregate_segments(DecimalVector.from_unscaled(flat, spec), starts, op)
+            expected = [aggregate(segment, spec, op, simulate_tuples=1) for segment in segments]
+            assert run.values == [each.value for each in expected]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ungrouped_aggregate_is_one_segment(self, data):
+        spec = len_spec(data.draw)
+        values = data.draw(st.lists(unscaled_values(spec), min_size=1, max_size=8))
+        function = data.draw(st.sampled_from(AGGREGATES))
+        columns = [Column.decimal_from_unscaled("v", values, spec)]
+        context = context_for(columns)
+        batch = Batch({"v": columns[0]}, len(values), 10_000_000.0)
+        op = physical.AggregateOp([SelectItem(AggregateCall(function, "v"), alias="a")])
+        [result] = op.run(batch, context).columns.values()
+
+        expected = aggregate(values, spec, function.lower(), simulate_tuples=10_000_000)
+        assert result.unscaled() == [expected.value]
+        assert result.column_type == DecimalType(expected.spec)
+        assert context.report.aggregate_seconds == expected.seconds
+
+    def test_ungrouped_aggregate_of_no_rows_raises(self):
+        columns = [Column.decimal_from_unscaled("v", [], DecimalSpec(6, 2))]
+        batch = Batch({"v": columns[0]}, 0, 0.0)
+        op = physical.AggregateOp([SelectItem(AggregateCall("SUM", "v"), alias="a")])
+        with pytest.raises(MultithreadError, match="cannot aggregate an empty column"):
+            op.run(batch, context_for(columns))
 
     def test_count_is_not_a_segmented_reduction(self):
         vector = DecimalVector.from_unscaled([1, 2], DecimalSpec(6, 2))

@@ -57,6 +57,17 @@ class TestBuildRelation:
         with pytest.raises(ConversionError):
             build_relation("t", {"a": "DECIMAL(3, 2)"}, rows=[("99.99",)])
 
+    def test_repeated_literals_convert_once_per_type(self):
+        relation = build_relation(
+            "t", {"a": "DECIMAL(6, 2)"}, rows=[("1.5",), (1,), ("1.5",), (1.0,), (1,)]
+        )
+        assert relation.column("a").unscaled() == [150, 100, 150, 100, 100]
+        # ``True == 1`` and both hash alike: a seen 1 must not let True in.
+        with pytest.raises(ConversionError, match="booleans"):
+            build_relation("t", {"a": "DECIMAL(6, 2)"}, rows=[(1,), (True,)])
+        with pytest.raises(ConversionError, match="unsupported literal type"):
+            build_relation("t", {"a": "DECIMAL(6, 2)"}, rows=[(1,), ([1],)])
+
 
 class TestDatabaseIntegration:
     def test_create_and_query(self):

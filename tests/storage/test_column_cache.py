@@ -1,8 +1,11 @@
 """The register-expansion cache on Column (versioned decimal_vector)."""
 
+from unittest import mock
+
 import numpy as np
 
 from repro.core.decimal.context import DecimalSpec
+from repro.core.decimal.vectorized import DecimalVector
 from repro.storage.column import Column
 
 
@@ -32,6 +35,30 @@ class TestDecimalVectorCache:
         assert taken.to_unscaled() == [0, 100]
         # The parent's cache is untouched.
         assert column.decimal_vector() is original
+
+    def test_take_gathers_the_cached_expansion(self):
+        column = make_column()
+        column.decimal_vector()
+        subset = column.take(np.array([3, 1]))
+        with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+            taken = subset.decimal_vector()
+        assert taken.to_unscaled() == [99, -250]
+        assert taken._int64 is not None  # the lanes came along
+        reference = DecimalVector.from_compact(subset.data, taken.spec)
+        assert np.array_equal(taken.words, reference.words)
+        assert np.array_equal(taken.negative, reference.negative)
+
+    def test_take_of_an_unexpanded_column_unpacks_its_own_bytes(self):
+        subset = make_column().take(np.array([2]))
+        assert subset.decimal_vector().to_unscaled() == [0]
+
+    def test_invalidate_drops_the_taken_expansion(self):
+        column = make_column()
+        column.decimal_vector()
+        subset = column.take(np.array([0, 1]))
+        subset.data = make_column([5, 6]).data
+        subset.invalidate()
+        assert subset.decimal_vector().to_unscaled() == [5, 6]
 
     def test_head_produces_fresh_version_and_cache(self):
         column = make_column()
