@@ -18,8 +18,9 @@ Optimisations can be switched off individually, which is how the Figure
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.jit import alignment, codegen, constant_folding, nary, type_inference
@@ -29,6 +30,12 @@ from repro.core.jit.parser import parse_expression
 from repro.errors import CodegenError
 
 Schema = Mapping[str, DecimalSpec]
+
+#: Compiled kernels a :class:`KernelCache` keeps, least recently used
+#: evicted first.  Far above the kernels of any repeated workload, so only
+#: an ad-hoc stream of distinct expressions ever evicts; an evicted kernel
+#: is compiled (and charged) again when next used.
+KERNEL_CACHE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,9 @@ class KernelCache:
     The paper's compile times (~320-423 ms for TPC-H Q1) are paid once per
     distinct kernel; repeated queries reuse the compiled artefact.  The
     timing model consults :attr:`hits`/:attr:`misses` to decide whether to
-    charge compilation.
+    charge compilation.  The cache holds at most
+    :data:`KERNEL_CACHE_ENTRIES` kernels: a hit refreshes its entry, and a
+    compile past the bound evicts the least recently used one.
 
     The cache is shared across the serving layer's sessions, which execute
     on a thread pool, so lookup-and-compile runs under a lock: one session
@@ -222,7 +231,7 @@ class KernelCache:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple, CompiledExpression] = {}
+        self._entries: "OrderedDict[Tuple, CompiledExpression]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -249,12 +258,16 @@ class KernelCache:
             options.cache_key_part(),
         )
         with self._lock:
-            if key in self._entries:
+            compiled = self._entries.get(key)
+            if compiled is not None:
+                self._entries.move_to_end(key)
                 self.hits += 1
-                return self._entries[key], True
+                return compiled, True
             compiled = compile_expression(text, schema, options, name=name)
             self.misses += 1
             self._entries[key] = compiled
+            if len(self._entries) > KERNEL_CACHE_ENTRIES:
+                self._entries.popitem(last=False)
             return compiled, False
 
     def __len__(self) -> int:

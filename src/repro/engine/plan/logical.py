@@ -90,6 +90,10 @@ def build_logical_plan(
 ) -> LogicalNode:
     """Turn a parsed query into a logical operator chain (root last).
 
+    Nodes get copies of the query's lists, so a rewrite rule that edits a
+    node in place never edits the query (the session plan cache re-plans
+    from a cached one).
+
     ``joined_columns`` maps each JOINed table name to its column list so
     column references resolve across every relation in the query.
     """
@@ -112,23 +116,23 @@ def build_logical_plan(
         join_node.child = node
         node = join_node
     if query.where:
-        filter_node = LogicalFilter(query.where)
+        filter_node = LogicalFilter(list(query.where))
         filter_node.child = node
         node = filter_node
     if query.has_aggregates:
-        aggregate_node = LogicalAggregate(query.select_items, query.group_by)
+        aggregate_node = LogicalAggregate(list(query.select_items), list(query.group_by))
         aggregate_node.child = node
         node = aggregate_node
         if query.having:
-            having_node = LogicalHaving(query.having)
+            having_node = LogicalHaving(list(query.having))
             having_node.child = node
             node = having_node
     else:
-        project_node = LogicalProject(query.select_items)
+        project_node = LogicalProject(list(query.select_items))
         project_node.child = node
         node = project_node
     if query.order_by:
-        sort_node = LogicalSort(query.order_by)
+        sort_node = LogicalSort(list(query.order_by))
         sort_node.child = node
         node = sort_node
     if query.limit is not None:

@@ -10,7 +10,8 @@ and annotates every operator with an ISGBD-style per-node
 It is also the one place that compiles: every kernel of the plan is
 compiled once, through the kernel cache the caller passes, and recorded
 on its operator, where the executor, the plan analyzer and EXPLAIN read
-it.
+it.  :func:`kernel_view` looks a reused plan's kernels up again through
+the same cache, by the same rule, for each further execution.
 
 The returned :class:`PhysicalPlan` behaves like the plain operator list
 older call sites expect, and additionally carries the rewrite trace and
@@ -19,6 +20,7 @@ the cost-based choices.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, Iterator, List, Optional
 
@@ -53,6 +55,7 @@ from repro.engine.plan.physical import (
     LimitOp,
     NestedLoopJoinOp,
     PhysicalOp,
+    PlannedKernel,
     ProjectOp,
     ScanOp,
     SortOp,
@@ -60,7 +63,7 @@ from repro.engine.plan.physical import (
     _KernelOp,
 )
 from repro.engine.plan.rules import RewriteEvent, apply_rules, default_rules
-from repro.engine.sql.ast_nodes import AggregateCall, Query
+from repro.engine.sql.ast_nodes import AggregateCall, Query, SelectItem
 from repro.errors import PlanningError
 from repro.storage.schema import DecimalType
 
@@ -284,22 +287,52 @@ def _compile_kernels(
         for name, column_type in types.items()
         if isinstance(column_type, DecimalType)
     }
-    if isinstance(op, ProjectOp):
-        prefix, bare_columns = "calc_expr", set(types)
-    else:
-        prefix, bare_columns = "agg_expr", set(op.schema)
+    bare_columns = set(types) if isinstance(op, ProjectOp) else set(op.schema)
     for index, item in enumerate(op.items):
         expression = item.expression
-        if isinstance(expression, AggregateCall):
-            if expression.function == "COUNT":
-                continue
-            text = expression.argument
-        else:
-            text = expression
-        if text.strip() not in bare_columns:
-            op.kernels[index] = cache.compile(
-                text, op.schema, jit_options, name=f"{prefix}_{index}"
-            )
+        if isinstance(expression, AggregateCall) and expression.function == "COUNT":
+            continue
+        if _kernel_text(item).strip() not in bare_columns:
+            op.kernels[index] = _lookup_kernel(op, index, cache, jit_options)
+
+
+def _kernel_text(item: SelectItem) -> str:
+    expression = item.expression
+    return expression.argument if isinstance(expression, AggregateCall) else expression
+
+
+def _lookup_kernel(
+    op: _KernelOp, index: int, cache: KernelCache, jit_options: Optional[JitOptions]
+) -> PlannedKernel:
+    """Item ``index``'s kernel through ``cache``: the one rule for its text and name."""
+    prefix = "calc_expr" if isinstance(op, ProjectOp) else "agg_expr"
+    return cache.compile(
+        _kernel_text(op.items[index]), op.schema, jit_options, name=f"{prefix}_{index}"
+    )
+
+
+def kernel_view(
+    plan: PhysicalPlan, cache: KernelCache, jit_options: Optional[JitOptions]
+) -> List[PhysicalOp]:
+    """``plan``'s operators for one more execution of an already planned query.
+
+    A kernel-bearing operator's ``kernels`` record whether each kernel was
+    cached *when the plan was made*, which decides the compile charge.  A
+    reused plan is shared (by concurrent sessions, too), so it is never
+    edited: each kernel of ``plan`` is looked up again through ``cache``
+    -- recompiled, and charged, if it has been evicted or cleared since --
+    into a shallow copy of its operator.
+    """
+    ops = list(plan.ops)
+    for position, op in enumerate(ops):
+        if isinstance(op, _KernelOp):
+            view = copy.copy(op)
+            view.kernels = [
+                None if planned is None else _lookup_kernel(op, index, cache, jit_options)
+                for index, planned in enumerate(op.kernels)
+            ]
+            ops[position] = view
+    return ops
 
 
 def _push_zone_predicates(ops: List[PhysicalOp]) -> None:

@@ -13,11 +13,17 @@ execute SQL, get exact DECIMAL results plus a simulated-time report.
 every registered row (bit-exactly), while the timing model charges the
 paper's 10-million-tuple relations.  Pass ``simulate_rows=None`` to charge
 the actual row count.
+
+A repeated query is planned once: :class:`PlanCache` keeps each planned
+text and reuses it while the tables it read are unchanged, so a repeat
+skips parsing, rewriting, planning and plan analysis and only looks its
+kernels up again (:func:`~repro.engine.plan.planner.kernel_view`).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -26,10 +32,10 @@ from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.engine.executor import run_plan
 from repro.engine.plan.cost import CostModel, OptimizerConfig, PlanStats, TableStats
 from repro.engine.plan.physical import Batch, ExecutionReport, QueryContext
-from repro.engine.plan.planner import plan_query
+from repro.engine.plan.planner import PhysicalPlan, kernel_view, plan_query
 from repro.engine.sql.ast_nodes import Query
 from repro.engine.sql.parser import parse_query
-from repro.errors import QueryCancelledError
+from repro.errors import ExecutionError, QueryCancelledError
 from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
 from repro.gpusim.residency import DeviceResidency
 from repro.gpusim.streaming import StreamingConfig
@@ -39,10 +45,22 @@ from repro.storage.schema import CharType, DecimalType
 
 OutputValue = Union[DecimalValue, int, float, str]
 
+#: Planned queries a :class:`PlanCache` keeps, least recently used evicted
+#: first: room for every distinct text of a repeated workload.
+PLAN_CACHE_ENTRIES = 64
+
+#: ``(column name, version)`` of every column of each table a plan read:
+#: the main table, then each JOIN table.
+TableVersions = Tuple[Tuple[Tuple[str, int], ...], ...]
+
 
 @dataclass
 class QueryResult:
-    """Rows + timing of one executed query."""
+    """Rows + timing of one executed query.
+
+    ``query`` is the parsed statement, shared by every execution that
+    reuses its plan: read it, do not edit it.
+    """
 
     column_names: List[str]
     rows: List[Tuple[OutputValue, ...]]
@@ -55,6 +73,68 @@ class QueryResult:
         if len(self.rows) != 1 or len(self.rows[0]) != 1:
             raise ValueError("result is not scalar")
         return self.rows[0][0]
+
+
+@dataclass(frozen=True)
+class PlannedQuery:
+    """A parsed and planned query, and the table versions it was planned on."""
+
+    query: Query
+    plan: PhysicalPlan
+    tables: TableVersions
+
+
+class PlanCache:
+    """Planned queries keyed by SQL text and every planning input (LRU).
+
+    An entry is reused only while the tables it read still have the
+    column versions it was planned against; otherwise the query is planned
+    again and the entry replaced.  As in
+    :class:`~repro.core.jit.pipeline.KernelCache`, an entry is inserted
+    only whole, after planning returns, and counts a miss, and a reuse
+    counts a hit.  Serving sessions share the cache; planning runs outside
+    its lock, and a reused plan is never edited.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple, PlannedQuery]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Tuple) -> Optional[PlannedQuery]:
+        """The entry under ``key``, if any, refreshed as most recently used."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def reuse(self, entry: PlannedQuery, tables: TableVersions) -> bool:
+        """Whether ``entry`` was planned against ``tables``; counts a hit if so."""
+        if entry.tables != tables:
+            return False
+        with self._lock:
+            self.hits += 1
+        return True
+
+    def put(self, key: Tuple, entry: PlannedQuery) -> None:
+        with self._lock:
+            self.misses += 1
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            if len(self._entries) > PLAN_CACHE_ENTRIES:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
 
 
 class Database:
@@ -74,12 +154,15 @@ class Database:
         self.catalog = Catalog()
         self.device = device
         self.host = host
+        if simulate_rows is not None:
+            _check_simulate_rows(simulate_rows)
         self.simulate_rows = simulate_rows
         self.jit_options = jit_options if jit_options is not None else JitOptions()
         self.aggregation_tpi = aggregation_tpi
         self.streaming = streaming if streaming is not None else StreamingConfig()
         self.optimizer = optimizer if optimizer is not None else OptimizerConfig()
         self.kernel_cache = KernelCache()
+        self.plan_cache = PlanCache()
         #: Cross-query device residency of scanned columns.  ``None`` (the
         #: default) keeps single-query semantics -- every query ships its
         #: columns; the serving layer installs a shared tracker so
@@ -163,20 +246,44 @@ class Database:
 
         ``simulate_rows`` overrides the database-level setting for this
         query; an explicit ``0`` is honoured (charge nothing), only ``None``
-        falls back.  ``streaming`` and ``optimizer`` likewise override the
-        database-level configs per query.  ``cancel_check`` is polled once
-        before planning (which compiles the query's kernels) and then at
-        operator boundaries; when it returns True the query raises
+        falls back, and a negative count raises
+        :class:`repro.errors.ExecutionError`.  ``streaming`` and
+        ``optimizer`` likewise override the database-level configs per
+        query.
+
+        A repeated text reuses its plan from :attr:`plan_cache` while the
+        tables it read keep their column versions and no planning input
+        (``simulate_rows``, ``optimizer``, ``include_scan``,
+        ``include_transfer``, ``jit_options``, ``device``, ``host``)
+        changed; its kernels are looked up again in :attr:`kernel_cache`,
+        so the compile charge is the one planning would give.
+
+        ``cancel_check`` is polled once before planning or reusing a plan
+        (planning compiles the query's kernels) and then at operator
+        boundaries; when it returns True the query raises
         :class:`repro.errors.QueryCancelledError` (the serving layer's
         timeout path).
         """
-        query = parse_query(sql)
+        optimizer = optimizer if optimizer is not None else self.optimizer
+        # With no simulate_rows setting the main table's row count is used,
+        # which the table versions an entry is checked against fix.
+        key = (
+            sql,
+            simulate_rows if simulate_rows is not None else self.simulate_rows,
+            optimizer,
+            include_scan,
+            include_transfer,
+            self.jit_options,
+            self.device,
+            self.host,
+        )
+        cached = self.plan_cache.get(key)
+        query = cached.query if cached is not None else parse_query(sql)
         relation = self.catalog.get(query.table)
         joined = {join.table: self.catalog.get(join.table) for join in query.joins}
         if cancel_check is not None and cancel_check():
             raise QueryCancelledError("query cancelled before planning")
         sim = self._resolve_simulate_rows(simulate_rows, relation)
-        optimizer = optimizer if optimizer is not None else self.optimizer
         cost_model = CostModel(
             self.device, self.host, include_scan=include_scan, include_transfer=include_transfer
         )
@@ -196,17 +303,25 @@ class Database:
             residency=self.residency,
             cancel_check=cancel_check,
         )
-        chain = plan_query(
-            query,
-            relation.column_names,
-            {name: rel.column_names for name, rel in joined.items()},
-            stats=self._plan_stats(relation, joined, sim),
-            optimizer=optimizer,
-            cost_model=cost_model,
-            kernel_cache=self.kernel_cache,
-            jit_options=self.jit_options,
-            label=query.table,
+        tables = tuple(
+            tuple((column.name, column.version) for column in table.columns)
+            for table in (relation, *joined.values())
         )
+        if cached is not None and self.plan_cache.reuse(cached, tables):
+            chain = kernel_view(cached.plan, self.kernel_cache, self.jit_options)
+        else:
+            chain = plan_query(
+                query,
+                relation.column_names,
+                {name: rel.column_names for name, rel in joined.items()},
+                stats=self._plan_stats(relation, joined, sim),
+                optimizer=optimizer,
+                cost_model=cost_model,
+                kernel_cache=self.kernel_cache,
+                jit_options=self.jit_options,
+                label=query.table,
+            )
+            self.plan_cache.put(key, PlannedQuery(query, chain, tables))
         batch = run_plan(chain, context)
         return QueryResult(
             column_names=self._output_names(query, batch),
@@ -233,7 +348,10 @@ class Database:
         ``measure_data_plane`` each kernel is also run once over the stored
         rows and its measured wall clock reported alongside the estimates.
         The plan compiles through a private kernel cache, so explaining
-        never turns a later execution's compile into a cache hit.
+        never turns a later execution's compile into a cache hit, and it
+        neither reads nor fills the plan cache: EXPLAIN always plans anew.
+        A negative ``simulate_rows`` raises
+        :class:`repro.errors.ExecutionError`.
         """
         from repro.engine.explain import explain_query
 
@@ -285,11 +403,12 @@ class Database:
         Explicit ``is None`` checks, not truthiness: ``simulate_rows=0``
         must charge zero rows rather than silently fall through the chain.
         """
-        if simulate_rows is not None:
-            return simulate_rows
-        if self.simulate_rows is not None:
-            return self.simulate_rows
-        return relation.rows
+        if simulate_rows is None:
+            simulate_rows = self.simulate_rows
+        if simulate_rows is None:
+            return relation.rows
+        _check_simulate_rows(simulate_rows)
+        return simulate_rows
 
     def _output_names(self, query: Query, batch: Batch) -> List[str]:
         names = []
@@ -316,3 +435,12 @@ class Database:
             else:
                 columns.append(column.data.tolist())
         return list(zip(*columns)) if columns else []
+
+
+def _check_simulate_rows(simulate_rows: int) -> None:
+    """Refuse a negative count, which would charge negative time."""
+    if simulate_rows < 0:
+        raise ExecutionError(
+            f"simulate_rows must be >= 0 (got {simulate_rows}); "
+            "use simulate_rows=None to charge the actual row count"
+        )

@@ -5,7 +5,9 @@ and encoding caches, which reader threads may be filling at that moment.
 More reader threads than cores query whichever version is current while
 one writer appends; a short switch interval forces fine interleavings.
 Every read must see exactly one snapshot, and every version's carried
-encoding must equal a from-scratch encode.
+encoding must equal a from-scratch encode.  The readers repeat two texts,
+so they both reuse plans from the shared plan cache and re-plan them as
+each new version makes the cached plan stale.
 """
 
 import os
@@ -137,6 +139,7 @@ def test_readers_race_the_carrying_writer():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(versions) == APPENDS + 1 and all(reads)
+    assert db.plan_cache.hits > 0 and db.plan_cache.misses > len(READS)
     assert db.catalog.get("t").rows == len(prefix)
     for version in versions[1:]:
         for column in version.columns:

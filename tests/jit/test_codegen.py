@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.jit import ir
+from repro.core.jit import pipeline
 from repro.core.jit.pipeline import JitOptions, KernelCache, compile_expression
 from repro.errors import TypeInferenceError
 
@@ -122,3 +123,15 @@ class TestKernelCache:
         cache.compile("a + 1", self.SCHEMA)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0
+
+    def test_bound_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "KERNEL_CACHE_ENTRIES", 2)
+        cache = KernelCache()
+        cache.compile("a + 1", self.SCHEMA)
+        cache.compile("a + 2", self.SCHEMA)
+        cache.compile("a + 1", self.SCHEMA)  # a hit refreshes "a + 1"
+        cache.compile("a + 3", self.SCHEMA)  # evicts "a + 2"
+        assert len(cache) == 2
+        assert cache.compile("a + 1", self.SCHEMA)[1]
+        assert not cache.compile("a + 2", self.SCHEMA)[1]
+        assert (cache.hits, cache.misses) == (2, 4)
