@@ -82,6 +82,31 @@ def pack_column(
     return compact
 
 
+def pack_int64(values: np.ndarray, spec: DecimalSpec) -> np.ndarray:
+    """Pack signed int64 values (each ``|v| < 2**63``) into ``(N, Lb)`` bytes.
+
+    Byte for byte what :func:`pack_column` makes of the planes these values
+    expand to (the low two limbs of ``|v|``, sign ``v < 0``), with its two
+    checks and messages, without building the planes.  A one-word ``spec``
+    must hold no magnitude of ``2**32`` or more (``DecimalVector.from_int64``
+    checks it), so the eight magnitude bytes stand for the ``4*Lw`` word bytes.
+    """
+    rows = values.shape[0]
+    lb = spec.compact_bytes
+    magnitude = np.abs(values).astype("<i8", copy=False).view(np.uint8).reshape(rows, 8)
+    if lb < 8:
+        if np.any(magnitude[:, lb:]):
+            raise ConversionError("magnitude does not fit the compact representation")
+        packed = magnitude[:, :lb].copy()
+    else:
+        packed = np.zeros((rows, lb), dtype=np.uint8)
+        packed[:, :8] = magnitude
+    if np.any(packed[:, -1] & SIGN_BIT):
+        raise ConversionError(f"magnitude overlaps the sign bit for {spec}")
+    packed[:, -1] |= np.where(values < 0, SIGN_BIT, 0).astype(np.uint8)
+    return packed
+
+
 def unpack_column(
     compact: np.ndarray, spec: DecimalSpec
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -82,6 +82,36 @@ def rescale_unscaled(unscaled: int, from_scale: int, to_scale: int, spec: Decima
     return rescaled
 
 
+def literal_comparison(op: str, literal, spec: DecimalSpec) -> Union[bool, Tuple[str, int]]:
+    """``column <op> literal`` over a ``DECIMAL(p, s)`` column, at scale ``s``.
+
+    Returns an equivalent ``(op, target)`` comparison against an unscaled
+    integer within ``spec``, or a constant verdict (``True``: every row
+    matches, ``False``: none) when no stored value can compare otherwise.
+    The literal is never truncated: when it has more fractional digits
+    than ``s``, with ``q = floor(literal * 10**s)``, ``<``/``<=`` become
+    ``<= q`` and ``>``/``>=`` become ``> q``, while ``=`` matches no row and
+    ``<>`` every row.  A target beyond ``+-(10**p - 1)`` is a verdict too.
+    """
+    negative, unscaled, source = parse_literal(str(literal))
+    signed = -unscaled if negative else unscaled
+    drop = source.scale - spec.scale
+    if drop <= 0:
+        target = signed * 10**-drop
+    else:
+        target, remainder = divmod(signed, 10**drop)
+        if remainder:
+            if op in ("=", "<>"):
+                return op == "<>"
+            op = "<=" if op in ("<", "<=") else ">"
+    limit = spec.max_unscaled
+    if -limit <= target <= limit:
+        return op, target
+    if op in ("=", "<>"):
+        return op == "<>"
+    return (op in ("<", "<=")) == (target > limit)
+
+
 def unscaled_to_string(negative: bool, unscaled: int, scale: int) -> str:
     """Render an unscaled magnitude as a decimal string, e.g. ``-1.23``."""
     digits = str(unscaled)

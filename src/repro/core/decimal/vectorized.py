@@ -22,7 +22,6 @@ guarantees bit-exact results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,30 +42,69 @@ _UINT64_MAX = (1 << 64) - 1
 _INT64_MIN = -(1 << 63)
 
 
-@dataclass
 class DecimalVector:
     """A column of ``DECIMAL(p, s)`` values in register (expanded) form.
 
-    **Aliasing contract:** the ``negative``/``words`` planes are treated as
-    immutable once a vector is constructed.  Kernels that do not change a
-    plane are free to *share* it with their result (``neg``/``absolute``
-    share ``words``; ``rescale`` to the same scale returns ``self``), and
+    A vector holds the ``negative``/``words`` limb planes, its int64 lanes
+    (:meth:`to_int64`), or both.  One built from lanes (:meth:`from_int64`,
+    and :meth:`take` of a vector whose lanes answer) stores only the lanes:
+    the planes are built from them on first access to ``negative`` or
+    ``words``, and :meth:`to_unscaled`, :meth:`to_int64` and
+    :meth:`to_compact` never need them.
+
+    **Aliasing contract:** the planes are treated as immutable once a
+    vector is constructed.  Kernels that do not change a plane are free to
+    *share* it with their result (``neg``/``absolute`` share ``words``;
+    ``rescale`` to the same scale returns ``self``), and
     :meth:`repro.storage.column.Column.decimal_vector` hands out one cached
     expansion to every caller.  Never write into a vector's planes in
-    place -- build new arrays (or :meth:`copy` first).  The int64 lanes
-    :meth:`to_int64` memoizes are shared the same way and are read-only
-    (``writeable`` is off); reader threads may fill the memo concurrently,
-    and every fill stores the same values.
+    place -- build new arrays (or :meth:`copy` first).  The int64 lanes are
+    shared the same way and are read-only (``writeable`` is off).  Reader
+    threads may fill both memos concurrently: every fill of the lanes
+    stores the same values, every fill of the planes stores equal arrays,
+    both planes land in one assignment, and nothing is written in place.
     """
 
-    spec: DecimalSpec
-    negative: np.ndarray  # (N,) bool
-    words: np.ndarray  # (N, Lw) uint32
-    #: ``(lanes,)`` once :meth:`to_int64` has answered (``(None,)`` when the
-    #: values do not fit int64); None before.
-    _int64: Optional[Tuple[Optional[np.ndarray]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, spec: DecimalSpec, negative: np.ndarray, words: np.ndarray):
+        self.spec = spec
+        #: ``(negative (N,) bool, words (N, Lw) uint32)``; None until a
+        #: lane-built vector's planes are first read.
+        self._planes: Optional[Tuple[np.ndarray, np.ndarray]] = (negative, words)
+        #: ``(lanes,)`` once :meth:`to_int64` has answered (``(None,)`` when
+        #: the values do not fit int64); None before.
+        self._int64: Optional[Tuple[Optional[np.ndarray]]] = None
+
+    @classmethod
+    def _from_lanes(cls, spec: DecimalSpec, lanes: np.ndarray) -> "DecimalVector":
+        """A vector holding only read-only int64 ``lanes`` (checked by the caller)."""
+        vector = cls.__new__(cls)
+        vector.spec = spec
+        vector._planes = None
+        vector._int64 = (lanes,)
+        return vector
+
+    @property
+    def negative(self) -> np.ndarray:
+        """``(N,)`` bool sign plane."""
+        return self._expand()[0]
+
+    @property
+    def words(self) -> np.ndarray:
+        """``(N, Lw)`` uint32 magnitude limbs, least significant first."""
+        return self._expand()[1]
+
+    def _expand(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The planes, built from the lanes on first access: the low two
+        limbs of ``|v|`` and the sign ``v < 0`` (lanes hold no negative zero)."""
+        planes = self._planes
+        if planes is None:
+            lanes = self._memoized_lanes()
+            assert lanes is not None  # only lane-built vectors lack planes
+            words = np.zeros((lanes.shape[0], self.spec.words), dtype=np.uint32)
+            _store_uint64(words, np.abs(lanes).view(np.uint64))
+            planes = (lanes < 0, words)
+            self._planes = planes
+        return planes
 
     # ---------------------------------------------------------------- create
 
@@ -97,26 +135,40 @@ class DecimalVector:
 
     @classmethod
     def from_int64(cls, values: np.ndarray, spec: DecimalSpec) -> "DecimalVector":
-        """Build from signed int64 unscaled values, keeping them as the lanes.
+        """Build from signed int64 unscaled values, storing only them as lanes.
 
         Every ``|value|`` must be below ``2**63`` and within ``spec``'s
-        precision (the kernel executor's bounds guarantee both).  The planes
-        are the low two limbs of each magnitude; ``values`` becomes this
-        vector's read-only :meth:`to_int64` answer, so the caller must not
-        write to it afterwards.
+        precision (the kernel executor's bounds guarantee both); a one-word
+        ``spec`` takes no magnitude of ``2**32`` or more.  ``values``
+        becomes this vector's read-only :meth:`to_int64` answer, so the
+        caller must not write to it afterwards.
         """
         values = np.asarray(values, dtype=np.int64)
-        if values.size and int(values.min()) == _INT64_MIN:
-            raise ValueError("int64 lanes must stay above -2**63")
-        magnitude = np.abs(values).view(np.uint64)
-        words = np.zeros((values.shape[0], spec.words), dtype=np.uint32)
-        if spec.words == 1 and (magnitude >> _SHIFT64).any():
-            raise PrecisionOverflowError(f"values do not fit {spec}")
-        _store_uint64(words, magnitude)
+        if values.size:
+            low = int(values.min())
+            if low == _INT64_MIN:
+                raise ValueError("int64 lanes must stay above -2**63")
+            if spec.words == 1 and max(-low, int(values.max())) >= WORD_BASE:
+                raise PrecisionOverflowError(f"values do not fit {spec}")
         values.setflags(write=False)
-        vector = cls(spec, values < 0, words)
-        vector._int64 = (values,)
-        return vector
+        return cls._from_lanes(spec, values)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["DecimalVector"], spec: DecimalSpec) -> "DecimalVector":
+        """The rows of ``parts`` in order: their lanes when every part's
+        lanes are memoized, their planes otherwise."""
+        lanes = [part._memoized_lanes() for part in parts]
+        present = [part for part in lanes if part is not None]
+        if len(present) == len(parts):
+            merged = np.concatenate(present)
+            merged.setflags(write=False)
+            return cls._from_lanes(spec, merged)
+        planes = [part._expand() for part in parts]
+        return cls(
+            spec,
+            np.concatenate([negative for negative, _ in planes]),
+            np.concatenate([words for _, words in planes], axis=0),
+        )
 
     @classmethod
     def zeros(cls, rows: int, spec: DecimalSpec) -> "DecimalVector":
@@ -134,7 +186,12 @@ class DecimalVector:
     @property
     def rows(self) -> int:
         """Number of tuples in the column."""
-        return self.words.shape[0]
+        planes = self._planes
+        if planes is not None:
+            return planes[1].shape[0]
+        lanes = self._memoized_lanes()
+        assert lanes is not None  # only lane-built vectors lack planes
+        return lanes.shape[0]
 
     def to_unscaled(self) -> List[int]:
         """Signed unscaled Python ints (the verification oracle interface).
@@ -175,44 +232,63 @@ class DecimalVector:
             self._int64 = memo
         return memo[0]
 
+    def _memoized_lanes(self) -> Optional[np.ndarray]:
+        """The int64 lanes if :meth:`to_int64` has answered with them, without folding."""
+        memo = self._int64
+        return None if memo is None else memo[0]
+
     def _fold_int64(self) -> Optional[np.ndarray]:
-        words = self.words
+        negative, words = self._expand()
         width = words.shape[1]
         if width > 2 and words[:, 2:].any():
             return None
         if width >= 2 and (words[:, 1] >> 31).any():
             return None
         signed = _fold_low64(words).astype(np.int64)
-        np.negative(signed, where=self.negative, out=signed)
-        if np.count_nonzero(signed < 0) != np.count_nonzero(self.negative):
+        np.negative(signed, where=negative, out=signed)
+        if np.count_nonzero(signed < 0) != np.count_nonzero(negative):
             return None
         signed.setflags(write=False)
         return signed
 
+    def has_negative_zero(self) -> bool:
+        """Whether the sign plane marks a zero magnitude (only hand-built
+        IR and compact bytes make one; lanes never hold one).  Packing
+        drops that sign, so only such a vector differs from
+        ``from_compact(self.to_compact())``."""
+        if self._memoized_lanes() is not None:
+            return False
+        negative, words = self._expand()
+        return not words[negative].any(axis=1).all()
+
     def to_compact(self) -> np.ndarray:
-        """Pack to the compact ``(N, Lb)`` form (the kernel store phase)."""
-        return compact.pack_column(self.negative, self.words, self.spec)
+        """Pack to the compact ``(N, Lb)`` form (the kernel store phase),
+        straight from the lanes when they are memoized."""
+        lanes = self._memoized_lanes()
+        if lanes is not None:
+            return compact.pack_int64(lanes, self.spec)
+        negative, words = self._expand()
+        return compact.pack_column(negative, words, self.spec)
 
     def copy(self) -> "DecimalVector":
         """Deep copy (the one way to get privately writable planes)."""
         return DecimalVector(self.spec, self.negative.copy(), self.words.copy())
 
     def take(self, indices: np.ndarray) -> "DecimalVector":
-        """The rows ``indices``, with their int64 lanes when the values fit.
+        """The rows ``indices``: only their int64 lanes when the values fit.
 
         The lanes are gathered from this vector's :meth:`to_int64`, which
         folds once per vector: a cached column expansion pays it once per
-        version, not once per query.
+        version, not once per query.  The planes are gathered only when
+        the lanes do not answer.
         """
-        taken = DecimalVector(
-            self.spec, self.negative[indices], np.take(self.words, indices, axis=0)
-        )
         source = self.to_int64()
         if source is not None:
             lanes = source[indices]
             lanes.setflags(write=False)
-            taken._int64 = (lanes,)
-        return taken
+            return DecimalVector._from_lanes(self.spec, lanes)
+        negative, words = self._expand()
+        return DecimalVector(self.spec, negative[indices], np.take(words, indices, axis=0))
 
     # --------------------------------------------------------------- rescale
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.decimal.value import DecimalValue
+from repro.core.decimal.convert import literal_comparison
 from repro.core.jit import ir
 from repro.engine.sql.ast_nodes import Comparison
 from repro.gpusim import timing as gpu_timing
@@ -138,12 +138,14 @@ class TableStats:
         if stats is None or stats.histogram is None:
             return None
         try:
-            target = DecimalValue.from_literal(
-                str(predicate.literal), column_type.spec
-            ).unscaled
+            comparison = literal_comparison(
+                predicate.op, predicate.literal, column_type.spec
+            )
         except Exception:
             return None
-        return stats.histogram.fraction(predicate.op, target)
+        if isinstance(comparison, bool):
+            return float(comparison)
+        return stats.histogram.fraction(*comparison)
 
     def zone_fraction(self, predicate: Comparison) -> Optional[float]:
         """Zone-map upper bound on a literal predicate's selectivity.
@@ -162,9 +164,9 @@ class TableStats:
         if not isinstance(column_type, DecimalType):
             return None
         try:
-            target = DecimalValue.from_literal(
-                str(predicate.literal), column_type.spec
-            ).unscaled
+            comparison = literal_comparison(
+                predicate.op, predicate.literal, column_type.spec
+            )
         except Exception:
             return None
         default = DEFAULT_SELECTIVITY.get(predicate.op, 0.5)
@@ -172,7 +174,9 @@ class TableStats:
         total = 0
         for zone in zone_list:
             total += zone.rows
-            verdict = zone.evaluate(predicate.op, target)
+            verdict = (
+                comparison if isinstance(comparison, bool) else zone.evaluate(*comparison)
+            )
             if verdict is True:
                 matching += zone.rows
             elif verdict is None:

@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.decimal import inference
 from repro.core.decimal import vectorized as _vz
 from repro.core.decimal.context import DecimalSpec
+from repro.core.decimal.convert import literal_comparison
 from repro.core.decimal.value import DecimalValue
 from repro.core.decimal.vectorized import DecimalVector
 from repro.core.jit.pipeline import CompiledExpression
@@ -518,7 +519,7 @@ class ProjectOp(_KernelOp):
                 out[item.name] = Column(item.name, column.column_type, column.data)
                 continue
             vector = _evaluate_expression(text, batch, context, self.kernels[index])
-            out[item.name] = Column(item.name, DecimalType(vector.spec), vector.to_compact())
+            out[item.name] = Column.decimal_from_vector(item.name, vector)
         if context.include_transfer:
             result_bytes = sum(
                 column.bytes_stored / max(batch.rows, 1) for column in out.values()
@@ -859,10 +860,14 @@ def _zone_skip_mask(
         column = relation.column(predicate.column)
         if column.codec is None or not isinstance(column.column_type, DecimalType):
             continue
-        spec = column.column_type.spec
-        target = DecimalValue.from_literal(str(predicate.literal), spec).unscaled
+        comparison = literal_comparison(
+            predicate.op, predicate.literal, column.column_type.spec
+        )
         for zone in column.encoding().zones:
-            if zone.evaluate(predicate.op, target) is False:
+            verdict = (
+                comparison if isinstance(comparison, bool) else zone.evaluate(*comparison)
+            )
+            if verdict is False:
                 if skip is None:
                     skip = np.zeros(relation.rows, dtype=bool)
                 skip[zone.row_start : zone.row_stop] = True
@@ -904,11 +909,13 @@ def _evaluate_predicate_encoded(
     encoding = column.cached_encoding()
     if encoding is None:
         return None
-    op = predicate.op
-    if op not in ("=", "<>", "<", "<=", ">", ">="):
+    if predicate.op not in ("=", "<>", "<", "<=", ">", ">="):
         return None
     spec = column.column_type.spec
-    target = DecimalValue.from_literal(str(predicate.literal), spec).unscaled
+    comparison = literal_comparison(predicate.op, predicate.literal, spec)
+    if isinstance(comparison, bool):
+        return np.full(column.rows, comparison)
+    op, target = comparison
     try:
         literal = codec.encode_literal(target, spec)
     except StorageError:
@@ -931,15 +938,18 @@ def _evaluate_predicate(column: Column, predicate: Comparison) -> np.ndarray:
     column_type = column.column_type
     if isinstance(column_type, DecimalType):
         spec = column_type.spec
-        value = DecimalValue.from_literal(str(literal), spec)
+        comparison = literal_comparison(op, literal, spec)
+        if isinstance(comparison, bool):
+            return np.full(column.rows, comparison)
+        op, rhs = comparison
         vector = column.decimal_vector()
         signed = vector.to_int64()
-        rhs = value.unscaled
         if signed is not None and _INT64_MIN <= rhs <= _INT64_MAX:
             lhs = signed
         else:
             # Wide values: a limb-wise compare against the broadcast
             # literal, turned into ``order <op> 0``.
+            value = DecimalValue.from_unscaled(rhs, spec)
             literal_vector = DecimalVector.broadcast(
                 value.negative, value.words, spec, vector.rows
             )

@@ -11,7 +11,7 @@ oracle of the differential tests -- the operator-level counterpart of
 * the group-by collects each group's rows in a dict, sorts the keys, and
   reduces every group with its own
   :func:`~repro.core.multithread.aggregation.aggregate` call;
-* a DECIMAL filter compares an object array of Python ints.
+* a DECIMAL filter compares every value with the literal as exact rationals.
 
 Nothing in the engine calls this module; it must stay row-at-a-time even
 if that is slow, because that *is* the point of keeping it.
@@ -20,13 +20,13 @@ if that is slow, because that *is* the point of keeping it.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.decimal import inference
 from repro.core.decimal.context import DecimalSpec
-from repro.core.decimal.value import DecimalValue
 from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.physical import (
     Batch,
@@ -171,9 +171,12 @@ _COMPARISONS = {
 
 
 def decimal_predicate(column: Column, op: str, literal) -> np.ndarray:
-    """``column <op> literal`` for a DECIMAL column, over Python ints."""
+    """``column <op> literal`` for a DECIMAL column, over exact rationals."""
     assert isinstance(column.column_type, DecimalType)
-    spec = column.column_type.spec
-    target = DecimalValue.from_literal(str(literal), spec).unscaled
-    values = np.array(column.unscaled(), dtype=object)
-    return np.asarray(_COMPARISONS[op](values, target), dtype=bool)
+    target = Fraction(str(literal))
+    scale = 10**column.column_type.spec.scale
+    compare = _COMPARISONS[op]
+    return np.array(
+        [compare(Fraction(value, scale), target) for value in column.unscaled()],
+        dtype=bool,
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.decimal.convert import literal_comparison
 from repro.engine.plan.logical import LogicalFilter, LogicalNode
 from repro.engine.plan.rules import RewriteRule
 from repro.engine.sql.ast_nodes import Comparison
@@ -22,28 +23,32 @@ from repro.errors import ReproError
 from repro.storage.schema import CharType, DateType, DecimalType
 
 
-def _canonical(literal, column_type) -> Optional[Tuple[str, object]]:
-    """Map a literal to the comparable value execution would use.
+def _canonical(predicate: Comparison, column_type) -> Optional[Tuple[str, object]]:
+    """Map a literal conjunct to the ``(op, value)`` execution compares.
 
-    Returns ``(kind, value)`` or ``None`` when the literal cannot be
-    canonicalised (unknown column type, conversion failure) -- in which
-    case the predicate is left alone.
+    A DECIMAL literal becomes an unscaled integer at the column scale,
+    with the operator execution uses for it (a literal with more
+    fractional digits than the column compares as ``<= q`` or ``> q``;
+    see :func:`~repro.core.decimal.convert.literal_comparison`).  Returns
+    ``None`` when the literal cannot be canonicalised (unknown column type,
+    conversion failure, or a comparison no stored value can decide
+    otherwise) -- in which case the predicate is left alone.
     """
+    op, literal = predicate.op, predicate.literal
     if column_type is None:
         return None
     try:
         if isinstance(column_type, DecimalType):
-            from repro.core.decimal.value import DecimalValue
-
-            return ("decimal", DecimalValue.from_literal(str(literal), column_type.spec).unscaled)
+            comparison = literal_comparison(op, literal, column_type.spec)
+            return None if isinstance(comparison, bool) else comparison
         if isinstance(column_type, DateType):
             from repro.engine.plan.physical import _parse_date
 
-            return ("date", _parse_date(literal) if isinstance(literal, str) else int(literal))
+            return (op, _parse_date(literal) if isinstance(literal, str) else int(literal))
         if isinstance(column_type, CharType):
-            return ("char", str(literal).ljust(column_type.width).encode())
+            return (op, str(literal).ljust(column_type.width).encode())
         if isinstance(literal, (int, float)) and not isinstance(literal, bool):
-            return ("number", literal)
+            return (op, literal)
     except (ReproError, ValueError):
         return None
     return None
@@ -100,10 +105,10 @@ class PredicateSimplifyRule(RewriteRule):
             if predicate.column_rhs is not None:
                 continue
             column_type = stats.column_type(predicate.column) if stats else None
-            canonical = _canonical(predicate.literal, column_type)
+            canonical = _canonical(predicate, column_type)
             if canonical is None:
                 continue
-            values[id(predicate)] = canonical[1]
+            values[id(predicate)] = canonical
             groups.setdefault(predicate.column, []).append(predicate)
 
         kept = {}  # id(predicate) -> Comparison to emit in its place (or None to drop)
@@ -139,24 +144,24 @@ class PredicateSimplifyRule(RewriteRule):
         eq: Optional[_Bound] = None
         neqs: List[_Bound] = []
         for predicate in members:
-            value = values[id(predicate)]
-            if predicate.op == "=":
+            op, value = values[id(predicate)]
+            if op == "=":
                 if eq is not None and eq.value != value:
                     return "contradiction"
                 if eq is None:
                     eq = _Bound(value, True, predicate)
-            elif predicate.op == "<>":
+            elif op == "<>":
                 neqs.append(_Bound(value, False, predicate))
-            elif predicate.op in (">", ">="):
-                inclusive = predicate.op == ">="
+            elif op in (">", ">="):
+                inclusive = op == ">="
                 if (
                     lower is None
                     or value > lower.value
                     or (value == lower.value and not inclusive and lower.inclusive)
                 ):
                     lower = _Bound(value, inclusive, predicate)
-            elif predicate.op in ("<", "<="):
-                inclusive = predicate.op == "<="
+            elif op in ("<", "<="):
+                inclusive = op == "<="
                 if (
                     upper is None
                     or value < upper.value

@@ -33,6 +33,8 @@ from repro.storage.schema import (
 #: bytes it was expanded from.
 _VERSIONS = itertools.count(1)
 
+_INT64_MIN = -(1 << 63)
+
 
 @dataclass
 class Column:
@@ -50,9 +52,10 @@ class Column:
     _vector_cache: "Optional[Tuple[int, DecimalVector]]" = field(
         init=False, repr=False, compare=False, default=None
     )
-    #: Set by :meth:`take` when the source column's expansion was cached:
-    #: that vector and the row indices, which :meth:`decimal_vector`
-    #: gathers (lanes included) instead of unpacking ``data``.
+    #: Set by :meth:`take` and :meth:`head` when the source column's
+    #: expansion was cached, or was itself to be gathered: that vector and
+    #: the row indices, which :meth:`decimal_vector` gathers (lanes
+    #: included) instead of unpacking ``data``.
     _taken_from: "Optional[Tuple[DecimalVector, np.ndarray]]" = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -119,17 +122,44 @@ class Column:
     def decimal_from_unscaled(
         cls, name: str, values: Iterable[int], spec: DecimalSpec
     ) -> "Column":
-        """Build a DECIMAL column from signed unscaled integers."""
-        vector = DecimalVector.from_unscaled(list(values), spec)
-        return cls(name, DecimalType(spec), vector.to_compact())
+        """Build a DECIMAL column from signed unscaled integers.
+
+        Signed integers within int64 and ``spec`` build int64 lanes
+        directly; anything else (wider or out-of-spec values, floats,
+        strings, bools) takes :meth:`DecimalVector.from_unscaled`, with its
+        bytes or its error.  Either way the column keeps the vector it was
+        packed from.
+        """
+        values = list(values)
+        lanes = _int64_lanes(values, spec)
+        if lanes is None:
+            vector = DecimalVector.from_unscaled(values, spec)
+        else:
+            vector = DecimalVector.from_int64(lanes, spec)
+        return cls.decimal_from_vector(name, vector)
+
+    @classmethod
+    def decimal_from_vector(cls, name: str, vector: DecimalVector) -> "Column":
+        """A DECIMAL column packed from ``vector``, kept as its cached expansion.
+
+        A vector whose sign plane marks a zero is not kept: packing drops
+        that sign, and the cached expansion must equal what
+        :meth:`decimal_vector` would unpack from ``data``.
+        """
+        column = cls(name, DecimalType(vector.spec), vector.to_compact())
+        if not vector.has_negative_zero():
+            column._vector_cache = (column._version, vector)
+        return column
 
     def decimal_vector(self) -> DecimalVector:
         """Expand to register form (what a kernel's load phase does).
 
         The expansion is cached against :attr:`version`, so repeated calls
         across operators and queries run ``unpack_column`` once; a column
-        built by :meth:`take` from an expanded one gathers that expansion
-        instead.  Callers receive a *shared* vector and must honour the
+        built by :meth:`take` or :meth:`head` from an expanded one gathers
+        that expansion instead, and one built from a vector
+        (:meth:`decimal_from_vector`) starts with it.  Callers receive a
+        *shared* vector and must honour the
         :class:`~repro.core.decimal.vectorized.DecimalVector` aliasing
         contract: never write into its planes (``.copy()`` first).
         """
@@ -223,7 +253,8 @@ class Column:
         """The next version: this column's rows followed by ``addition``'s.
 
         A DECIMAL version carries what the old one already paid for: a
-        cached register expansion is extended by the new rows' expansion,
+        cached register expansion is extended by the new rows' expansion
+        (int64 lanes when both have them memoized, planes otherwise),
         and every full chunk of a cached encoding is reused by reference,
         zone map included, so only the last partial chunk and the new rows
         are encoded (each chunk depends only on its own rows).  Without a
@@ -249,11 +280,8 @@ class Column:
         spec = self.column_type.spec
         vector_cache = self._vector_cache
         if vector_cache is not None and vector_cache[0] == self._version:
-            old, new = vector_cache[1], addition.decimal_vector()
-            vector = DecimalVector(
-                spec,
-                np.concatenate([old.negative, new.negative]),
-                np.concatenate([old.words, new.words], axis=0),
+            vector = DecimalVector.concatenate(
+                [vector_cache[1], addition.decimal_vector()], spec
             )
             merged._vector_cache = (merged._version, vector)
         if self.codec is None:
@@ -321,7 +349,8 @@ class Column:
         """Row subset (selection vectors from filters).
 
         A DECIMAL column whose expansion is cached hands it on: the subset's
-        :meth:`decimal_vector` gathers those planes and lanes on first use.
+        :meth:`decimal_vector` gathers that vector's rows (its lanes, when
+        they answer) on first use.
         """
         taken = Column(
             self.name,
@@ -330,17 +359,46 @@ class Column:
             codec=self.codec,
             encoding_chunk_rows=self.encoding_chunk_rows,
         )
-        cached = self._vector_cache
-        if cached is not None and cached[0] == self._version:
-            taken._taken_from = (cached[1], indices)
+        self._carry(taken, indices)
         return taken
 
     def head(self, count: int) -> "Column":
-        """First ``count`` rows (benchmark sampling)."""
-        return Column(
+        """First ``count`` rows (LIMIT, benchmark sampling); carries like :meth:`take`."""
+        kept = Column(
             self.name,
             self.column_type,
             self.data[:count],
             codec=self.codec,
             encoding_chunk_rows=self.encoding_chunk_rows,
         )
+        self._carry(kept, np.arange(kept.rows))
+        return kept
+
+    def _carry(self, derived: "Column", indices: np.ndarray) -> None:
+        """Let ``derived``, this column's rows ``indices``, gather this
+        column's cached expansion, or the one it would gather itself (the
+        indices compose), instead of unpacking its own bytes."""
+        cached = self._vector_cache
+        if cached is not None and cached[0] == self._version:
+            derived._taken_from = (cached[1], indices)
+            return
+        source = self._taken_from
+        if source is not None:
+            derived._taken_from = (source[0], source[1][indices])
+
+
+def _int64_lanes(values: list, spec: DecimalSpec) -> Optional[np.ndarray]:
+    """``values`` as int64 lanes when they are signed integers within int64
+    and ``spec``, else None (``np.array`` infers no int64 dtype for floats,
+    strings, bools alone or integers of ``2**63`` and more)."""
+    try:
+        lanes = np.array(values)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if lanes.dtype != np.int64 or lanes.ndim != 1 or not lanes.size:
+        return None
+    low, high = int(lanes.min()), int(lanes.max())
+    limit = spec.max_unscaled
+    if low == _INT64_MIN or low < -limit or high > limit:
+        return None
+    return lanes

@@ -82,6 +82,14 @@ def assert_same_encoding(carried, fresh):
         assert all(type(value) is int for value in fields + (zone.zero_count,))
 
 
+def assert_carried_vector(column, spec):
+    """The carried expansion equals what the merged bytes unpack to."""
+    carried = column._vector_cache[1]
+    expected = DecimalVector.from_compact(column.data, spec)
+    assert np.array_equal(carried.negative, expected.negative)
+    assert np.array_equal(carried.words, expected.words)
+
+
 def fresh_encoding(column):
     """The encoding of a brand-new Column over the same bytes and codec."""
     return Column(
@@ -246,11 +254,8 @@ class TestAppendCarry:
             carried = merged.cached_encoding()
             assert carried is not None
             assert_same_encoding(carried, fresh_encoding(merged))
-            if warm in ("both", "vector"):
-                planes = merged._vector_cache[1]
-                expected = DecimalVector.from_compact(merged.data, spec)
-                assert np.array_equal(planes.negative, expected.negative)
-                assert np.array_equal(planes.words, expected.words)
+            if merged._vector_cache is not None:
+                assert_carried_vector(merged, spec)
             # The old snapshot keeps exactly the caches it had.
             assert column._vector_cache is old_vector
             assert column.cached_encoding() is old_encoding
@@ -258,6 +263,36 @@ class TestAppendCarry:
                 for chunk, before in zip(old_encoding.chunks, old_bytes):
                     assert np.array_equal(chunk.data, before)
             column = merged
+
+    @pytest.mark.parametrize(
+        "old_values,new_values,lanes",
+        [
+            ([5, -6, 0], [7, -(2**62)], True),  # both lanes memoized
+            ([5, -6, 0], [2**63, 1], False),  # the new rows need limbs
+            ([2**63, 1], [5, -6], False),  # the old rows need limbs
+        ],
+    )
+    def test_lanes_concatenate_when_both_are_memoized(self, old_values, new_values, lanes):
+        spec = SPECS[30]
+        column = Column.decimal_from_unscaled("v", old_values, spec)
+        merged = column.appended(Column.decimal_from_unscaled("v", new_values, spec))
+        vector = merged._vector_cache[1]
+        assert (vector._planes is None) == lanes
+        assert (vector._int64 is not None) == lanes
+        assert merged.unscaled() == old_values + new_values
+        assert_carried_vector(merged, spec)
+
+    def test_an_unfolded_addition_takes_the_planes(self):
+        spec = SPECS[3]
+        column = Column.decimal_from_unscaled("v", [1, -2], spec)
+        addition = Column.decimal_from_unscaled("v", [3], spec)
+        bare = Column("v", addition.column_type, addition.data)  # lanes not folded
+        merged = column.appended(bare)
+        vector = merged._vector_cache[1]
+        assert vector._planes is not None and vector._int64 is None
+        assert column.decimal_vector()._planes is not None  # filled, not replaced
+        assert merged.unscaled() == [1, -2, 3]
+        assert_carried_vector(merged, spec)
 
     def test_full_chunks_are_shared_and_the_tail_is_re_encoded(self):
         spec = SPECS[2]

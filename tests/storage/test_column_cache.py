@@ -82,3 +82,59 @@ class TestDecimalVectorCache:
     def test_every_construction_gets_a_distinct_version(self):
         versions = {make_column().version for _ in range(5)}
         assert len(versions) == 5
+
+
+class TestDerivedColumnsCarry:
+    """Takes and heads of un-expanded takes gather the base expansion."""
+
+    def chain(self):
+        """filter -> join -> join -> limit over an expanded base column."""
+        column = make_column(range(-20, 20))
+        column.decimal_vector()
+        filtered = column.take(np.array([1, 3, 5, 7, 9, 11, 13, 15]))
+        joined = filtered.take(np.array([7, 0, 0, 2, 5, 5, 6]))
+        rejoined = joined.take(np.array([6, 5, 4, 3, 2, 1, 0, 0]))
+        return column, [filtered, joined, rejoined, rejoined.head(5)]
+
+    def test_every_stage_expands_like_its_bytes(self):
+        column, stages = self.chain()
+        expected = [
+            DecimalVector.from_compact(stage.data, stage.column_type.spec) for stage in stages
+        ]
+        with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+            vectors = [stage.decimal_vector() for stage in reversed(stages)][::-1]
+        for vector, reference in zip(vectors, expected):
+            assert np.array_equal(vector.negative, reference.negative)
+            assert np.array_equal(vector.words, reference.words)
+            assert vector.to_unscaled() == reference.to_unscaled()
+        assert stages[-1].unscaled() == [-7, -9, -9, -15, -19]
+
+    def test_indices_compose_onto_the_base_expansion(self):
+        column, stages = self.chain()
+        base = column.decimal_vector()
+        for stage in stages:
+            assert stage._taken_from[0] is base
+        assert stages[-1]._taken_from[1].tolist() == [13, 11, 11, 5, 1]
+
+    def test_head_of_an_expanded_column_and_past_its_end(self):
+        column = make_column()
+        column.decimal_vector()
+        with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+            assert column.head(10).unscaled() == [100, -250, 0, 99]
+            assert column.head(0).unscaled() == []
+
+    def test_invalidate_drops_a_composed_carry(self):
+        _, stages = self.chain()
+        limited = stages[-1]
+        limited.data = make_column([1, 2, 3, 4, 5]).data
+        limited.invalidate()
+        assert limited._taken_from is None
+        assert limited.unscaled() == [1, 2, 3, 4, 5]
+
+    def test_an_invalidated_source_carries_nothing(self):
+        column = make_column()
+        column.decimal_vector()
+        subset = column.take(np.array([0, 1]))
+        subset.invalidate()
+        assert subset.take(np.array([1]))._taken_from is None
+        assert subset.head(1)._taken_from is None
