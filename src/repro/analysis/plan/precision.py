@@ -90,9 +90,9 @@ def check_precision_flow(plan_ops, stats, label: str = "") -> List[Diagnostic]:
             call = item.expression
             if not isinstance(call, AggregateCall) or call.function == "COUNT":
                 continue
-            if spec is None:
+            if spec is None and isinstance(item.tree, expr_ast.ColumnRef):
                 # A bare DECIMAL argument, typed as the planner compiled it.
-                spec = op.schema.get(call.argument.strip())
+                spec = op.schema.get(item.tree.name)
             if spec is not None:
                 _aggregate_spec(call.function, spec, sim_n, report, position, str(call))
     return findings

@@ -25,7 +25,6 @@ Rules:
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from typing import List, Optional, Set
 
@@ -42,7 +41,6 @@ from repro.engine.plan.physical import (
     ScanOp,
     SortOp,
 )
-from repro.errors import ReproError
 
 MISSING_COLUMN = "PLAN001"
 SORT_KEY_LOST = "PLAN002"
@@ -51,25 +49,6 @@ UNSOUND_ZONE_PUSHDOWN = "PLAN004"
 MALFORMED_CHAIN = "PLAN005"
 
 _JOIN_OPS = (HashJoinOp, NestedLoopJoinOp)
-
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _expression_columns(text: str, universe: Set[str]) -> List[str]:
-    """Column names an expression consumes.
-
-    Parses through the JIT front end (the authoritative reader); on a
-    parse failure falls back to identifier tokens intersected with the
-    known-column universe, so an unparseable expression still gets its
-    obvious references checked instead of silently passing.
-    """
-    try:
-        from repro.core.jit.expr_ast import column_names
-        from repro.core.jit.parser import parse_expression
-
-        return column_names(parse_expression(text))
-    except ReproError:
-        return sorted(set(_IDENTIFIER.findall(text)) & universe)
 
 
 def check_schema_flow(plan_ops, stats=None, label: str = "") -> List[Diagnostic]:
@@ -94,18 +73,6 @@ def check_schema_flow(plan_ops, stats=None, label: str = "") -> List[Diagnostic]
             f"plan does not start with a scan ({type(ops[0]).__name__})",
             0,
         )
-
-    # Every column name any relation or ship set knows: the fallback
-    # universe for token-based expression scanning.
-    universe: Set[str] = set()
-    if stats is not None:
-        for table in [stats.main, *stats.joined.values()]:
-            universe.update(table.column_types)
-    for op in ops:
-        if isinstance(op, ScanOp):
-            universe.update(op.columns)
-        elif isinstance(op, _JOIN_OPS):
-            universe.update(op.right_columns)
 
     available: Set[str] = set()
 
@@ -173,29 +140,23 @@ def check_schema_flow(plan_ops, stats=None, label: str = "") -> List[Diagnostic]
         elif isinstance(op, ProjectOp):
             produced: Set[str] = set()
             for item in op.items:
-                text = item.expression
-                assert isinstance(text, str)
-                for name in _expression_columns(text, universe):
-                    require(name, f"projection {text!r}", position)
+                for name in item.columns:
+                    require(name, f"projection {item.text!r}", position)
                 produced.add(item.name)
             for name in op.carry:
                 require(name, "projection carry", position)
             available = produced | (set(op.carry) & available)
         elif isinstance(op, AggregateOp):
             for item in op.items:
-                call = item.expression
-                if call.argument != "*":
-                    for name in _expression_columns(call.argument, universe):
-                        require(name, f"aggregate {call}", position)
+                for name in item.columns:
+                    require(name, f"aggregate {item.expression}", position)
             available = {item.name for item in op.items}
         elif isinstance(op, GroupAggregateOp):
             for name in op.group_by:
                 require(name, "group by", position)
             for item in op.items:
-                call = item.expression
-                if call.argument != "*":
-                    for name in _expression_columns(call.argument, universe):
-                        require(name, f"aggregate {call}", position)
+                for name in item.columns:
+                    require(name, f"aggregate {item.expression}", position)
             available = (set(op.group_by) & available) | {
                 item.name for item in op.items
             }

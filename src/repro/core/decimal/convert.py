@@ -82,6 +82,16 @@ def rescale_unscaled(unscaled: int, from_scale: int, to_scale: int, spec: Decima
     return rescaled
 
 
+def literal_text(value: Numeric) -> str:
+    """A host literal as decimal text, never in exponent form.
+
+    A ``Decimal`` prints as written (``1.50`` stays ``1.50``;
+    ``str(Decimal("0.0000001"))`` would be ``'1E-7'``, which
+    :func:`parse_literal` rejects).
+    """
+    return format(value, "f") if isinstance(value, Decimal) else str(value)
+
+
 def literal_comparison(op: str, literal, spec: DecimalSpec) -> Union[bool, Tuple[str, int]]:
     """``column <op> literal`` over a ``DECIMAL(p, s)`` column, at scale ``s``.
 
@@ -93,9 +103,21 @@ def literal_comparison(op: str, literal, spec: DecimalSpec) -> Union[bool, Tuple
     ``<= q`` and ``>``/``>=`` become ``> q``, while ``=`` matches no row and
     ``<>`` every row.  A target beyond ``+-(10**p - 1)`` is a verdict too.
     """
-    negative, unscaled, source = parse_literal(str(literal))
+    limit = spec.max_unscaled
+    return scaled_comparison(op, literal, spec.scale, -limit, limit)
+
+
+def scaled_comparison(
+    op: str, literal, scale: int, low: int, high: int
+) -> Union[bool, Tuple[str, int]]:
+    """``value <op> literal`` for integers ``value`` in ``[low, high]`` read at ``scale``.
+
+    The exact rule :func:`literal_comparison` applies to a DECIMAL column;
+    an integer column is the case ``scale = 0``.
+    """
+    negative, unscaled, source = parse_literal(literal_text(literal))
     signed = -unscaled if negative else unscaled
-    drop = source.scale - spec.scale
+    drop = source.scale - scale
     if drop <= 0:
         target = signed * 10**-drop
     else:
@@ -104,12 +126,11 @@ def literal_comparison(op: str, literal, spec: DecimalSpec) -> Union[bool, Tuple
             if op in ("=", "<>"):
                 return op == "<>"
             op = "<=" if op in ("<", "<=") else ">"
-    limit = spec.max_unscaled
-    if -limit <= target <= limit:
+    if low <= target <= high:
         return op, target
     if op in ("=", "<>"):
         return op == "<>"
-    return (op in ("<", "<=")) == (target > limit)
+    return (op in ("<", "<=")) == (target > high)
 
 
 def unscaled_to_string(negative: bool, unscaled: int, scale: int) -> str:

@@ -168,11 +168,8 @@ def _with_spec(new: Expr, old: Expr) -> Expr:
 def _rescale_literal(literal: Literal, scale: int) -> Literal:
     base = literal.minimal_spec()
     extra = scale - base.scale
-    if extra <= 0:
-        literal.spec = base
-        return literal
     rescaled = Literal(literal.value)
-    rescaled.spec = DecimalSpec(base.precision + extra, scale)
+    rescaled.spec = DecimalSpec(base.precision + extra, scale) if extra > 0 else base
     return rescaled
 
 

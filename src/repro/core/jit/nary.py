@@ -28,9 +28,15 @@ from repro.errors import ExpressionError
 
 
 def to_nary(expr: Expr) -> Expr:
-    """Convert a binary tree to the n-ary form used by the optimiser."""
-    if isinstance(expr, (ColumnRef, Literal)):
-        return expr
+    """Convert a binary tree to the n-ary form used by the optimiser.
+
+    Every node of the result is new, leaves included, so the passes after
+    it annotate and rewrite their own nodes, never the caller's tree.
+    """
+    if isinstance(expr, ColumnRef):
+        return ColumnRef(expr.name)
+    if isinstance(expr, Literal):
+        return _literal(expr.value, expr.spec)
     if isinstance(expr, UnaryOp):
         operand = to_nary(expr.operand)
         if expr.op == "+":
@@ -48,8 +54,10 @@ def to_nary(expr: Expr) -> Expr:
         if expr.op == "*":
             return NaryMul(_factors(left) + _factors(right))
         return BinaryOp(expr.op, left, right)  # '/' and '%' stay binary
-    if isinstance(expr, (NaryAdd, NaryMul)):
-        return expr
+    if isinstance(expr, NaryAdd):
+        return NaryAdd([to_nary(term) for term in expr.terms])
+    if isinstance(expr, NaryMul):
+        return NaryMul([to_nary(factor) for factor in expr.factors])
     raise ExpressionError(f"cannot convert {type(expr).__name__} to n-ary form")
 
 
@@ -87,9 +95,7 @@ def _negate(expr: Expr) -> Expr:
     if isinstance(expr, UnaryOp) and expr.op == "-":
         return expr.operand  # --x -> x
     if isinstance(expr, Literal):
-        negated = Literal(-expr.value)
-        negated.spec = expr.spec
-        return negated
+        return _literal(-expr.value, expr.spec)
     if isinstance(expr, NaryAdd):
         return NaryAdd([_negate(term) for term in expr.terms])
     return UnaryOp("-", expr)
@@ -105,3 +111,9 @@ def _factors(expr: Expr) -> List[Expr]:
     if isinstance(expr, NaryMul):
         return list(expr.factors)
     return [expr]
+
+
+def _literal(value, spec) -> Literal:
+    literal = Literal(value)
+    literal.spec = spec
+    return literal

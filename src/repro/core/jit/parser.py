@@ -8,12 +8,16 @@ Grammar (standard arithmetic):
     primary := NUMBER | IDENT | '(' expr ')'
 
 Identifiers name DECIMAL columns; numbers become exact literals.
+
+This is the one expression grammar: :func:`parse_expression` runs it on
+expression text, and the SQL parser runs it on its own token stream
+(:func:`parse_tokens`) for every SELECT expression and aggregate argument.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.jit.expr_ast import (
     SCALAR_FUNCTIONS,
@@ -28,7 +32,9 @@ from repro.errors import ParseError
 
 
 class Token(NamedTuple):
-    kind: str  # 'number' | 'ident' | 'op' | 'lparen' | 'rparen'
+    #: 'number' | 'ident' | 'op' | 'lparen' | 'rparen' | 'comma'; the SQL
+    #: tokenizer adds kinds of its own, which no expression contains.
+    kind: str
     text: str
     position: int
 
@@ -39,38 +45,32 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str) -> List[Token]:
-    """Split expression text into tokens; raises ParseError on junk."""
+def tokenize(text: str, pattern: re.Pattern = _TOKEN_RE) -> List[Token]:
+    """Split text into tokens, one kind per named group of ``pattern``.
+
+    Raises ParseError on junk.  The SQL parser passes its own pattern,
+    which gives expression tokens this pattern's kinds.
+    """
     tokens: List[Token] = []
     position = 0
     while position < len(text):
-        match = _TOKEN_RE.match(text, position)
+        match = pattern.match(text, position)
         if not match or match.end() == position:
             remainder = text[position:].strip()
             if not remainder:
                 break
             raise ParseError(f"unexpected character at {position}: {remainder[0]!r}")
-        for kind in ("number", "ident", "op", "lparen", "rparen", "comma"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(Token(kind, value, match.start(kind)))
-                break
+        kind = match.lastgroup
+        tokens.append(Token(kind, match.group(kind), match.start(kind)))
         position = match.end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], text: str):
+    def __init__(self, tokens: Sequence[Token], text: str, start: int):
         self._tokens = tokens
         self._text = text
-        self._index = 0
-
-    def parse(self) -> Expr:
-        expr = self._expr()
-        if self._peek() is not None:
-            token = self._peek()
-            raise ParseError(f"trailing input at {token.position}: {token.text!r}")
-        return expr
+        self._index = start
 
     def _peek(self) -> Optional[Token]:
         return self._tokens[self._index] if self._index < len(self._tokens) else None
@@ -152,9 +152,25 @@ class _Parser:
         return FuncCall(function, argument, scale_arg)
 
 
+def parse_tokens(tokens: Sequence[Token], start: int, text: str) -> Tuple[Expr, int]:
+    """Parse the expression that begins at ``tokens[start]``.
+
+    Returns the tree and the index of the first token after it: the
+    expression ends at the first token that cannot continue it (a ``,``,
+    an unmatched ``)``, a SQL keyword, the end).  ``text`` is the source
+    the tokens came from, for error messages.
+    """
+    parser = _Parser(tokens, text, start)
+    return parser._expr(), parser._index
+
+
 def parse_expression(text: str) -> Expr:
     """Parse arithmetic text like ``"c1 + c2 * 1.5"`` into an expression tree."""
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens, text).parse()
+    expr, end = parse_tokens(tokens, 0, text)
+    if end < len(tokens):
+        token = tokens[end]
+        raise ParseError(f"trailing input at {token.position}: {token.text!r}")
+    return expr

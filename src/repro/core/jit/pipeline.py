@@ -2,7 +2,7 @@
 
 ``compile_expression`` runs the full pass sequence the paper describes:
 
-1. parse the expression text into a binary tree;
+1. parse the expression text into a binary tree (or take a parsed tree);
 2. infer precisions/scales bottom-up (section III-B3);
 3. convert to the n-ary form (subtractions -> negated additions, collapse
    neighbouring ``+``/``*`` levels);
@@ -13,6 +13,11 @@
 
 Optimisations can be switched off individually, which is how the Figure
 10/11/12 ablation benchmarks measure each one's contribution.
+
+The compiler never writes to the tree it is handed: a parsed query's trees
+live in the plan cache and are compiled again after an append, under
+other schemas and options.  Every pass builds its own nodes, starting with
+``nary.to_nary``, and only those are annotated.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple, Union
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.jit import alignment, codegen, constant_folding, nary, type_inference
@@ -131,7 +136,6 @@ def expand_powers(expr: Expr) -> Expr:
 
 def optimize(expr: Expr, schema: Schema, options: JitOptions) -> Expr:
     """Run the optimisation passes over a parsed tree; returns a binary tree."""
-    type_inference.infer(expr, schema)
     tree = nary.to_nary(expr)
     type_inference.infer(tree, schema)
     if options.constant_folding:
@@ -150,21 +154,20 @@ def optimize(expr: Expr, schema: Schema, options: JitOptions) -> Expr:
 
 
 def compile_expression(
-    text: str,
+    expr: Union[Expr, str],
     schema: Schema,
     options: Optional[JitOptions] = None,
     name: str = "calc_expr",
 ) -> CompiledExpression:
-    """Parse, optimise and generate a kernel for an expression string.
+    """Optimise and generate a kernel for a parsed tree, or for text.
 
-    The expression is parsed exactly once: every pass (including
-    ``expand_powers``) is value-oriented, so the same tree feeds the naive
-    alignment count and the optimiser without defensive re-parsing.
+    Text is parsed first, by the same grammar.  Every pass (including
+    ``expand_powers``) is value-oriented, so the one tree feeds the naive
+    alignment count and the optimiser, and is left as it was handed in.
     """
     if options is None:
         options = JitOptions()
-    parsed = parse_expression(text)
-    type_inference.infer(parsed, schema)
+    parsed = parse_expression(expr) if isinstance(expr, str) else expr
     naive_nary = nary.to_nary(parsed)
     type_inference.infer(naive_nary, schema)
     alignments_before = alignment.count_alignments(naive_nary)
@@ -242,9 +245,12 @@ class KernelCache:
         schema: Schema,
         options: Optional[JitOptions] = None,
         name: str = "calc_expr",
+        tree: Optional[Expr] = None,
     ) -> Tuple[CompiledExpression, bool]:
         """Compile or fetch; returns ``(compiled, was_cached)``.
 
+        ``text`` keys the entry; a miss compiles ``tree``, the parse of
+        ``text`` the caller already holds (``text`` itself without one).
         ``name`` is part of the identity: the kernel label flows into
         EXPLAIN output and profiler reports, so a ``calc_expr_0`` artefact
         must never be returned for an ``agg_expr_1`` request.
@@ -263,7 +269,9 @@ class KernelCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return compiled, True
-            compiled = compile_expression(text, schema, options, name=name)
+            compiled = compile_expression(
+                text if tree is None else tree, schema, options, name=name
+            )
             self.misses += 1
             self._entries[key] = compiled
             if len(self._entries) > KERNEL_CACHE_ENTRIES:

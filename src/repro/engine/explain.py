@@ -29,7 +29,7 @@ from repro.engine.plan.physical import (
     ScanOp,
     SortOp,
 )
-from repro.engine.sql.ast_nodes import AggregateCall, Query
+from repro.engine.sql.ast_nodes import Query
 from repro.gpusim import profiler as gpu_profiler
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.device import GpuDevice
@@ -234,7 +234,7 @@ def explain_query(
             if op.carry:
                 line += f" carry [{', '.join(op.carry)}]"
             for item, planned in zip(op.items, op.kernels):
-                add_kernel(str(item.expression), planned)
+                add_kernel(item.text, planned)
         elif isinstance(op, (AggregateOp, GroupAggregateOp)):
             line = "[" + ", ".join(str(i.expression) for i in op.items) + "]"
             if isinstance(op, GroupAggregateOp):
@@ -242,9 +242,7 @@ def explain_query(
             else:
                 line = f"Aggregate {line}"
             for item, planned in zip(op.items, op.kernels):
-                call = item.expression
-                if isinstance(call, AggregateCall):
-                    add_kernel(call.argument, planned)
+                add_kernel(item.text, planned)
         elif isinstance(op, SortOp):
             line = "Sort [" + ", ".join(
                 f"{k.column} {'ASC' if k.ascending else 'DESC'}" for k in op.keys

@@ -21,15 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.decimal.convert import literal_comparison
 from repro.core.jit import ir
 from repro.engine.sql.ast_nodes import Comparison
+from repro.errors import ReproError
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
 from repro.gpusim.streaming import DEFAULT_CHUNK_ROWS, StreamingConfig, stream_timing
 from repro.storage.codecs import ZoneMap
 from repro.storage.relation import Relation
-from repro.storage.schema import DecimalType
+from repro.storage.schema import DecimalType, literal_operand
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,8 @@ class TableStats:
         if stats is None or stats.histogram is None:
             return None
         try:
-            comparison = literal_comparison(
-                predicate.op, predicate.literal, column_type.spec
-            )
-        except Exception:
+            comparison = literal_operand(predicate.op, predicate.literal, column_type)
+        except ReproError:
             return None
         if isinstance(comparison, bool):
             return float(comparison)
@@ -164,10 +162,8 @@ class TableStats:
         if not isinstance(column_type, DecimalType):
             return None
         try:
-            comparison = literal_comparison(
-                predicate.op, predicate.literal, column_type.spec
-            )
-        except Exception:
+            comparison = literal_operand(predicate.op, predicate.literal, column_type)
+        except ReproError:
             return None
         default = DEFAULT_SELECTIVITY.get(predicate.op, 0.5)
         matching = 0.0

@@ -1,16 +1,14 @@
 """Logical plan nodes (paper Figure 3: SQL -> logical plan -> physical plan).
 
 The logical plan is deliberately small: a linear chain of relational
-operators whose expressions are still raw text (the JIT engine takes over
-at physical planning time).
+operators over the query's select items, whose expression trees the JIT
+engine compiles at physical planning time.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import FrozenSet, List, Optional
+from typing import List, Optional
 
 from repro.engine.sql.ast_nodes import Comparison, Join, OrderKey, Query, SelectItem
 
@@ -167,10 +165,7 @@ def _referenced_columns(query: Query, available: List[str]) -> List[str]:
     """Columns the query touches, in catalog order (drives scan/PCIe cost)."""
     mentioned = set()
     for item in query.select_items:
-        text = item.expression.argument if item.is_aggregate else item.expression
-        for name in available:
-            if _mentions(text, name):
-                mentioned.add(name)
+        mentioned.update(item.columns)
     for predicate in list(query.where) + list(query.having):
         mentioned.add(predicate.column)
         if predicate.column_rhs is not None:
@@ -180,18 +175,3 @@ def _referenced_columns(query: Query, available: List[str]) -> List[str]:
         if key.column in available:
             mentioned.add(key.column)
     return [name for name in available if name in mentioned]
-
-
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-@lru_cache(maxsize=1024)
-def _identifiers(text: str) -> FrozenSet[str]:
-    """Every identifier token in ``text`` (cached: expressions repeat)."""
-    return frozenset(_IDENTIFIER.findall(text))
-
-
-def _mentions(text: str, name: str) -> bool:
-    """Whole-token column mention: ``o_orderkey`` never matches inside
-    ``o_orderkey2`` (token membership, not substring or regex search)."""
-    return name in _identifiers(text)

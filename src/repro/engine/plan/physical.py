@@ -8,6 +8,7 @@ executor threads a :class:`Batch` through the chain.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -17,9 +18,9 @@ import numpy as np
 from repro.core.decimal import inference
 from repro.core.decimal import vectorized as _vz
 from repro.core.decimal.context import DecimalSpec
-from repro.core.decimal.convert import literal_comparison
 from repro.core.decimal.value import DecimalValue
 from repro.core.decimal.vectorized import DecimalVector
+from repro.core.jit.expr_ast import ColumnRef
 from repro.core.jit.pipeline import CompiledExpression
 from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig, stream_chunk_rows
@@ -33,7 +34,14 @@ from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSys
 from repro.gpusim.streaming import StreamingConfig, StreamTiming, execute_streamed
 from repro.storage.column import Column
 from repro.storage.relation import Relation
-from repro.storage.schema import CharType, DateType, DecimalType, DoubleType, IntType
+from repro.storage.schema import (
+    CharType,
+    DateType,
+    DecimalType,
+    DoubleType,
+    IntType,
+    literal_operand,
+)
 
 
 @dataclass
@@ -510,15 +518,13 @@ class ProjectOp(_KernelOp):
         assert batch is not None
         out: Dict[str, Column] = {}
         for index, item in enumerate(self.items):
-            text = item.expression
-            assert isinstance(text, str)
-            bare = text.strip()
-            if bare in batch.columns:
+            tree = item.tree
+            if isinstance(tree, ColumnRef) and tree.name in batch.columns:
                 # Bare column projections (any type) pass straight through.
-                column = batch.columns[bare]
+                column = batch.columns[tree.name]
                 out[item.name] = Column(item.name, column.column_type, column.data)
                 continue
-            vector = _evaluate_expression(text, batch, context, self.kernels[index])
+            vector = _evaluate_expression(item, batch, context, self.kernels[index])
             out[item.name] = Column.decimal_from_vector(item.name, vector)
         if context.include_transfer:
             result_bytes = sum(
@@ -555,7 +561,7 @@ class AggregateOp(_KernelOp):
                 spec = inference.count_spec(sim_n)
                 out[item.name] = Column.decimal_from_unscaled(item.name, [batch.rows], spec)
                 continue
-            vector = _evaluate_expression(call.argument, batch, context, self.kernels[index])
+            vector = _evaluate_expression(item, batch, context, self.kernels[index])
             if vector.rows == 0:
                 raise MultithreadError("cannot aggregate an empty column")
             started = time.perf_counter()
@@ -621,7 +627,7 @@ class GroupAggregateOp(_KernelOp):
                     item.name, counts, inference.count_spec(sim_n)
                 )
                 continue
-            vector = _evaluate_expression(call.argument, batch, context, self.kernels[index])
+            vector = _evaluate_expression(item, batch, context, self.kernels[index])
             # Payload gather: every (4*Lw+1)-byte value moves into its
             # group segment before the blockwise reduction.
             value_bytes = 4 * vector.spec.words + 1
@@ -729,9 +735,9 @@ class DropOp(PhysicalOp):
 
 
 def _evaluate_expression(
-    text: str, batch: Batch, context: QueryContext, planned: Optional[PlannedKernel]
+    item: SelectItem, batch: Batch, context: QueryContext, planned: Optional[PlannedKernel]
 ) -> DecimalVector:
-    """Run one expression's planned kernel over the batch.
+    """Run one item's planned kernel over the batch.
 
     ``planned`` is None for a bare DECIMAL column, which needs no kernel
     at all: the aggregation operators (section III-E2) consume the compact
@@ -740,12 +746,12 @@ def _evaluate_expression(
     when the query was planned.
     """
     if planned is None:
-        bare = text.strip()
-        column = batch.columns.get(bare)
+        tree = item.tree
+        column = batch.columns.get(tree.name) if isinstance(tree, ColumnRef) else None
         if column is None or not isinstance(column.column_type, DecimalType):
-            raise ExecutionError(f"no kernel was planned for {text!r}")
+            raise ExecutionError(f"no kernel was planned for {item.text!r}")
         # No kernel to overlap with: a deferred transfer ships serially.
-        _flush_pending_transfer(context, [bare])
+        _flush_pending_transfer(context, [tree.name])
         started = time.perf_counter()
         vector = column.decimal_vector()
         context.report.data_plane_seconds += time.perf_counter() - started
@@ -860,9 +866,7 @@ def _zone_skip_mask(
         column = relation.column(predicate.column)
         if column.codec is None or not isinstance(column.column_type, DecimalType):
             continue
-        comparison = literal_comparison(
-            predicate.op, predicate.literal, column.column_type.spec
-        )
+        comparison = literal_operand(predicate.op, predicate.literal, column.column_type)
         for zone in column.encoding().zones:
             verdict = (
                 comparison if isinstance(comparison, bool) else zone.evaluate(*comparison)
@@ -874,18 +878,23 @@ def _zone_skip_mask(
     return skip
 
 
-def _order_to_mask(order: np.ndarray, op: str) -> np.ndarray:
-    if op == "=":
-        return order == 0
-    if op == "<>":
-        return order != 0
-    if op == "<":
-        return order < 0
-    if op == "<=":
-        return order <= 0
-    if op == ">":
-        return order > 0
-    return order >= 0
+_COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compare(lhs, op: str, rhs):
+    """``lhs <op> rhs``, elementwise."""
+    try:
+        compare = _COMPARE[op]
+    except KeyError:
+        raise ExecutionError(f"unsupported comparison {op!r}") from None
+    return compare(lhs, rhs)
 
 
 def _evaluate_predicate_encoded(
@@ -911,13 +920,12 @@ def _evaluate_predicate_encoded(
         return None
     if predicate.op not in ("=", "<>", "<", "<=", ">", ">="):
         return None
-    spec = column.column_type.spec
-    comparison = literal_comparison(predicate.op, predicate.literal, spec)
+    comparison = literal_operand(predicate.op, predicate.literal, column.column_type)
     if isinstance(comparison, bool):
         return np.full(column.rows, comparison)
     op, target = comparison
     try:
-        literal = codec.encode_literal(target, spec)
+        literal = codec.encode_literal(target, column.column_type.spec)
     except StorageError:
         return None
     mask = np.zeros(column.rows, dtype=bool)
@@ -927,21 +935,18 @@ def _evaluate_predicate_encoded(
         if verdict is True:
             mask[rows] = True
         elif verdict is None:
-            mask[rows] = _order_to_mask(codec.compare_chunk(chunk, literal), op)
+            mask[rows] = _compare(codec.compare_chunk(chunk, literal), op, 0)
     return mask
 
 
 def _evaluate_predicate(column: Column, predicate: Comparison) -> np.ndarray:
     """Evaluate ``column <op> literal`` to a boolean mask."""
-    op = predicate.op
-    literal = predicate.literal
-    column_type = column.column_type
-    if isinstance(column_type, DecimalType):
-        spec = column_type.spec
-        comparison = literal_comparison(op, literal, spec)
-        if isinstance(comparison, bool):
-            return np.full(column.rows, comparison)
-        op, rhs = comparison
+    comparison = literal_operand(predicate.op, predicate.literal, column.column_type)
+    if isinstance(comparison, bool):
+        return np.full(column.rows, comparison)
+    op, rhs = comparison
+    if isinstance(column.column_type, DecimalType):
+        spec = column.column_type.spec
         vector = column.decimal_vector()
         signed = vector.to_int64()
         if signed is not None and _INT64_MIN <= rhs <= _INT64_MAX:
@@ -954,29 +959,9 @@ def _evaluate_predicate(column: Column, predicate: Comparison) -> np.ndarray:
                 value.negative, value.words, spec, vector.rows
             )
             lhs, rhs = _vz.compare(vector, literal_vector), 0
-    elif isinstance(column_type, DateType):
-        rhs = _parse_date(literal) if isinstance(literal, str) else int(literal)
-        lhs = column.data
-    elif isinstance(column_type, CharType):
-        # Stored CHAR values are space-padded to the declared width.
-        rhs = str(literal).ljust(column_type.width).encode()
-        lhs = column.data
     else:
-        rhs = literal
         lhs = column.data
-    if op == "=":
-        return lhs == rhs
-    if op == "<>":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise ExecutionError(f"unsupported comparison {op!r}")
+    return _compare(lhs, op, rhs)
 
 
 def _evaluate_column_predicate(left: Column, op: str, right: Column) -> np.ndarray:
@@ -989,40 +974,8 @@ def _evaluate_column_predicate(left: Column, op: str, right: Column) -> np.ndarr
         right.column_type, DecimalType
     ):
         order = _vz.compare(left.decimal_vector(), right.decimal_vector())
-        comparisons = {
-            "=": order == 0,
-            "<>": order != 0,
-            "<": order < 0,
-            "<=": order <= 0,
-            ">": order > 0,
-            ">=": order >= 0,
-        }
-        try:
-            return comparisons[op]
-        except KeyError:
-            raise ExecutionError(f"unsupported comparison {op!r}") from None
-    lhs, rhs = left.data, right.data
-    if op == "=":
-        return lhs == rhs
-    if op == "<>":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise ExecutionError(f"unsupported comparison {op!r}")
-
-
-def _parse_date(text: str) -> int:
-    """'YYYY-MM-DD' -> days since 1992-01-01 (the TPC-H epoch here)."""
-    import datetime
-
-    parsed = datetime.date.fromisoformat(text)
-    return (parsed - datetime.date(1992, 1, 1)).days
+        return _compare(order, op, 0)
+    return _compare(left.data, op, right.data)
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1

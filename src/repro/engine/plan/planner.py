@@ -24,6 +24,7 @@ import copy
 import math
 from typing import Dict, Iterator, List, Optional
 
+from repro.core.jit.expr_ast import ColumnRef
 from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.engine.plan.cost import (
     CostEstimate,
@@ -63,8 +64,8 @@ from repro.engine.plan.physical import (
     _KernelOp,
 )
 from repro.engine.plan.rules import RewriteEvent, apply_rules, default_rules
-from repro.engine.sql.ast_nodes import AggregateCall, Query, SelectItem
-from repro.errors import PlanningError
+from repro.engine.sql.ast_nodes import AggregateCall, Query
+from repro.errors import PlanningError, TypeInferenceError
 from repro.storage.schema import DecimalType
 
 #: Estimated stored bytes per row of a computed (JIT) result column when
@@ -193,7 +194,9 @@ def plan_query(
             op = ProjectOp(node.items, carry=node.carry)
             if costed:
                 result_bytes = sum(
-                    _column_bytes(stats, str(item.expression).strip())
+                    _column_bytes(stats, item.tree.name)
+                    if isinstance(item.tree, ColumnRef)
+                    else ESTIMATED_RESULT_BYTES
                     for item in node.items
                 )
                 estimate = cost_model.project(result_bytes, rows)
@@ -280,7 +283,8 @@ def _compile_kernels(
     No kernel runs for COUNT, for a projected bare column of any type, or
     for an aggregated bare DECIMAL column; any other expression compiles
     against the batch's DECIMAL columns, and one that cannot fails here
-    with the compiler's own error.
+    with the compiler's own error.  COUNT's argument is not computed, but
+    a column it names must exist all the same.
     """
     op.schema = {
         name: column_type.spec
@@ -291,14 +295,12 @@ def _compile_kernels(
     for index, item in enumerate(op.items):
         expression = item.expression
         if isinstance(expression, AggregateCall) and expression.function == "COUNT":
+            for name in item.columns:
+                if name not in types:
+                    raise TypeInferenceError(f"unknown column {name!r}")
             continue
-        if _kernel_text(item).strip() not in bare_columns:
+        if not (isinstance(item.tree, ColumnRef) and item.tree.name in bare_columns):
             op.kernels[index] = _lookup_kernel(op, index, cache, jit_options)
-
-
-def _kernel_text(item: SelectItem) -> str:
-    expression = item.expression
-    return expression.argument if isinstance(expression, AggregateCall) else expression
 
 
 def _lookup_kernel(
@@ -306,8 +308,9 @@ def _lookup_kernel(
 ) -> PlannedKernel:
     """Item ``index``'s kernel through ``cache``: the one rule for its text and name."""
     prefix = "calc_expr" if isinstance(op, ProjectOp) else "agg_expr"
+    item = op.items[index]
     return cache.compile(
-        _kernel_text(op.items[index]), op.schema, jit_options, name=f"{prefix}_{index}"
+        item.text, op.schema, jit_options, name=f"{prefix}_{index}", tree=item.tree
     )
 
 

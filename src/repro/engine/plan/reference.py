@@ -119,7 +119,7 @@ def group_aggregate(op: GroupAggregateOp, batch: Batch, context: QueryContext) -
     vectors: Dict[int, Tuple[List[int], DecimalSpec]] = {}
     for index, call in enumerate(calls):
         if call.function != "COUNT":
-            vector = _evaluate_expression(call.argument, batch, context, op.kernels[index])
+            vector = _evaluate_expression(op.items[index], batch, context, op.kernels[index])
             vectors[index] = (vector.to_unscaled(), vector.spec)
             value_bytes = 4 * vector.spec.words + 1
             context.report.aggregate_seconds += (

@@ -15,43 +15,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.decimal.convert import literal_comparison
 from repro.engine.plan.logical import LogicalFilter, LogicalNode
 from repro.engine.plan.rules import RewriteRule
 from repro.engine.sql.ast_nodes import Comparison
 from repro.errors import ReproError
-from repro.storage.schema import CharType, DateType, DecimalType
+from repro.storage.schema import literal_operand
 
 
 def _canonical(predicate: Comparison, column_type) -> Optional[Tuple[str, object]]:
     """Map a literal conjunct to the ``(op, value)`` execution compares.
 
-    A DECIMAL literal becomes an unscaled integer at the column scale,
-    with the operator execution uses for it (a literal with more
-    fractional digits than the column compares as ``<= q`` or ``> q``;
-    see :func:`~repro.core.decimal.convert.literal_comparison`).  Returns
-    ``None`` when the literal cannot be canonicalised (unknown column type,
+    The value is the literal in the column's storage domain, with the
+    operator execution uses for it (see
+    :func:`~repro.storage.schema.literal_operand`).  Returns ``None``
+    when the literal cannot be canonicalised (unknown column type,
     conversion failure, or a comparison no stored value can decide
     otherwise) -- in which case the predicate is left alone.
     """
-    op, literal = predicate.op, predicate.literal
     if column_type is None:
         return None
     try:
-        if isinstance(column_type, DecimalType):
-            comparison = literal_comparison(op, literal, column_type.spec)
-            return None if isinstance(comparison, bool) else comparison
-        if isinstance(column_type, DateType):
-            from repro.engine.plan.physical import _parse_date
-
-            return (op, _parse_date(literal) if isinstance(literal, str) else int(literal))
-        if isinstance(column_type, CharType):
-            return (op, str(literal).ljust(column_type.width).encode())
-        if isinstance(literal, (int, float)) and not isinstance(literal, bool):
-            return (op, literal)
-    except (ReproError, ValueError):
+        comparison = literal_operand(predicate.op, predicate.literal, column_type)
+    except ReproError:
         return None
-    return None
+    return None if isinstance(comparison, bool) else comparison
 
 
 @dataclass

@@ -23,7 +23,6 @@ from repro.engine.plan.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
-    _mentions,
 )
 from repro.engine.plan.rules import RewriteRule
 
@@ -41,13 +40,11 @@ def _node_references(node: LogicalNode, candidates: Set[str]) -> Set[str]:
         used.add(node.join.right_column)
     elif isinstance(node, LogicalProject):
         for item in node.items:
-            text = str(item.expression)
-            used.update(name for name in candidates if _mentions(text, name))
+            used.update(item.columns)
         used.update(node.carry)
     elif isinstance(node, LogicalAggregate):
         for item in node.aggregates:
-            text = item.expression.argument if item.is_aggregate else str(item.expression)
-            used.update(name for name in candidates if _mentions(text, name))
+            used.update(item.columns)
         used.update(node.group_by)
     elif isinstance(node, LogicalSort):
         used.update(key.column for key in node.keys)

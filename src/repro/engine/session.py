@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decimal.value import DecimalValue
+from repro.core.jit.expr_ast import ColumnRef
 from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.engine.executor import run_plan
 from repro.engine.plan.cost import CostModel, OptimizerConfig, PlanStats, TableStats
@@ -416,8 +417,12 @@ class Database:
             name = item.name
             if name in batch.columns:
                 names.append(name)
-            elif not item.is_aggregate and item.expression in batch.columns:
-                names.append(item.expression)
+            elif (
+                not item.is_aggregate
+                and isinstance(item.tree, ColumnRef)
+                and item.tree.name in batch.columns
+            ):
+                names.append(item.tree.name)
         return names or list(batch.columns)
 
     def _materialise(self, query: Query, batch: Batch) -> List[Tuple[OutputValue, ...]]:

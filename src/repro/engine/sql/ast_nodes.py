@@ -16,7 +16,12 @@ such an expression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import List, Optional, Union
+
+from repro.core.decimal.convert import literal_text
+from repro.core.jit.expr_ast import Expr, column_names
+from repro.core.jit.parser import parse_expression
 
 AGGREGATE_FUNCTIONS = ("SUM", "AVG", "MIN", "MAX", "COUNT")
 
@@ -25,10 +30,20 @@ COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 @dataclass(frozen=True)
 class AggregateCall:
-    """``SUM(expr)`` etc.; ``argument`` is expression text, or "*" for COUNT."""
+    """``SUM(expr)`` etc.
+
+    ``argument`` is the argument's text, or "*" for ``COUNT(*)``; ``tree``
+    is its expression tree (None only for ``COUNT(*)``).  The SQL parser
+    passes the tree it built; a hand-built call parses its text.
+    """
 
     function: str
     argument: str
+    tree: Optional[Expr] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.tree is None and self.argument != "*":
+            object.__setattr__(self, "tree", parse_expression(self.argument))
 
     def __str__(self) -> str:
         return f"{self.function}({self.argument})"
@@ -36,14 +51,41 @@ class AggregateCall:
 
 @dataclass(frozen=True)
 class SelectItem:
-    """One output column: an expression or an aggregate, plus its alias."""
+    """One output column: an expression or an aggregate, plus its alias.
+
+    ``tree`` is what the item computes per row: the projected expression,
+    or the aggregate's argument (None for ``COUNT(*)``).  Every layer reads
+    the tree; the text names the output column and keys the kernel cache.
+    Trees of a parsed query are shared (the plan cache keeps the query),
+    so nothing writes to them.
+    """
 
     expression: Union[str, AggregateCall]
     alias: Optional[str] = None
+    tree: Optional[Expr] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.tree is None:
+            if isinstance(self.expression, AggregateCall):
+                tree = self.expression.tree
+            else:
+                tree = parse_expression(self.expression)
+            object.__setattr__(self, "tree", tree)
 
     @property
     def is_aggregate(self) -> bool:
         return isinstance(self.expression, AggregateCall)
+
+    @property
+    def columns(self) -> List[str]:
+        """The columns :attr:`tree` reads, in first-use order (none for ``COUNT(*)``)."""
+        return [] if self.tree is None else column_names(self.tree)
+
+    @property
+    def text(self) -> str:
+        """The text of :attr:`tree`: the kernel-cache key of its kernel."""
+        expression = self.expression
+        return expression.argument if isinstance(expression, AggregateCall) else expression
 
     @property
     def name(self) -> str:
@@ -56,20 +98,22 @@ class SelectItem:
 class Comparison:
     """A WHERE/HAVING conjunct: ``column <op> literal`` or ``column <op> column``.
 
-    When ``column_rhs`` is set the comparison is between two columns and
-    ``literal`` is ignored.
+    A number literal is a :class:`~decimal.Decimal`, exactly as written;
+    a quoted one (CHAR, DATE) is a ``str``.  When ``column_rhs`` is set
+    the comparison is between two columns and ``literal`` is ignored.
     """
 
     column: str
     op: str
-    literal: Union[int, float, str, None] = None
+    literal: Union[Decimal, int, float, str, None] = None
     column_rhs: Optional[str] = None
 
     def __str__(self) -> str:
         if self.column_rhs is not None:
             return f"{self.column} {self.op} {self.column_rhs}"
-        literal = f"'{self.literal}'" if isinstance(self.literal, str) else self.literal
-        return f"{self.column} {self.op} {literal}"
+        if isinstance(self.literal, str):
+            return f"{self.column} {self.op} '{self.literal}'"
+        return f"{self.column} {self.op} {literal_text(self.literal)}"
 
 
 @dataclass(frozen=True)

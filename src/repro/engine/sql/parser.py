@@ -1,10 +1,18 @@
-"""Parser for the SQL subset (see ``ast_nodes`` for the grammar)."""
+"""Parser for the SQL subset (see ``ast_nodes`` for the grammar).
+
+The SQL parser owns the clauses; expressions belong to the JIT grammar
+(:mod:`repro.core.jit.parser`), which runs once on this parser's own
+token stream for each SELECT expression and aggregate argument.
+"""
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple, Union
+from decimal import Decimal
+from typing import List, Optional, Tuple
 
+from repro.core.jit.expr_ast import Expr
+from repro.core.jit.parser import Token, parse_tokens, tokenize
 from repro.engine.sql.ast_nodes import (
     AGGREGATE_FUNCTIONS,
     COMPARISON_OPS,
@@ -17,13 +25,16 @@ from repro.engine.sql.ast_nodes import (
 )
 from repro.errors import ParseError
 
+#: Expression tokens use the JIT grammar's kinds (number, ident, op,
+#: lparen, rparen, comma); ``string``, ``cmp`` and ``keyword`` are SQL's.
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<string>'[^']*')"
     r"|(?P<number>\d+\.\d*|\.\d+|\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><>|<=|>=|[=<>])"
-    r"|(?P<punct>[(),;*%+\-/])"
+    r"|(?P<cmp><>|<=|>=|[=<>])"
+    r"|(?P<op>[-+*/%])"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
     r")"
 )
 
@@ -48,42 +59,55 @@ _KEYWORDS = {
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
-        self.items: List[Tuple[str, str]] = []
-        position = 0
-        while position < len(text):
-            match = _TOKEN_RE.match(text, position)
-            if not match or match.end() == position:
-                remainder = text[position:].strip()
-                if not remainder:
-                    break
-                raise ParseError(f"unexpected character in SQL: {remainder[0]!r}")
-            for kind in ("string", "number", "ident", "op", "punct"):
-                value = match.group(kind)
-                if value is not None:
-                    self.items.append((kind, value))
-                    break
-            position = match.end()
+        self.items: List[Token] = [
+            token._replace(kind="keyword")
+            if token.kind == "ident" and token.text.upper() in _KEYWORDS
+            else token
+            for token in tokenize(text, _TOKEN_RE)
+        ]
         self.index = 0
 
-    def peek(self) -> Optional[Tuple[str, str]]:
-        return self.items[self.index] if self.index < len(self.items) else None
+    def peek(self, ahead: int = 0) -> Optional[Token]:
+        index = self.index + ahead
+        return self.items[index] if index < len(self.items) else None
 
-    def advance(self) -> Tuple[str, str]:
+    def advance(self) -> Token:
         token = self.peek()
         if token is None:
             raise ParseError(f"unexpected end of SQL: {self.text!r}")
         self.index += 1
         return token
 
+    def at(self, kind: str) -> bool:
+        token = self.peek()
+        return token is not None and token.kind == kind
+
     def is_keyword(self, word: str) -> bool:
         token = self.peek()
-        return bool(token and token[0] == "ident" and token[1].upper() == word)
+        return bool(token and token.kind == "keyword" and token.text.upper() == word)
 
     def expect_keyword(self, word: str) -> None:
         if not self.is_keyword(word):
             token = self.peek()
-            raise ParseError(f"expected {word}, got {token[1] if token else 'end of input'!r}")
+            raise ParseError(f"expected {word}, got {token.text if token else 'end of input'!r}")
         self.advance()
+
+    def name(self, what: str) -> str:
+        token = self.advance()
+        if token.kind != "ident":
+            raise ParseError(f"expected {what}, got {token.text!r}")
+        return token.text
+
+    def expression(self) -> Tuple[str, Expr]:
+        """Run the JIT grammar here; returns the expression's text and tree.
+
+        The text joins the expression's tokens with single spaces, e.g.
+        ``l_extendedprice * ( 1 - l_discount )``: it names the output
+        column and keys the kernel cache.
+        """
+        start = self.index
+        tree, self.index = parse_tokens(self.items, start, self.text)
+        return " ".join(token.text for token in self.items[start : self.index]), tree
 
 
 def parse_query(sql: str) -> Query:
@@ -92,9 +116,7 @@ def parse_query(sql: str) -> Query:
     tokens.expect_keyword("SELECT")
     select_items = _parse_select_list(tokens)
     tokens.expect_keyword("FROM")
-    kind, table = tokens.advance()
-    if kind != "ident":
-        raise ParseError(f"expected table name, got {table!r}")
+    table = tokens.name("table name")
 
     joins: List[Join] = []
     where: List[Comparison] = []
@@ -148,13 +170,12 @@ def parse_query(sql: str) -> Query:
         elif tokens.is_keyword("LIMIT"):
             enter_clause("LIMIT")
             tokens.advance()
-            kind, count = tokens.advance()
-            if kind != "number" or "." in count:
-                raise ParseError(f"LIMIT needs an integer, got {count!r}")
-            limit = int(count)
+            count = tokens.advance()
+            if count.kind != "number" or "." in count.text:
+                raise ParseError(f"LIMIT needs an integer, got {count.text!r}")
+            limit = int(count.text)
         else:
-            token = tokens.peek()
-            raise ParseError(f"unexpected token {token[1]!r} after FROM clause")
+            raise ParseError(f"unexpected token {tokens.peek().text!r} after FROM clause")
     return Query(
         select_items=select_items,
         table=table,
@@ -169,101 +190,53 @@ def parse_query(sql: str) -> Query:
 
 def _parse_select_list(tokens: _Tokens) -> List[SelectItem]:
     items = [_parse_select_item(tokens)]
-    while tokens.peek() == ("punct", ","):
+    while tokens.at("comma"):
         tokens.advance()
         items.append(_parse_select_item(tokens))
     return items
 
 
 def _parse_select_item(tokens: _Tokens) -> SelectItem:
-    token = tokens.peek()
-    if token and token[0] == "ident" and token[1].upper() in AGGREGATE_FUNCTIONS:
-        following = tokens.items[tokens.index + 1 : tokens.index + 2]
-        if following == [("punct", "(")]:
-            function = tokens.advance()[1].upper()
-            tokens.advance()  # (
-            argument = _capture_until_close_paren(tokens)
-            alias = _parse_alias(tokens)
-            return SelectItem(AggregateCall(function, argument), alias)
-    expression = _capture_expression(tokens)
-    alias = _parse_alias(tokens)
-    return SelectItem(expression, alias)
+    token, following = tokens.peek(), tokens.peek(1)
+    if (
+        token is not None
+        and token.kind == "ident"
+        and token.text.upper() in AGGREGATE_FUNCTIONS
+        and following is not None
+        and following.kind == "lparen"
+    ):
+        function = token.text.upper()
+        tokens.advance()
+        tokens.advance()  # (
+        if function == "COUNT" and [t.text for t in tokens.items[tokens.index :][:2]] == ["*", ")"]:
+            tokens.advance()
+            call = AggregateCall(function, "*")
+        else:
+            argument, tree = tokens.expression()
+            call = AggregateCall(function, argument, tree)
+        closing = tokens.advance()
+        if closing.kind != "rparen":
+            raise ParseError(f"expected ')' after {function}'s argument, got {closing.text!r}")
+        return SelectItem(call, _parse_alias(tokens))
+    text, tree = tokens.expression()
+    return SelectItem(text, _parse_alias(tokens), tree)
 
 
 def _parse_alias(tokens: _Tokens) -> Optional[str]:
     if tokens.is_keyword("AS"):
         tokens.advance()
-        kind, alias = tokens.advance()
-        if kind != "ident":
-            raise ParseError(f"expected alias name, got {alias!r}")
-        return alias
+        return tokens.name("alias name")
     return None
 
 
-def _capture_until_close_paren(tokens: _Tokens) -> str:
-    """Capture raw text until the matching ')' (aggregate arguments)."""
-    parts: List[str] = []
-    depth = 1
-    while True:
-        kind, text = tokens.advance()
-        if text == "(":
-            depth += 1
-        elif text == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        parts.append(text)
-    argument = " ".join(parts).strip()
-    if not argument:
-        raise ParseError("empty aggregate argument")
-    return argument
-
-
-_EXPRESSION_TOKENS = {"+", "-", "*", "/", "%", "(", ")"}
-
-
-def _capture_expression(tokens: _Tokens) -> str:
-    """Capture a bare (non-aggregate) expression up to ',' / FROM / end."""
-    parts: List[str] = []
-    depth = 0
-    while True:
-        token = tokens.peek()
-        if token is None:
-            break
-        kind, text = token
-        if depth == 0 and (
-            (kind == "punct" and text == ",")
-            or (kind == "ident" and text.upper() in _KEYWORDS)
-        ):
-            break
-        if text == "(":
-            depth += 1
-        elif text == ")":
-            if depth == 0:
-                break
-            depth -= 1
-        tokens.advance()
-        parts.append(text)
-    expression = " ".join(parts).strip()
-    if not expression:
-        raise ParseError("empty select expression")
-    return expression
-
-
 def _parse_join(tokens: _Tokens) -> Join:
-    kind, table = tokens.advance()
-    if kind != "ident":
-        raise ParseError(f"expected table name after JOIN, got {table!r}")
+    table = tokens.name("table name after JOIN")
     tokens.expect_keyword("ON")
-    kind, left = tokens.advance()
-    if kind != "ident":
-        raise ParseError(f"expected column name in ON, got {left!r}")
-    kind, op = tokens.advance()
+    left = tokens.name("column name in ON")
+    op = tokens.advance().text
     if op != "=":
         raise ParseError(f"only equi-joins are supported, got {op!r}")
-    kind, right = tokens.advance()
-    if kind != "ident":
-        raise ParseError(f"expected column name in ON, got {right!r}")
+    right = tokens.name("column name in ON")
     return Join(table=table, left_column=left, right_column=right)
 
 
@@ -276,42 +249,33 @@ def _parse_where(tokens: _Tokens) -> List[Comparison]:
 
 
 def _parse_comparison(tokens: _Tokens) -> Comparison:
-    kind, column = tokens.advance()
-    if kind != "ident":
-        raise ParseError(f"expected column name in WHERE, got {column!r}")
-    kind, op = tokens.advance()
+    column = tokens.name("column name in WHERE")
+    op = tokens.advance().text
     if op not in COMPARISON_OPS:
         raise ParseError(f"expected comparison operator, got {op!r}")
-    kind, literal = tokens.advance()
-    if kind == "string":
-        return Comparison(column, op, literal[1:-1])
-    if kind == "number":
-        value: Union[int, float] = float(literal) if "." in literal else int(literal)
-        return Comparison(column, op, value)
-    if kind == "ident":
-        return Comparison(column, op, None, column_rhs=literal)
-    raise ParseError(f"expected literal or column in comparison, got {literal!r}")
+    literal = tokens.advance()
+    if literal.kind == "string":
+        return Comparison(column, op, literal.text[1:-1])
+    if literal.kind == "number":
+        # Exact, as written: the column's type decides how it compares.
+        return Comparison(column, op, Decimal(literal.text))
+    if literal.kind == "ident":
+        return Comparison(column, op, None, column_rhs=literal.text)
+    raise ParseError(f"expected literal or column in comparison, got {literal.text!r}")
 
 
 def _parse_column_list(tokens: _Tokens) -> List[str]:
-    columns = []
-    while True:
-        kind, name = tokens.advance()
-        if kind != "ident":
-            raise ParseError(f"expected column name, got {name!r}")
-        columns.append(name)
-        if tokens.peek() == ("punct", ","):
-            tokens.advance()
-            continue
-        return columns
+    columns = [tokens.name("column name")]
+    while tokens.at("comma"):
+        tokens.advance()
+        columns.append(tokens.name("column name"))
+    return columns
 
 
 def _parse_order_list(tokens: _Tokens) -> List[OrderKey]:
     keys = []
     while True:
-        kind, name = tokens.advance()
-        if kind != "ident":
-            raise ParseError(f"expected column name, got {name!r}")
+        name = tokens.name("column name")
         ascending = True
         if tokens.is_keyword("ASC"):
             tokens.advance()
@@ -319,7 +283,6 @@ def _parse_order_list(tokens: _Tokens) -> List[OrderKey]:
             tokens.advance()
             ascending = False
         keys.append(OrderKey(name, ascending))
-        if tokens.peek() == ("punct", ","):
-            tokens.advance()
-            continue
-        return keys
+        if not tokens.at("comma"):
+            return keys
+        tokens.advance()

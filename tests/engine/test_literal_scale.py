@@ -5,15 +5,16 @@ a ``DECIMAL(4, 2)`` column keeps 0.06 and drops 0.05, ``a = 0.055`` matches
 nothing, and ``a < 100`` matches every row although 100 does not fit the
 type.  Every path that compares a literal -- the plain filter, an
 order-preserving codec's zone maps and encoded compare, a join's pushed-down
-build-side predicate, predicate simplification and the cost model -- must
-agree with a comparison of exact rationals.
+build-side predicate, predicate simplification, HAVING and the cost model --
+must agree with a comparison of exact rationals.  The SQL parser keeps a
+number literal exactly as written, so no digit is lost before it compares.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.decimal import dinf
@@ -116,9 +117,96 @@ class TestReproducers:
         assert stats.histogram_fraction(Comparison("a", ">=", 0.055)) == pytest.approx(2 / 3)
         assert stats.histogram_fraction(Comparison("a", "<>", 0.055)) == 1.0
 
+    @pytest.mark.parametrize(
+        "where,expected",
+        [
+            ("a = 123456789012.345678", ["123456789012.345678"]),
+            ("a >= 123456789012.345679", ["123456789012.345679"]),
+            ("a > 0.000005", ["123456789012.345678", "123456789012.345679"]),
+            ("a < 0.00000001", []),
+            ("a > 123456789012.3456785", ["123456789012.345679"]),
+        ],
+    )
+    def test_literals_are_read_exactly(self, where, expected):
+        db = Database()
+        db.create_table(
+            "t",
+            {"a": "DECIMAL(18, 6)", "c": "INT"},
+            rows=[("123456789012.345678", 1), ("123456789012.345679", 2)],
+        )
+        rows = db.execute(f"SELECT a FROM t WHERE {where}").rows
+        assert [str(a) for (a,) in rows] == expected
+
+    def test_having_reads_a_tiny_literal_exactly(self):
+        db = Database()
+        db.create_table(
+            "t",
+            {"a": "DECIMAL(18, 6)", "c": "INT"},
+            rows=[("0.000005", 1), ("0.000006", 2)],
+        )
+        sql = "SELECT c, SUM(a) AS s FROM t GROUP BY c HAVING s > 0.000005"
+        assert [c for c, _ in db.execute(sql).rows] == [2]
+        sql = "SELECT c, SUM(a) AS s FROM t GROUP BY c HAVING s > 0.0000050"
+        assert [c for c, _ in db.execute(sql).rows] == [2]
+
+    def test_explain_prints_the_literal_as_written(self):
+        db = database(table())
+        text = "\n".join(db.explain("SELECT a FROM t WHERE a >= 0.0000001").operators)
+        assert "a >= 0.0000001" in text
+
     def test_unparseable_literals_still_raise(self):
         with pytest.raises(ConversionError, match="not a decimal literal"):
             physical._evaluate_predicate(table().column("a"), Comparison("a", "<", "x"))
+
+
+class TestLiteralMeetsColumnType:
+    """``storage.schema.literal_operand`` decides every non-DECIMAL case too."""
+
+    @pytest.fixture()
+    def db(self):
+        db = Database()
+        db.create_table(
+            "t",
+            {"q": "INT", "d": "DATE", "x": "DOUBLE", "s": "CHAR(3)"},
+            rows=[(2, 5, 0.1, "ab"), (3, 6, 0.25, "b"), (9, 40, 1.5, "abc")],
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "where,expected",
+        [
+            ("q > 2.5", [3, 9]),
+            ("q = 2.5", []),
+            ("q <> 2.5", [2, 3, 9]),
+            ("q <= 3.0", [2, 3]),
+            ("q < 100000000000000000000", [2, 3, 9]),
+            ("d = 5.5", []),
+            ("d >= 5.5", [3, 9]),
+            ("d < 6", [2]),
+            ("d >= '1992-01-07'", [3, 9]),
+            ("x = 0.1", [2]),
+            ("x < 0.25", [2]),
+            ("x >= 0.250", [3, 9]),
+            ("s = 'ab'", [2]),
+            ("s > 'ab'", [3, 9]),
+        ],
+    )
+    def test_filter(self, db, where, expected):
+        assert [q for (q,) in db.execute(f"SELECT q FROM t WHERE {where}").rows] == expected
+
+    @pytest.mark.parametrize("where", ["x = 'abc'", "d = '1998-13-45'", "q < 'x'"])
+    def test_unreadable_literal_is_a_conversion_error(self, db, where):
+        with pytest.raises(ConversionError):
+            db.execute(f"SELECT q FROM t WHERE {where}")
+
+    def test_quoted_number_meets_double(self, db):
+        assert db.execute("SELECT q FROM t WHERE x = '0.25'").rows == [(3,)]
+
+    def test_int_bounds_simplify_exactly(self, db):
+        operators = db.explain("SELECT q FROM t WHERE q >= 3 AND q <= 3.0").operators
+        assert any("Filter [q = 3]" in op for op in operators)
+        operators = db.explain("SELECT q FROM t WHERE q > 3.5 AND q <= 3").operators
+        assert any("Filter [FALSE]" in op for op in operators)
 
 
 class TestLiteralComparison:
@@ -178,17 +266,21 @@ def column_values(draw, spec, size=None):
 
 @st.composite
 def literals(draw, spec, values, signed=True):
-    """0-6 fractional digits; near stored values, or past the precision."""
-    digits = draw(st.integers(0, 6))
-    if values and draw(st.booleans()):
+    """Up to 20 digits on each side of the point: near a stored value,
+    tiny (7 or more leading fractional zeros), or any magnitude."""
+    digits = draw(st.integers(0, 20))
+    shape = draw(st.sampled_from(["near", "tiny", "any"]))
+    if shape == "near" and values:
         base = draw(st.sampled_from(values))
         shift = digits - spec.scale
         value = base * 10**shift if shift >= 0 else base // 10**-shift
         value += draw(st.integers(-2, 2))
+    elif shape == "tiny" and digits >= 8:
+        value = draw(st.integers(1, 10 ** (digits - 7) - 1))
     else:
-        bound = 10 ** (spec.precision - spec.scale + digits + 1)
+        bound = 10 ** (draw(st.integers(0, 20)) + digits) - 1
         value = draw(st.integers(-bound, bound))
-    if not signed:
+    if not signed or draw(st.booleans()):
         value = abs(value)
     return decimal_text(value, digits)
 
@@ -196,13 +288,6 @@ def literals(draw, spec, values, signed=True):
 def expected_mask(values, spec, op, literal):
     target = Fraction(str(literal))
     return [COMPARE[op](Fraction(v, 10**spec.scale), target) for v in values]
-
-
-def sql_literal(text):
-    """The text as SQL, and the literal the parser makes of it."""
-    literal = float(text) if "." in text else int(text)
-    assume("e" not in str(literal))  # exponent forms are not decimal literals
-    return text, literal
 
 
 class TestAgainstRationals:
@@ -252,25 +337,21 @@ class TestAgainstRationals:
                 assert expected.all()
 
     @given(data=st.data())
-    @settings(
-        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
-    )
+    @settings(max_examples=60, deadline=None)
     def test_pushed_down_join_predicate(self, data):
         spec = data.draw(specs())
         values = data.draw(column_values(spec, size=data.draw(st.integers(1, 8))))
-        text, literal = sql_literal(data.draw(literals(spec, values, signed=False)))
+        text = data.draw(literals(spec, values, signed=False))
         op = data.draw(st.sampled_from(OPS))
         probe = Relation("u", [Column.integers("j", list(range(len(values))))])
         db = database(probe, table(values, spec))
         sql = f"SELECT j FROM u JOIN t ON j = k WHERE a {op} {text}"
         got = sorted(row[0] for row in db.execute(sql).rows)
-        mask = expected_mask(values, spec, op, literal)
+        mask = expected_mask(values, spec, op, text)
         assert got == [k for k, keep in enumerate(mask) if keep]
 
     @given(data=st.data())
-    @settings(
-        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
-    )
+    @settings(max_examples=80, deadline=None)
     def test_simplified_conjunct_pairs(self, data):
         spec = data.draw(specs())
         values = data.draw(column_values(spec, size=data.draw(st.integers(1, 8))))
@@ -278,16 +359,42 @@ class TestAgainstRationals:
         second = first if data.draw(st.booleans()) else data.draw(
             literals(spec, values, signed=False)
         )
-        (text1, literal1), (text2, literal2) = sql_literal(first), sql_literal(second)
         op1, op2 = data.draw(st.sampled_from(OPS)), data.draw(st.sampled_from(OPS))
         db = database(table(values, spec))
-        sql = f"SELECT k FROM t WHERE a {op1} {text1} AND a {op2} {text2}"
+        sql = f"SELECT k FROM t WHERE a {op1} {first} AND a {op2} {second}"
         got = sorted(row[0] for row in db.execute(sql).rows)
         mask = [
             x and y
             for x, y in zip(
-                expected_mask(values, spec, op1, literal1),
-                expected_mask(values, spec, op2, literal2),
+                expected_mask(values, spec, op1, first),
+                expected_mask(values, spec, op2, second),
             )
         ]
         assert got == [k for k, keep in enumerate(mask) if keep]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_having(self, data):
+        spec = data.draw(specs())
+        values = data.draw(column_values(spec, size=data.draw(st.integers(1, 8))))
+        groups = data.draw(st.integers(1, 3))
+        sums = [sum(values[g::groups]) for g in range(groups)]
+        text = data.draw(literals(spec, sums, signed=False))
+        op = data.draw(st.sampled_from(OPS))
+        relation = Relation(
+            "t",
+            [
+                Column.integers("g", [k % groups for k in range(len(values))]),
+                Column.decimal_from_unscaled("a", values, spec),
+            ],
+        )
+        db = database(relation)
+        sql = f"SELECT g, SUM(a) AS s FROM t GROUP BY g HAVING s {op} {text}"
+        got = sorted(row[0] for row in db.execute(sql).rows)
+        target = Fraction(text)
+        expected = [
+            g
+            for g, total in enumerate(sums)
+            if g < len(values) and COMPARE[op](Fraction(total, 10**spec.scale), target)
+        ]
+        assert got == expected

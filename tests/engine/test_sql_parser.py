@@ -1,7 +1,10 @@
 """Tests for the SQL subset parser."""
 
+from decimal import Decimal
+
 import pytest
 
+from repro.core.jit.expr_ast import BinaryOp, ColumnRef, FuncCall
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey
 from repro.engine.sql.parser import parse_query
 from repro.errors import ParseError
@@ -38,6 +41,16 @@ class TestSelect:
         query = parse_query("SELECT c1 * c1 % 97 * c1 % 97 FROM R4")
         assert "%" in query.select_items[0].expression
 
+    def test_items_carry_the_grammar_tree(self):
+        query = parse_query("SELECT ROUND(a, 2) AS r, SUM(b * (1 - c)), COUNT(*) FROM t")
+        rounded, summed, counted = query.select_items
+        assert rounded.expression == "ROUND ( a , 2 )"
+        assert rounded.tree == FuncCall("ROUND", ColumnRef("a"), 2)
+        assert summed.expression == AggregateCall("SUM", "b * ( 1 - c )")
+        assert isinstance(summed.tree, BinaryOp) and summed.tree is summed.expression.tree
+        assert summed.columns == ["b", "c"]
+        assert counted.tree is None and counted.columns == []
+
     def test_case_insensitive_keywords(self):
         query = parse_query("select sum(a) from r group by g order by g desc")
         assert query.group_by == ["g"]
@@ -55,6 +68,22 @@ class TestClauses:
     def test_where_float_literal(self):
         query = parse_query("SELECT a FROM r WHERE x < 0.5")
         assert query.where[0].literal == 0.5
+
+    def test_number_literals_are_exact_and_print_as_written(self):
+        query = parse_query(
+            "SELECT a FROM r WHERE x < 123456789012.345678 AND y >= 1.50 AND z > 0.0000001"
+        )
+        literals = [predicate.literal for predicate in query.where]
+        assert literals == [
+            Decimal("123456789012.345678"),
+            Decimal("1.5"),
+            Decimal("0.0000001"),
+        ]
+        assert [str(p) for p in query.where] == [
+            "x < 123456789012.345678",
+            "y >= 1.50",
+            "z > 0.0000001",
+        ]
 
     def test_group_by_multiple(self):
         query = parse_query("SELECT g1, g2, SUM(a) FROM r GROUP BY g1, g2")
@@ -85,6 +114,11 @@ class TestErrors:
             "SELECT a FROM r GROUP",
             "FROM r SELECT a",
             "SELECT a FROM r WHERE x ! 1",
+            "SELECT a + FROM r",
+            "SELECT COUNT(a +) FROM r",
+            "SELECT COUNT(a, b) FROM r",
+            "SELECT SUM(*) FROM r",
+            "SELECT a b FROM r",
         ],
     )
     def test_rejected(self, bad):
