@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -390,7 +390,8 @@ class _JoinOp(PhysicalOp):
         self.right_predicates = list(right_predicates or [])
 
     def _prepare_right(self, context: QueryContext):
-        """Scan/filter/ship the right side; returns (relation, keep, sim_rows)."""
+        """Scan/filter/ship the right side; returns (relation, keep, sim_rows),
+        ``keep`` the mask of right rows the build-side predicates pass."""
         try:
             right_relation = context.joined[self.join.table]
         except KeyError:
@@ -400,20 +401,19 @@ class _JoinOp(PhysicalOp):
         keep: Optional[np.ndarray] = None
         survival = 1.0
         if self.right_predicates:
-            mask = np.ones(right_relation.rows, dtype=bool)
+            keep = np.ones(right_relation.rows, dtype=bool)
             for predicate in self.right_predicates:
                 if predicate.column_rhs is not None:
-                    mask &= _evaluate_column_predicate(
+                    keep &= _evaluate_column_predicate(
                         right_relation.column(predicate.column),
                         predicate.op,
                         right_relation.column(predicate.column_rhs),
                     )
                 else:
-                    mask &= _evaluate_predicate(
+                    keep &= _evaluate_predicate(
                         right_relation.column(predicate.column), predicate
                     )
-            keep = np.nonzero(mask)[0]
-            survival = len(keep) / max(right_relation.rows, 1)
+            survival = int(np.count_nonzero(keep)) / max(right_relation.rows, 1)
 
         # The scan reads ship + predicate columns; PCIe carries only the
         # ship columns of rows that survived the build-side predicates.
@@ -446,14 +446,11 @@ class _JoinOp(PhysicalOp):
         Both join algorithms produce this one result; they differ only in
         the simulated cost their ``run`` charges.
         """
-        (left_codes, right_codes), values = _value_codes(
-            [batch.column(self.join.left_column), right_relation.column(self.join.right_column)]
+        left_take, right_take = _join_indices(
+            batch.column(self.join.left_column),
+            right_relation.column(self.join.right_column),
+            keep,
         )
-        if keep is not None:
-            right_codes = right_codes[keep]
-        left_take, right_take = _equi_join_indices(left_codes, right_codes, len(values))
-        if keep is not None:
-            right_take = keep[right_take]
         columns = {
             name: column.take(left_take) for name, column in batch.columns.items()
         }
@@ -521,8 +518,7 @@ class ProjectOp(_KernelOp):
             tree = item.tree
             if isinstance(tree, ColumnRef) and tree.name in batch.columns:
                 # Bare column projections (any type) pass straight through.
-                column = batch.columns[tree.name]
-                out[item.name] = Column(item.name, column.column_type, column.data)
+                out[item.name] = batch.columns[tree.name].renamed(item.name)
                 continue
             vector = _evaluate_expression(item, batch, context, self.kernels[index])
             out[item.name] = Column.decimal_from_vector(item.name, vector)
@@ -597,8 +593,8 @@ class GroupAggregateOp(_KernelOp):
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
         rows = batch.rows
-        keys = [_value_codes([batch.column(name)]) for name in self.group_by]
-        order, starts = _group_rows([(codes, len(values)) for (codes,), values in keys], rows)
+        keys = [_key_codes(batch.column(name)) for name in self.group_by]
+        order, starts = _group_rows([(codes, len(values)) for codes, values in keys], rows)
         first_rows = order[starts]
 
         sim_n = max(int(round(batch.simulated_rows)), 1)
@@ -611,7 +607,7 @@ class GroupAggregateOp(_KernelOp):
         )
 
         columns: Dict[str, Column] = {}
-        for name, ((codes,), values) in zip(self.group_by, keys):
+        for name, (codes, values) in zip(self.group_by, keys):
             group_keys = values[codes[first_rows]].tolist()
             columns[name] = _column_from_keys(name, group_keys, batch.column(name))
 
@@ -981,81 +977,57 @@ def _evaluate_column_predicate(left: Column, op: str, right: Column) -> np.ndarr
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _value_codes(columns: Sequence[Column]) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Dense, order-preserving int64 key codes of ``columns`` in one code space.
+def _key_codes(column: Column) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, values)``: order-preserving int64 key codes of ``column``'s
+    rows, and the ascending distinct key value of each code.
 
-    Equal codes mean equal values: DECIMALs compare by value, aligned to
-    the widest scale among ``columns`` (INT and DATE count as scale 0),
-    and CHARs ignore trailing whitespace.  Code ``c`` is the rank of its
-    value among the distinct values of all ``columns``.  INT/DATE keys,
-    and DECIMALs whose aligned values fit 63 bits, rank as int64 values.
-    Other keys are factorized on their stored bytes first, so Python work
-    (decoding, aligning, sorting) touches each distinct value once.
-
-    Returns the codes per column and ``values``: the key value of each
-    code, ascending.
+    The codes are computed once per version of the column that owns the
+    rows (:func:`_rank_keys`, kept with :meth:`Column.derive`); a view
+    gathers them through its indices, so they need not be dense.
     """
-    types = {type(column.column_type) for column in columns}
-    if len(types) > 1 and (CharType in types or {DecimalType, DoubleType} <= types):
-        raise ExecutionError(
-            "key columns "
-            + ", ".join(f"{c.name} ({c.column_type})" for c in columns)
-            + " are not comparable"
-        )
-    scale = max(
-        (
-            column.column_type.spec.scale
-            for column in columns
-            if isinstance(column.column_type, DecimalType)
-        ),
-        default=0,
-    )
-    exact = [_aligned_int64(column, scale) for column in columns]
-    present = [values for values in exact if values is not None]
-    if len(present) == len(columns):
-        codes, values = _dense_ids(np.concatenate(present))
+    root, indices = column.lineage()
+    codes, values = root.derive("key_codes", _rank_keys)
+    return (codes if indices is None else codes[indices]), values
+
+
+def _rank_keys(column: Column) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense key codes: code ``c`` is the rank of its value among the
+    column's distinct values.
+
+    DECIMALs compare by value and CHARs ignore trailing whitespace.
+    INT/DATE keys, and DECIMALs whose values fit 63 bits, rank as int64
+    values.  Other keys are factorized on their stored bytes first, so
+    Python work (decoding, sorting) touches each distinct value once.
+    """
+    exact = _int64_keys(column)
+    if exact is not None:
+        codes, values = _dense_ids(exact)
     else:
-        factorized = [_distinct_values(column, scale) for column in columns]
-        ranked = sorted(set().union(*(distinct for _ids, distinct in factorized)))
+        ids, distinct = _distinct_values(column)
+        ranked = sorted(set(distinct))
         rank = {value: code for code, value in enumerate(ranked)}
-        codes = np.concatenate(
-            [
-                np.array([rank[value] for value in distinct], dtype=np.int64)[ids]
-                for ids, distinct in factorized
-            ]
-        )
+        codes = np.array([rank[value] for value in distinct], dtype=np.int64)[ids]
         values = np.array(ranked, dtype=object)
-    bounds = np.cumsum([column.rows for column in columns])[:-1]
-    return np.split(codes, bounds), values
+    codes.setflags(write=False)
+    values.setflags(write=False)
+    return codes, values
 
 
-def _aligned_int64(column: Column, scale: int) -> Optional[np.ndarray]:
-    """Exact int64 values of an INT/DATE/DECIMAL key at ``scale``, or None."""
+def _int64_keys(column: Column) -> Optional[np.ndarray]:
+    """Exact int64 unscaled values of an INT/DATE/DECIMAL key, or None."""
     column_type = column.column_type
     if isinstance(column_type, DecimalType):
-        values = column.decimal_vector().to_int64()
-        shift = scale - column_type.spec.scale
-    elif isinstance(column_type, (IntType, DateType)):
-        values = column.data.astype(np.int64)
-        shift = scale
-    else:
-        return None
-    if values is None or shift == 0:
-        return values
-    factor = 10**shift
-    bound = max(int(values.max()), -int(values.min())) if len(values) else 0
-    # ``max(bound, 1)``: the factor must fit too, even over zeros or no rows.
-    if max(bound, 1) * factor > _INT64_MAX:
-        return None
-    return values * factor
+        return column.decimal_vector().to_int64()
+    if isinstance(column_type, (IntType, DateType)):
+        return column.data.astype(np.int64)
+    return None
 
 
-def _distinct_values(column: Column, scale: int) -> Tuple[np.ndarray, List]:
+def _distinct_values(column: Column) -> Tuple[np.ndarray, List]:
     """``(ids, distinct)``: row ``i`` holds Python value ``distinct[ids[i]]``.
 
-    Rows with equal stored bytes share an id; DECIMALs come back aligned
-    to ``scale``, CHARs with trailing whitespace stripped, so two ids may
-    still carry one value.
+    Rows with equal stored bytes share an id; CHARs come back with
+    trailing whitespace stripped, so two ids may still carry one value.
     """
     data = column.data
     rows = len(data)
@@ -1071,14 +1043,12 @@ def _distinct_values(column: Column, scale: int) -> Tuple[np.ndarray, List]:
         )
     representative = np.zeros(int(ids.max()) + 1 if rows else 0, dtype=np.int64)
     representative[ids] = np.arange(rows)
-    sample = column.take(representative)
     column_type = column.column_type
     if isinstance(column_type, DecimalType):
-        factor = 10 ** (scale - column_type.spec.scale)
-        return ids, [value * factor for value in sample.unscaled()]
+        return ids, column.decimal_vector().take(representative).to_unscaled()
     if isinstance(column_type, CharType):
-        return ids, [value.decode().rstrip() for value in sample.data.tolist()]
-    return ids, [value * 10**scale for value in sample.data.tolist()]
+        return ids, [value.decode().rstrip() for value in data[representative].tolist()]
+    return ids, data[representative].tolist()
 
 
 #: Value spans up to this multiple of the row count (plus a constant for
@@ -1117,24 +1087,111 @@ def _stable_argsort(codes: np.ndarray, count: int) -> np.ndarray:
     return np.argsort(codes.astype(narrow), kind="stable")
 
 
-def _equi_join_indices(
-    left: np.ndarray, right: np.ndarray, count: int
+def _join_indices(
+    left: Column, right: Column, keep: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Row pairs with equal codes (below ``count``), in hash-join order.
+    """Row pairs with equal keys, in hash-join order, over the right rows
+    ``keep`` passes (a boolean mask; None keeps every row).
 
-    The build side sorts stably by code, so each code's rows form one run
-    in right-scan order; per-code run offsets and lengths (a ``bincount``
-    and its prefix sum) locate every probe row's run, and ``np.repeat``
-    expands the runs left-major -- the order of a hash join probing the
-    left rows in turn.
+    DECIMALs compare by value aligned to the wider scale (INT and DATE
+    count as scale 0) and CHARs ignore trailing whitespace.  Only the two
+    sides' distinct values meet: each left value is looked up in the
+    right column's code space, and the probe runs on the right column's
+    build side (:func:`_build_side`).
     """
-    run_lengths = np.bincount(right, minlength=count)
-    run_starts = np.cumsum(run_lengths) - run_lengths
-    build = _stable_argsort(right, count)
-    matches = run_lengths[left]
-    left_take = np.repeat(np.arange(len(left)), matches)
-    offsets = np.arange(len(left_take)) - np.repeat(np.cumsum(matches) - matches, matches)
-    return left_take, build[np.repeat(run_starts[left], matches) + offsets]
+    types = {type(left.column_type), type(right.column_type)}
+    if len(types) > 1 and (CharType in types or {DecimalType, DoubleType} <= types):
+        raise ExecutionError(
+            f"key columns {left.name} ({left.column_type}), "
+            f"{right.name} ({right.column_type}) are not comparable"
+        )
+    left_codes, left_values = _key_codes(left)
+    right_codes, right_values = _key_codes(right)
+    probe = _right_codes_of(left, left_values, right, right_values)[left_codes]
+    lengths, starts, order = right.derive("build_side", _build_side)
+    if keep is not None:
+        order = order[keep[order]]
+        lengths = np.bincount(right_codes[keep], minlength=len(lengths))
+        starts = np.cumsum(lengths) - lengths
+    return _equi_join_indices(probe, lengths, starts, order)
+
+
+def _right_codes_of(
+    left: Column, left_values: np.ndarray, right: Column, right_values: np.ndarray
+) -> np.ndarray:
+    """The right code of each of ``left_values``; ``len(right_values)``
+    for a value the right column does not hold."""
+    scale = max(_key_scale(left), _key_scale(right))
+    lhs = _aligned(left_values, scale - _key_scale(left))
+    rhs = _aligned(right_values, scale - _key_scale(right))
+    absent = len(rhs)
+    if lhs.dtype != object and rhs.dtype != object:
+        found = np.searchsorted(rhs, lhs)
+        hit = found < absent
+        hit[hit] = rhs[found[hit]] == lhs[hit]
+        return np.where(hit, found, absent)
+    rank = {value: code for code, value in enumerate(rhs.tolist())}
+    return np.array([rank.get(value, absent) for value in lhs.tolist()], dtype=np.int64)
+
+
+def _key_scale(column: Column) -> int:
+    """The scale a key compares at: a DECIMAL's own, 0 for INT and DATE."""
+    column_type = column.column_type
+    return column_type.spec.scale if isinstance(column_type, DecimalType) else 0
+
+
+def _aligned(values: np.ndarray, shift: int) -> np.ndarray:
+    """``values * 10**shift``: int64 when every product fits, Python ints otherwise."""
+    if shift == 0:
+        return values
+    factor = 10**shift
+    if values.dtype != object:
+        bound = max(int(values.max()), -int(values.min())) if len(values) else 0
+        # ``max(bound, 1)``: the factor must fit too, even over zeros or no rows.
+        if max(bound, 1) * factor <= _INT64_MAX:
+            return values * factor
+    return np.array([value * factor for value in values.tolist()], dtype=object)
+
+
+def _build_side(column: Column) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lengths, starts, order)`` of ``column`` as a join's build side
+    (kept with the column per version by :meth:`Column.derive`).
+
+    ``order`` lists the rows stably sorted by key code, so each code's
+    rows form one run in scan order; code ``c``'s run starts at
+    ``starts[c]`` and holds ``lengths[c]`` rows.  One code past the last
+    (an empty run) stands for values the column does not hold.
+    """
+    codes, values = _key_codes(column)
+    count = len(values) + 1
+    lengths = np.bincount(codes, minlength=count)
+    starts = np.cumsum(lengths) - lengths
+    order = _stable_argsort(codes, count)
+    for array in (lengths, starts, order):
+        array.setflags(write=False)
+    return lengths, starts, order
+
+
+def _equi_join_indices(
+    probe: np.ndarray, lengths: np.ndarray, starts: np.ndarray, order: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row pairs matching each probe code's build run, in hash-join order.
+
+    Per-code run offsets and lengths locate every probe row's run by
+    direct addressing, and ``np.repeat`` expands the runs left-major --
+    the order of a hash join probing the left rows in turn, each row's
+    matches in build (right-scan) order.  Unique build keys (every run
+    at most one row, as on a primary key) need no expansion.
+    """
+    matches = lengths[probe]
+    if lengths.max(initial=0) <= 1:
+        left_take = np.flatnonzero(matches)
+        return left_take, order[starts[probe[left_take]]]
+    ends = np.cumsum(matches)
+    left_take = np.repeat(np.arange(len(probe)), matches)
+    # Row k of the output is match ``k - (ends - matches)[row]`` of its run.
+    first = np.repeat(starts[probe] - (ends - matches), matches)
+    return left_take, order[first + np.arange(len(left_take))]
 
 
 def _group_rows(
@@ -1147,10 +1204,16 @@ def _group_rows(
     a group in ascending row order; group ``g`` starts at ``starts[g]``.
     """
     group = np.zeros(rows, dtype=np.int64)
+    span = 1  # every composite is below ``span``
     for codes, count in keys:
-        # Mixed radix keeps lexicographic order; re-ranking keeps the
-        # composite below ``rows`` so the next key cannot overflow it.
-        group, _distinct = _dense_ids(group * count + codes)
+        # Mixed radix keeps lexicographic order.  The composite is ranked
+        # once at the end, or before a key that would take it past int64.
+        if span * count > _INT64_MAX:
+            group, distinct = _dense_ids(group)
+            span = len(distinct)
+        group = group * count + codes
+        span *= count
+    group, _distinct = _dense_ids(group)
     groups = int(group.max()) + 1 if rows else 0
     sizes = np.bincount(group, minlength=groups)
     return _stable_argsort(group, groups), np.cumsum(sizes) - sizes

@@ -170,6 +170,14 @@ def plan_query(
                 )
         elif isinstance(node, LogicalAggregate):
             if node.group_by:
+                for item in node.aggregates:
+                    if not item.is_aggregate and not (
+                        isinstance(item.tree, ColumnRef) and item.tree.name in node.group_by
+                    ):
+                        raise PlanningError(
+                            f"select item {item.text!r} is neither an aggregate "
+                            "nor a GROUP BY column"
+                        )
                 aggregates = [item for item in node.aggregates if item.is_aggregate]
                 op = GroupAggregateOp(node.group_by, aggregates)
                 groups = _estimate_groups(node.group_by, rows, stats)

@@ -254,9 +254,4 @@ def column_stats(column: Column) -> ColumnStats:
     once per column version, and ``Database.append`` swapping in fresh
     Columns invalidates for new readers without touching old snapshots.
     """
-    cached = column.cached_stats()
-    if isinstance(cached, ColumnStats):
-        return cached
-    stats = collect_column_stats(column)
-    column.store_stats(stats)
-    return stats
+    return column.derive("stats", collect_column_stats)

@@ -3,19 +3,23 @@
 Decimal columns hold their values in the *compact* byte-aligned layout of
 section III-B (an ``(N, Lb)`` uint8 matrix) -- exactly what the simulated
 kernels load and expand.  Other types use plain numpy arrays.
+
+A column either owns its bytes or is a *view*: a selection of another
+column's rows (:meth:`Column.take`, :meth:`Column.head`) that gathers
+bytes, expansion or key codes from that column only when something reads
+them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.vectorized import DecimalVector
-from repro.errors import SchemaError
+from repro.errors import SchemaError, StorageError
 from repro.storage.codecs import DEFAULT_CHUNK_ROWS, DecimalCodec, EncodedColumn
 from repro.storage.schema import (
     CharType,
@@ -28,55 +32,64 @@ from repro.storage.schema import (
 
 
 #: Process-wide source of column version numbers.  Every Column construction
-#: (including the fresh Columns built by ``take``/``head``) draws a new
-#: version, so a cached register expansion can never outlive the compact
-#: bytes it was expanded from.
+#: (views included) draws a new version, so a cached register expansion can
+#: never outlive the compact bytes it was expanded from.
 _VERSIONS = itertools.count(1)
 
 _INT64_MIN = -(1 << 63)
 
+_T = TypeVar("_T")
 
-@dataclass
+
 class Column:
-    """One named column of a relation."""
+    """One named column of a relation: its own bytes, or a view of another's rows.
 
-    name: str
-    column_type: ColumnType
-    data: np.ndarray  # (N, Lb) uint8 for DECIMAL; (N,) otherwise
-    #: Wire/disk codec for DECIMAL columns; ``None`` ships compact bytes
-    #: as-is with no zone-map index (the pre-codec behaviour).
-    codec: Optional[DecimalCodec] = None
-    #: Rows per encoded chunk / zone map; ``None`` -> codec default.
-    encoding_chunk_rows: Optional[int] = None
-    _version: int = field(init=False, repr=False, compare=False)
-    _vector_cache: "Optional[Tuple[int, DecimalVector]]" = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    #: Set by :meth:`take` and :meth:`head` when the source column's
-    #: expansion was cached, or was itself to be gathered: that vector and
-    #: the row indices, which :meth:`decimal_vector` gathers (lanes
-    #: included) instead of unpacking ``data``.
-    _taken_from: "Optional[Tuple[DecimalVector, np.ndarray]]" = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _encoding_cache: "Optional[Tuple[int, EncodedColumn]]" = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    #: Version-keyed planner statistics (an ``engine.plan.stats.ColumnStats``;
-    #: typed loosely so storage stays independent of the engine layer).
-    _stats_cache: "Optional[Tuple[int, object]]" = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    A view (built by :meth:`take` and :meth:`head`) records its root --
+    the column that owns the rows -- the root's version, and the row
+    indices, composed when a view is taken again.  It answers
+    :attr:`rows` and :attr:`bytes_stored` from the indices, gathers the
+    root's bytes on the first read of :attr:`data`, and gathers the
+    root's expansion in :meth:`decimal_vector`.  Derived forms (register
+    expansion, encoding, statistics, and whatever :meth:`derive` keeps)
+    are cached per :attr:`version` on the column that computed them.
+    """
 
-    def __post_init__(self) -> None:
-        self._version = next(_VERSIONS)
-        if isinstance(self.column_type, DecimalType):
-            expected = self.column_type.spec.compact_bytes
-            if self.data.ndim != 2 or self.data.shape[1] != expected:
+    def __init__(
+        self,
+        name: str,
+        column_type: ColumnType,
+        data: np.ndarray,  # (N, Lb) uint8 for DECIMAL; (N,) otherwise
+        codec: Optional[DecimalCodec] = None,
+        encoding_chunk_rows: Optional[int] = None,
+    ) -> None:
+        if isinstance(column_type, DecimalType):
+            expected = column_type.spec.compact_bytes
+            if data.ndim != 2 or data.shape[1] != expected:
                 raise SchemaError(
-                    f"decimal column {self.name!r} needs shape (N, {expected}), "
-                    f"got {self.data.shape}"
+                    f"decimal column {name!r} needs shape (N, {expected}), "
+                    f"got {data.shape}"
                 )
+        self.name = name
+        self.column_type = column_type
+        #: Wire/disk codec for DECIMAL columns; ``None`` ships compact bytes
+        #: as-is with no zone-map index (the pre-codec behaviour).
+        self.codec = codec
+        #: Rows per encoded chunk / zone map; ``None`` -> codec default.
+        self.encoding_chunk_rows = encoding_chunk_rows
+        #: The bytes; None for a view that has not gathered them yet.
+        self._data: Optional[np.ndarray] = data
+        #: ``(root, root version, indices)`` for a view, else None.
+        self._view: "Optional[Tuple[Column, int, np.ndarray]]" = None
+        self._version = next(_VERSIONS)
+        self._vector_cache: "Optional[Tuple[int, DecimalVector]]" = None
+        self._encoding_cache: "Optional[Tuple[int, EncodedColumn]]" = None
+        #: Other version-keyed derived forms by kind (:meth:`derive`).
+        self._derived: Dict[str, Tuple[int, Any]] = {}
+
+    def __repr__(self) -> str:
+        view = self._view
+        kind = "bytes" if view is None else f"view of {view[0].name!r}"
+        return f"Column({self.name!r}, {self.column_type}, {self.rows} rows, {kind})"
 
     @property
     def version(self) -> int:
@@ -88,22 +101,31 @@ class Column:
 
         Anything that mutates the compact bytes directly (the storage layer
         itself never does; tests and loaders might) must call this so a
-        stale register expansion is never served.
+        stale register expansion is never served.  A view gathers its
+        bytes first and from then on owns them.
         """
+        if self._view is not None:
+            self._data = self.data
+            self._view = None
         self._version = next(_VERSIONS)
         self._vector_cache = None
-        self._taken_from = None
         self._encoding_cache = None
-        self._stats_cache = None
+        self._derived = {}
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        view = self._view
+        return self.data.shape[0] if view is None else len(view[2])
 
     @property
     def bytes_stored(self) -> int:
-        """Bytes this column occupies on disk / in memory."""
-        return int(self.data.nbytes)
+        """Bytes this column occupies on disk / in memory (a view counts
+        the bytes its rows gather, without gathering them)."""
+        view = self._view
+        if view is None or self._data is not None:
+            return int(self.data.nbytes)
+        root_data = view[0].data
+        return len(view[2]) * (int(root_data.nbytes) // max(root_data.shape[0], 1))
 
     @property
     def wire_bytes(self) -> int:
@@ -115,6 +137,81 @@ class Column:
         if self.codec is None or not isinstance(self.column_type, DecimalType):
             return self.bytes_stored
         return self.encoding().wire_bytes
+
+    # ---------------------------------------------------------------- views
+
+    @property
+    def data(self) -> np.ndarray:
+        """The stored bytes; a view gathers its root's rows on first read."""
+        data = self._data
+        if data is None:
+            root, indices = self.lineage()
+            assert indices is not None  # only a view lacks bytes, and it is pinned
+            data = np.take(root.data, indices, axis=0)
+            self._data = data
+        return data
+
+    @data.setter
+    def data(self, data: np.ndarray) -> None:
+        """Replace the bytes (then call :meth:`invalidate`); a view stops
+        being one."""
+        self._data = data
+        self._view = None
+
+    def lineage(self) -> "Tuple[Column, Optional[np.ndarray]]":
+        """``(root, indices)``: this view's rows are ``root``'s rows
+        ``indices``; ``(self, None)`` for a column that owns its bytes.
+
+        A view whose root changed (:meth:`invalidate`) after the take
+        answers from the bytes it gathered before, and raises
+        :class:`~repro.errors.StorageError` if it gathered none.
+        """
+        view = self._view
+        if view is None:
+            return self, None
+        root, version, indices = view
+        if root._version == version:
+            return root, indices
+        if self._data is None:
+            raise StorageError(
+                f"column {self.name!r} is a view of {root.name!r}, which changed "
+                "before the view read its rows"
+            )
+        return self, None
+
+    def take(self, indices: np.ndarray) -> "Column":
+        """A view of the rows ``indices`` (selection vectors from filters,
+        joins and sorts), composed onto this column's root.
+
+        The view keeps ``indices``: the caller must not write to them.
+        """
+        root, selected = self.lineage()
+        indices = np.asarray(indices, dtype=np.intp)
+        if selected is not None:
+            indices = selected[indices]
+        return self._replace(
+            _data=None,
+            _view=(root, root._version, indices),
+            _version=next(_VERSIONS),
+            _vector_cache=None,
+            _encoding_cache=None,
+            _derived={},
+        )
+
+    def head(self, count: int) -> "Column":
+        """A view of the first ``count`` rows (LIMIT, benchmark sampling)."""
+        return self.take(np.arange(min(count, self.rows)))
+
+    def renamed(self, name: str) -> "Column":
+        """This column under ``name``: the same bytes or view, version and
+        caches, with nothing copied or gathered."""
+        return self._replace(name=name)
+
+    def _replace(self, **changes: object) -> "Column":
+        """A shallow copy of this column with ``changes`` to its attributes."""
+        column = object.__new__(type(self))
+        column.__dict__.update(self.__dict__, **changes)
+        return column
 
     # ------------------------------------------------------------- decimals
 
@@ -155,9 +252,9 @@ class Column:
         """Expand to register form (what a kernel's load phase does).
 
         The expansion is cached against :attr:`version`, so repeated calls
-        across operators and queries run ``unpack_column`` once; a column
-        built by :meth:`take` or :meth:`head` from an expanded one gathers
-        that expansion instead, and one built from a vector
+        across operators and queries run ``unpack_column`` once; a view
+        gathers its root's expansion instead (its int64 lanes when they
+        answer), and a column built from a vector
         (:meth:`decimal_from_vector`) starts with it.  Callers receive a
         *shared* vector and must honour the
         :class:`~repro.core.decimal.vectorized.DecimalVector` aliasing
@@ -167,9 +264,9 @@ class Column:
         cached = self._vector_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        source = self._taken_from
-        if source is not None:
-            vector = source[0].take(source[1])
+        root, indices = self.lineage()
+        if indices is not None:
+            vector = root.decimal_vector().take(indices)
         else:
             vector = DecimalVector.from_compact(self.data, spec)
         self._vector_cache = (self._version, vector)
@@ -307,24 +404,32 @@ class Column:
         merged._encoding_cache = (merged._version, encoded)
         return merged
 
-    # ------------------------------------------------------------ statistics
+    # --------------------------------------------------------- derived forms
+
+    def derive(self, kind: str, compute: "Callable[[Column], _T]") -> "_T":
+        """``compute(self)``, computed once per version and kept with this column.
+
+        Reader threads may race the first fill: each computes an equal
+        value, and one assignment publishes it.
+        """
+        version = self._version
+        hit = self._derived.get(kind)
+        if hit is not None and hit[0] == version:
+            return hit[1]
+        value = compute(self)
+        self._derived[kind] = (version, value)
+        return value
 
     def cached_stats(self) -> Optional[object]:
         """The current-version planner statistics, or None if stale/absent.
 
-        Collection itself lives in :mod:`repro.engine.plan.stats`; this
-        hook only stores the result against :attr:`version`, mirroring the
-        vector/encoding caches, so ``Database.append`` (fresh Columns) and
-        :meth:`invalidate` naturally discard stale statistics.
+        Collection itself lives in :mod:`repro.engine.plan.stats`, which
+        keeps its result with :meth:`derive` under ``"stats"``, so
+        ``Database.append`` (fresh Columns) and :meth:`invalidate`
+        naturally discard stale statistics.
         """
-        cached = self._stats_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        return None
-
-    def store_stats(self, stats: object) -> None:
-        """Cache planner statistics for the current column version."""
-        self._stats_cache = (self._version, stats)
+        hit = self._derived.get("stats")
+        return hit[1] if hit is not None and hit[0] == self._version else None
 
     # --------------------------------------------------------------- others
 
@@ -344,47 +449,6 @@ class Column:
     def chars(cls, name: str, values: Sequence[str], width: int) -> "Column":
         data = np.asarray([v[:width].ljust(width) for v in values], dtype=f"S{width}")
         return cls(name, CharType(width), data)
-
-    def take(self, indices: np.ndarray) -> "Column":
-        """Row subset (selection vectors from filters).
-
-        A DECIMAL column whose expansion is cached hands it on: the subset's
-        :meth:`decimal_vector` gathers that vector's rows (its lanes, when
-        they answer) on first use.
-        """
-        taken = Column(
-            self.name,
-            self.column_type,
-            np.take(self.data, indices, axis=0),
-            codec=self.codec,
-            encoding_chunk_rows=self.encoding_chunk_rows,
-        )
-        self._carry(taken, indices)
-        return taken
-
-    def head(self, count: int) -> "Column":
-        """First ``count`` rows (LIMIT, benchmark sampling); carries like :meth:`take`."""
-        kept = Column(
-            self.name,
-            self.column_type,
-            self.data[:count],
-            codec=self.codec,
-            encoding_chunk_rows=self.encoding_chunk_rows,
-        )
-        self._carry(kept, np.arange(kept.rows))
-        return kept
-
-    def _carry(self, derived: "Column", indices: np.ndarray) -> None:
-        """Let ``derived``, this column's rows ``indices``, gather this
-        column's cached expansion, or the one it would gather itself (the
-        indices compose), instead of unpacking its own bytes."""
-        cached = self._vector_cache
-        if cached is not None and cached[0] == self._version:
-            derived._taken_from = (cached[1], indices)
-            return
-        source = self._taken_from
-        if source is not None:
-            derived._taken_from = (source[0], source[1][indices])
 
 
 def _int64_lanes(values: list, spec: DecimalSpec) -> Optional[np.ndarray]:

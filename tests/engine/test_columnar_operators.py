@@ -4,7 +4,9 @@ The value-coded matcher and grouping of ``repro.engine.plan.physical`` and
 the segmented reduction of ``repro.core.multithread.aggregation`` must
 match the row-at-a-time loops kept in ``repro.engine.plan.reference``
 exactly: the same index pairs, groups in the same order, the same values
-and specs, and bit-identical simulated aggregation seconds.
+and specs, and bit-identical simulated aggregation seconds.  Key columns
+are often views (takes of takes, heads, repeated or no indices), whose
+codes are gathered from their base column's.
 """
 
 import numpy as np
@@ -35,9 +37,18 @@ AGGREGATES = ("SUM", "MIN", "MAX", "AVG")
 
 @st.composite
 def key_columns(draw, name, kind=None, rows=None):
-    """A key column with duplicates; DECIMALs sometimes near their maximum."""
+    """A key column with duplicates, or a view of one; DECIMALs sometimes
+    near their maximum."""
     kind = kind or draw(st.sampled_from(KEY_KINDS))
     rows = draw(st.integers(0, 12)) if rows is None else rows
+    if draw(st.booleans()):
+        return draw(base_key_columns(name, kind, rows))
+    base = draw(base_key_columns(name, kind, draw(st.integers(1 if rows else 0, rows + 8))))
+    return draw(views(base, rows))
+
+
+@st.composite
+def base_key_columns(draw, name, kind, rows):
     if kind in ("INT", "DATE"):
         values = draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))
         return Column.integers(name, values) if kind == "INT" else Column.dates(name, values)
@@ -52,6 +63,37 @@ def key_columns(draw, name, kind=None, rows=None):
     pool = DECIMAL_POOL + [top, -top, top - 1]
     values = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
     return Column.decimal_from_unscaled(name, values, spec)
+
+
+@st.composite
+def views(draw, base, rows):
+    """A view of ``base`` with ``rows`` rows: a take, a take of a take, or
+    a take's head, with repeated (or no) indices."""
+
+    def indices(bound, size):
+        if size == 0:
+            return np.zeros(0, dtype=np.int64)
+        drawn = draw(st.lists(st.integers(0, bound - 1), min_size=size, max_size=size))
+        return np.array(drawn, dtype=np.int64)
+
+    shape = draw(st.sampled_from(("take", "take of take", "head")))
+    if shape == "take":
+        return base.take(indices(base.rows, rows))
+    size = draw(st.integers(rows if shape == "head" else 1, rows + 8)) if base.rows else 0
+    middle = base.take(indices(base.rows, size))
+    if shape == "head":
+        return middle.head(rows)
+    return middle.take(indices(middle.rows, rows))
+
+
+def join_pairs(left, right, keep=None):
+    """The reference's hash-join pairs over the right rows ``keep`` passes."""
+    left_keys, right_keys = reference.key_values([left, right])
+    kept = np.arange(right.rows) if keep is None else np.flatnonzero(keep)
+    kept_keys = [right_keys[row] for row in kept]
+    left_rows, right_rows = reference.hash_join(left_keys, kept_keys)
+    assert reference.nested_loop_join(left_keys, kept_keys) == (left_rows, right_rows)
+    return left_rows, kept[right_rows].tolist()
 
 
 def unscaled_values(spec):
@@ -86,25 +128,31 @@ class TestJoinMatcher:
         )
         left = data.draw(key_columns("l", left_kind))
         right = data.draw(key_columns("r", right_kind))
-        (left_codes, right_codes), values = physical._value_codes([left, right])
-        left_take, right_take = physical._equi_join_indices(left_codes, right_codes, len(values))
-        left_keys, right_keys = reference.key_values([left, right])
-        expected = reference.hash_join(left_keys, right_keys)
-        assert reference.nested_loop_join(left_keys, right_keys) == expected
-        assert (left_take.tolist(), right_take.tolist()) == expected
+        keep = data.draw(
+            st.one_of(
+                st.none(),
+                st.lists(st.booleans(), min_size=right.rows, max_size=right.rows).map(
+                    lambda mask: np.array(mask, dtype=bool)
+                ),
+            )
+        )
+        left_take, right_take = physical._join_indices(left, right, keep)
+        assert (left_take.tolist(), right_take.tolist()) == join_pairs(left, right, keep)
+        # The build side was kept with the right column: a second join
+        # answers the same, and so does the join the other way round.
+        again = physical._join_indices(left, right, keep)
+        assert (again[0].tolist(), again[1].tolist()) == join_pairs(left, right, keep)
+        swapped = physical._join_indices(right, left)
+        assert (swapped[0].tolist(), swapped[1].tolist()) == join_pairs(right, left)
 
     def test_scale_gap_beyond_int64_with_empty_or_zero_side(self):
         """Aligning INT keys to scale 20 cannot stay in int64, even over zeros."""
         wide = Column.decimal_from_unscaled("r", [0, 10**20, -(10**20)], DecimalSpec(38, 20))
         for ints in ([], [0, 0], [1, 0]):
             left = Column.integers("l", ints)
-            for columns in ([left, wide], [wide, left]):
-                (left_codes, right_codes), values = physical._value_codes(columns)
-                left_take, right_take = physical._equi_join_indices(
-                    left_codes, right_codes, len(values)
-                )
-                expected = reference.hash_join(*reference.key_values(columns))
-                assert (left_take.tolist(), right_take.tolist()) == expected
+            for columns in ([left, wide], [wide, left], [left.take(np.arange(len(ints))), wide]):
+                left_take, right_take = physical._join_indices(*columns)
+                assert (left_take.tolist(), right_take.tolist()) == join_pairs(*columns)
 
     @pytest.mark.parametrize("count", [1, 256, 257, 65536, 65537, 2**40])
     def test_stable_argsort_at_every_code_width(self, count):
@@ -116,11 +164,8 @@ class TestJoinMatcher:
     def test_empty_build_and_probe_sides(self):
         keys = Column.integers("k", [1, 2, 2])
         empty = Column.integers("e", [])
-        for left, right in ((keys, empty), (empty, keys), (empty, empty)):
-            (left_codes, right_codes), values = physical._value_codes([left, right])
-            left_take, right_take = physical._equi_join_indices(
-                left_codes, right_codes, len(values)
-            )
+        for left, right in ((keys, empty), (empty, keys), (empty, empty), (keys.head(0), keys)):
+            left_take, right_take = physical._join_indices(left, right)
             assert left_take.tolist() == right_take.tolist() == []
 
 

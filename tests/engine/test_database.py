@@ -1,5 +1,6 @@
 """End-to-end tests for the Database facade against big-integer oracles."""
 
+import re
 
 import pytest
 
@@ -126,6 +127,19 @@ class TestGroupBy:
             (10, 9),
             (20, 6),
         ]
+
+    @pytest.mark.parametrize("item", ["a", "a + 1", "k"])
+    def test_select_item_neither_aggregate_nor_key_rejected(self, item):
+        db, _ = make_db()
+        with pytest.raises(PlanningError, match=re.escape(f"'{item}'")):
+            db.execute(f"SELECT {item}, SUM(b) FROM r GROUP BY g")
+
+    def test_group_key_and_its_alias_still_selectable(self):
+        db, _ = make_db()
+        plain = db.execute("SELECT g, SUM(b) FROM r GROUP BY g ORDER BY g")
+        aliased = db.execute("SELECT g AS flag, SUM(b) FROM r GROUP BY g ORDER BY g")
+        assert [row[0] for row in plain.rows] == ["X", "Y"]
+        assert aliased.rows == plain.rows
 
 
 class TestWhere:

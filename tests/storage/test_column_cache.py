@@ -1,12 +1,15 @@
-"""The register-expansion cache on Column (versioned decimal_vector)."""
+"""The register-expansion cache on Column (versioned decimal_vector), and views."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.vectorized import DecimalVector
+from repro.errors import StorageError
 from repro.storage.column import Column
+from repro.storage.schema import DecimalType
 
 
 def make_column(values=(100, -250, 0, 99)):
@@ -85,7 +88,7 @@ class TestDecimalVectorCache:
 
 
 class TestDerivedColumnsCarry:
-    """Takes and heads of un-expanded takes gather the base expansion."""
+    """Views (takes of takes, heads) gather the base expansion."""
 
     def chain(self):
         """filter -> join -> join -> limit over an expanded base column."""
@@ -113,8 +116,14 @@ class TestDerivedColumnsCarry:
         column, stages = self.chain()
         base = column.decimal_vector()
         for stage in stages:
-            assert stage._taken_from[0] is base
-        assert stages[-1]._taken_from[1].tolist() == [13, 11, 11, 5, 1]
+            root, _indices = stage.lineage()
+            assert root is column
+        assert stages[-1].lineage()[1].tolist() == [13, 11, 11, 5, 1]
+        with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+            limited = stages[-1].decimal_vector()
+        gathered = base.take(np.array([13, 11, 11, 5, 1]))
+        assert np.array_equal(limited.to_int64(), gathered.to_int64())
+        assert np.array_equal(limited.words, gathered.words)
 
     def test_head_of_an_expanded_column_and_past_its_end(self):
         column = make_column()
@@ -128,13 +137,110 @@ class TestDerivedColumnsCarry:
         limited = stages[-1]
         limited.data = make_column([1, 2, 3, 4, 5]).data
         limited.invalidate()
-        assert limited._taken_from is None
+        root, indices = limited.lineage()
+        assert root is limited and indices is None
         assert limited.unscaled() == [1, 2, 3, 4, 5]
 
     def test_an_invalidated_source_carries_nothing(self):
+        """An invalidated view owns its bytes: its takes select from them,
+        not from the column it was taken from."""
         column = make_column()
         column.decimal_vector()
         subset = column.take(np.array([0, 1]))
         subset.invalidate()
-        assert subset.take(np.array([1]))._taken_from is None
-        assert subset.head(1)._taken_from is None
+        column.data = make_column([9, 9, 9, 9]).data
+        column.invalidate()
+        for derived in (subset.take(np.array([1])), subset.head(1)):
+            assert derived.lineage()[0] is subset
+        assert subset.take(np.array([1])).unscaled() == [-250]
+        assert subset.head(1).unscaled() == [100]
+
+
+def eager(column, indices):
+    """The rows ``indices`` of ``column`` gathered into a column of their own."""
+    return Column(column.name, column.column_type, np.take(column.data, indices, axis=0))
+
+
+class TestViews:
+    """A view answers as the same rows gathered eagerly would."""
+
+    COLUMNS = {
+        "decimal": lambda: make_column(range(-6, 6)),
+        # Values past 63 bits: the view gathers planes, not lanes.
+        "wide": lambda: Column.decimal_from_unscaled(
+            "w", [(-1) ** i * (2**70 + i) for i in range(12)], DecimalSpec(30, 3)
+        ),
+        "packed": lambda: Column("p", make_column(range(12)).column_type, make_column(range(12)).data),
+        "char": lambda: Column.chars("s", [f"k{i % 5}" for i in range(12)], 3),
+        "int": lambda: Column.integers("i", list(range(100, 112))),
+        "date": lambda: Column.dates("d", list(range(12))),
+        "double": lambda: Column.doubles("f", [i / 4 for i in range(12)]),
+    }
+    SELECTIONS = {
+        "take": lambda c: (c.take(np.array([3, 0, 7])), [3, 0, 7]),
+        "repeated": lambda c: (c.take(np.array([5, 5, 5, 1])), [5, 5, 5, 1]),
+        "empty": lambda c: (c.take(np.array([], dtype=np.int64)), []),
+        "take of take": lambda c: (c.take(np.arange(2, 12)).take(np.array([9, 0, 4])), [11, 2, 6]),
+        "head": lambda c: (c.head(4), [0, 1, 2, 3]),
+        "head past the end": lambda c: (c.head(50), list(range(12))),
+        "head of take": lambda c: (c.take(np.array([8, 6, 4, 2])).head(2), [8, 6]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    @pytest.mark.parametrize("selection", sorted(SELECTIONS))
+    def test_view_equals_eager_gather(self, kind, selection):
+        column = self.COLUMNS[kind]()
+        view, rows = self.SELECTIONS[selection](column)
+        expected = eager(column, np.array(rows, dtype=np.int64))
+        # Rows and bytes come from the indices, before any gather.
+        assert view.rows == expected.rows
+        assert view.bytes_stored == expected.bytes_stored
+        if isinstance(column.column_type, DecimalType):
+            got, want = view.decimal_vector(), expected.decimal_vector()
+            assert got.spec == want.spec
+            assert np.array_equal(got.negative, want.negative)
+            assert np.array_equal(got.words, want.words)
+            assert got.to_unscaled() == want.to_unscaled()
+        assert view.data.dtype == expected.data.dtype
+        assert np.array_equal(view.data, expected.data)
+        assert view.data is view.data  # gathered once
+
+    def test_a_view_gathers_lanes_without_unpacking(self):
+        column = make_column(range(-6, 6))
+        view = column.take(np.array([4, 1]))
+        with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+            assert view.decimal_vector().to_int64().tolist() == [-2, -5]
+        assert view.decimal_vector()._planes is None  # no planes were built
+
+    def test_a_view_of_a_changed_root_raises_unless_it_gathered(self):
+        column = make_column()
+        gathered = column.take(np.array([1, 3]))
+        gathered.data  # read before the root changes
+        stale = column.take(np.array([0]))
+        column.data = make_column([1, 1, 1, 1]).data
+        column.invalidate()
+        assert gathered.unscaled() == [-250, 99]
+        assert gathered.take(np.array([1])).unscaled() == [99]
+        for read in (lambda: stale.data, stale.decimal_vector, stale.invalidate):
+            with pytest.raises(StorageError, match="changed"):
+                read()
+
+    def test_invalidating_a_view_gathers_it_first(self):
+        column = make_column()
+        view = column.take(np.array([2, 1]))
+        view.invalidate()
+        column.data = make_column([5, 5, 5, 5]).data
+        column.invalidate()
+        assert view.unscaled() == [0, -250]
+
+    def test_renamed_shares_bytes_view_and_expansion(self):
+        column = make_column()
+        vector = column.decimal_vector()
+        twin = column.renamed("t")
+        assert (twin.name, column.name) == ("t", "c")
+        assert twin.data is column.data and twin.decimal_vector() is vector
+        view = column.take(np.array([3, 0]))
+        renamed = view.renamed("u")
+        assert renamed.lineage()[0] is column
+        with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+            assert renamed.unscaled() == [99, 100]

@@ -1,11 +1,13 @@
 """Readers racing the lazy fills of shared vectors and columns.
 
-A lane-only ``DecimalVector`` builds its planes on first access, and a
-``Column`` its expansion on first ``decimal_vector()``.  Both may be shared
-by reader threads (the serving layer's sessions read one catalog), so
-every reader that makes the first access must see equal planes, equal
-compact bytes and equal values, whichever fill it got.  More readers than
-cores and a short switch interval make the interleavings likely.
+A lane-only ``DecimalVector`` builds its planes on first access, a
+``Column`` its expansion on first ``decimal_vector()``, a view its bytes on
+first ``data``, and a base column its join and group key codes and its
+join build side on first use.  All may be shared by reader threads (the
+serving layer's sessions read one catalog), so every reader that makes the
+first access must see equal planes, equal compact bytes, equal codes and
+equal values, whichever fill it got.  More readers than cores and a short
+switch interval make the interleavings likely.
 """
 
 import os
@@ -16,6 +18,7 @@ import numpy as np
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.vectorized import DecimalVector
+from repro.engine.plan import physical
 from repro.storage.column import Column
 
 READERS = (os.cpu_count() or 1) + 3
@@ -98,3 +101,44 @@ def test_first_expansion_of_a_shared_column():
                 assert np.array_equal(vector.negative, expected.negative)
                 assert np.array_equal(vector.to_compact(), column.data)
             assert column.unscaled() == expected.to_unscaled()
+
+
+def test_first_gather_of_a_shared_view():
+    base = Column.chars("s", [f"k{i % 37}" for i in range(len(VALUES))], 4)
+    indices = np.arange(len(VALUES))[::-3]
+    expected = np.take(base.data, indices)
+    for _ in range(ROUNDS):
+        view = base.take(indices)
+        for data in race(lambda reader, view=view: view.data.copy()):
+            assert np.array_equal(data, expected)
+
+
+def test_first_key_codes_and_build_side_of_a_shared_column():
+    keys = [(i * 7919) % 613 for i in range(len(VALUES))]
+    reference = Column.integers("k", keys)
+    codes, values = physical._key_codes(reference)
+    lengths, starts, order = reference.derive("build_side", physical._build_side)
+    probe = Column.integers("p", list(range(0, 700, 3)))
+    pairs = physical._join_indices(probe, reference)
+    for _ in range(ROUNDS // 3):
+        # Each round a fresh column (a new version): readers race its
+        # first coding, or its first build side, or a join needing both.
+        shared = Column.integers("k", keys)
+
+        def read(reader, shared=shared):
+            step = reader % 3
+            if step == 0:
+                return "codes", [array.copy() for array in physical._key_codes(shared)]
+            if step == 1:
+                build = shared.derive("build_side", physical._build_side)
+                return "build", [array.copy() for array in build]
+            return "join", [array.copy() for array in physical._join_indices(probe, shared)]
+
+        expected = {
+            "codes": [codes, values],
+            "build": [lengths, starts, order],
+            "join": list(pairs),
+        }
+        for kind, arrays in race(read):
+            for got, want in zip(arrays, expected[kind]):
+                assert np.array_equal(got, want), kind
