@@ -31,7 +31,7 @@ def experiment():
 
 
 def _make_database(rows: int = 300) -> Database:
-    database = Database(simulate_rows=2_000_000, aggregation_tpi=8)
+    database = Database(simulate_rows=2_000_000)
     database.register(tpch.lineitem_for_len(8, rows=rows, seed=7))
     return database
 

@@ -57,11 +57,10 @@ def test_ext_streaming_overlap(benchmark, experiment):
 
 def test_ext_streaming_bit_exact_end_to_end(benchmark):
     relation = tpch.lineitem_for_len(4, rows=900, seed=7)
-    serial_db = Database(simulate_rows=10_000_000, aggregation_tpi=8)
+    serial_db = Database(simulate_rows=10_000_000)
     serial_db.register(relation)
     streamed_db = Database(
         simulate_rows=10_000_000,
-        aggregation_tpi=8,
         streaming=StreamingConfig(enabled=True, chunk_rows=1_000_000),
     )
     streamed_db.register(relation)

@@ -51,7 +51,7 @@ def run_experiment(rows: int = 2500, simulate_rows: int = 10_000_000) -> Experim
     table = []
 
     # Q6 -- single table.
-    db = Database(simulate_rows=simulate_rows, aggregation_tpi=8)
+    db = Database(simulate_rows=simulate_rows)
     lineitem = tpch.lineitem(rows=rows, seed=11)
     db.register(lineitem)
     q6 = db.execute(Q6_SQL, include_scan=False)
@@ -69,7 +69,7 @@ def run_experiment(rows: int = 2500, simulate_rows: int = 10_000_000) -> Experim
 
     # Q3-style -- two cost-chosen joins + grouped revenue, optimizer on/off.
     order_count = max(rows // 5, 50)
-    db3 = Database(simulate_rows=simulate_rows, aggregation_tpi=8)
+    db3 = Database(simulate_rows=simulate_rows)
     db3.register(tpch.lineitem_with_orderkeys(rows=rows, seed=7, order_count=order_count))
     db3.register(tpch.orders(rows=order_count, seed=17))
     db3.register(tpch.customer(rows=max(order_count // 8, 10), seed=19))

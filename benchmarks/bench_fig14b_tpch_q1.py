@@ -21,7 +21,7 @@ def compression_study():
 
 def test_fig14b_q1(benchmark, experiment):
     relation = tpch.lineitem(rows=1200, seed=7)
-    db = Database(simulate_rows=10_000_000, aggregation_tpi=8)
+    db = Database(simulate_rows=10_000_000)
     db.register(relation)
 
     def run_q1():

@@ -15,7 +15,7 @@ from repro.workloads.tpch_queries import Q1_SQL, Q3_SQL, Q6_SQL
 
 def main() -> None:
     order_count = 400
-    db = Database(simulate_rows=10_000_000, aggregation_tpi=8)
+    db = Database(simulate_rows=10_000_000)
     db.register(tpch.lineitem_with_orderkeys(rows=2500, seed=7, order_count=order_count))
     db.register(tpch.orders(rows=order_count, seed=17))
     db.register(tpch.customer(rows=60, seed=19))

@@ -79,7 +79,6 @@ def _run_query(
 ):
     db = Database(
         simulate_rows=simulate_rows,
-        aggregation_tpi=8,
         streaming=StreamingConfig(enabled=True, chunk_rows=stream_chunk_rows),
     )
     db.register(relation)

@@ -86,7 +86,7 @@ def warm_shared_state(database: Database) -> None:
 
 def reference_rows(relation, simulate_rows: int) -> Dict[str, list]:
     """Serial per-query reference results on an isolated database."""
-    database = Database(simulate_rows=simulate_rows, aggregation_tpi=8)
+    database = Database(simulate_rows=simulate_rows)
     database.register(relation)
     return {sql: database.execute(sql).rows for sql in QUERY_MIX}
 
@@ -114,7 +114,7 @@ def run(
     table: List[List] = []
     baseline_qps = None
     for session_count in session_counts:
-        database = Database(simulate_rows=simulate_rows, aggregation_tpi=8)
+        database = Database(simulate_rows=simulate_rows)
         database.register(relation)
         results, schedule = _measure(database, session_count, queries_per_session)
         for served in results:

@@ -44,13 +44,12 @@ def run(
     for length in lengths:
         relation = tpch.lineitem_for_len(length, rows=rows, seed=7)
 
-        serial_db = Database(simulate_rows=simulate_rows, aggregation_tpi=8)
+        serial_db = Database(simulate_rows=simulate_rows)
         serial_db.register(relation)
         serial = serial_db.execute(Q1_SQL, include_scan=False)
 
         streamed_db = Database(
             simulate_rows=simulate_rows,
-            aggregation_tpi=8,
             streaming=StreamingConfig(enabled=True, chunk_rows=chunk_rows),
         )
         streamed_db.register(relation)

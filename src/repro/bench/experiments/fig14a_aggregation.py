@@ -55,7 +55,7 @@ def run(
         relation = datagen.relation_r3(spec, rows=rows, seed=141 + length)
         oracle = sum(relation.column("c1").unscaled())
 
-        db = Database(simulate_rows=simulate_rows, aggregation_tpi=8)
+        db = Database(simulate_rows=simulate_rows)
         db.register(relation)
         result = db.execute(QUERY)
         if verify:

@@ -51,7 +51,7 @@ def run(
             if length is None
             else tpch.lineitem_for_len(length, rows=rows, seed=7)
         )
-        db = Database(simulate_rows=simulate_rows, aggregation_tpi=8)
+        db = Database(simulate_rows=simulate_rows)
         db.register(relation)
         result = db.execute(Q1_SQL, include_scan=False)
         report = result.report

@@ -14,9 +14,10 @@ blocks.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class BlockPlan:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PassInfo:
     """One aggregation pass."""
 
@@ -71,7 +72,7 @@ class AggregationRun:
 
     value: int  # unscaled result (COUNT for 'count')
     spec: DecimalSpec
-    passes: List[PassInfo] = field(default_factory=list)
+    passes: Tuple[PassInfo, ...] = ()
 
     @property
     def seconds(self) -> float:
@@ -139,7 +140,7 @@ def aggregate(
             result = _average(result, n, charged)
 
     run = AggregationRun(value=result, spec=spec)
-    run.passes = _plan_passes(charged, spec.words, tpi, device)
+    run.passes = plan_passes(charged, spec.words, tpi, device)
     return run
 
 
@@ -153,7 +154,7 @@ class SegmentedRun:
 
     values: List[int]  # one unscaled result per segment
     spec: DecimalSpec
-    passes: List[PassInfo] = field(default_factory=list)
+    passes: Tuple[PassInfo, ...] = ()
 
     @property
     def seconds(self) -> float:
@@ -193,7 +194,7 @@ def aggregate_segments(
     op = _checked(op, _SEGMENTED)
     spec = result_spec(op, vector.spec, simulate_tuples)
     run = SegmentedRun(values=[], spec=spec)
-    run.passes = _plan_passes(max(simulate_tuples, 1), spec.words, tpi, device)
+    run.passes = plan_passes(max(simulate_tuples, 1), spec.words, tpi, device)
     rows = vector.rows
     starts = np.asarray(starts, dtype=np.int64)
     if len(starts) == 0:
@@ -309,8 +310,18 @@ def _blockwise_sum(
     return level[0]
 
 
-def _plan_passes(n: int, result_words: int, tpi: int, device: GpuDevice) -> List[PassInfo]:
-    """Pass geometry + simulated time for aggregating ``n`` values."""
+@functools.lru_cache(maxsize=256)
+def plan_passes(
+    n: int, result_words: int, tpi: int, device: GpuDevice
+) -> Tuple[PassInfo, ...]:
+    """Pass geometry + simulated time for aggregating ``n`` values.
+
+    The one reduction plan: :func:`aggregate`, :func:`aggregate_segments`
+    and the engine's cost model (``CostModel.reduction``) all take it.
+    Memoized, as a tuple of frozen passes every caller shares: the plan
+    depends on its arguments alone, and an execution prices each
+    aggregate through both the reducer and the cost model.
+    """
     plan = BlockPlan.for_spec(result_words, tpi, device)
     passes: List[PassInfo] = []
     remaining = n
@@ -322,7 +333,7 @@ def _plan_passes(n: int, result_words: int, tpi: int, device: GpuDevice) -> List
         if blocks == 1:
             break
         remaining = blocks
-    return passes
+    return tuple(passes)
 
 
 def _pass_seconds(

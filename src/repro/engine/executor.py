@@ -6,11 +6,6 @@ from typing import List, Optional
 
 from repro.engine.plan.physical import Batch, PhysicalOp, QueryContext
 from repro.errors import QueryCancelledError
-from repro.gpusim import timing as gpu_timing
-
-
-#: Per-operator pipeline overhead at 10M tuples (materialisation, setup).
-OPERATOR_OVERHEAD_SECONDS = 0.050
 
 
 def run_plan(chain: List[PhysicalOp], context: QueryContext) -> Batch:
@@ -28,20 +23,17 @@ def run_plan(chain: List[PhysicalOp], context: QueryContext) -> Batch:
                 f"query cancelled before {type(op).__name__}"
             )
         batch = op.run(batch, context)
+    cost = context.cost_model
     # Streaming defers scan-time H2D copies so kernels can overlap them;
     # columns no kernel consumed (filter/join/group keys, unused scans)
     # still have to reach the device -- charge them serially here so the
     # streamed report never undercounts relative to the serial path.
-    if context.include_transfer and context.pending_transfer:
+    if context.pending_transfer:
         leftover = sum(context.pending_transfer.values())
         context.pending_transfer.clear()
         if leftover:
-            context.report.pcie_seconds += gpu_timing.pcie_time(
-                int(leftover), context.device
-            )
+            context.report.pcie_seconds += cost.transfer(leftover)
             context.report.pcie_bytes += leftover
-    context.report.pipeline_seconds += (
-        len(chain) * OPERATOR_OVERHEAD_SECONDS * (context.simulate_rows / 10_000_000)
-    )
+    context.report.pipeline_seconds += cost.pipeline(len(chain), context.simulate_rows)
     assert batch is not None
     return batch

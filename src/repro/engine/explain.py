@@ -4,20 +4,24 @@ executing a query's data plane at full size.
 ``Database.explain(sql)`` plans the query, which JIT-compiles its
 expressions, and returns an :class:`ExplainResult` carrying the operator
 chain, every planned kernel (with its CUDA-like source and per-kernel
-timing estimate), and the end-to-end simulated cost estimate.
+timing estimate), and the end-to-end simulated cost estimate.  Every
+number is priced by the :class:`~repro.engine.plan.cost.CostModel`
+methods execution charges through, so the estimate differs from an
+execution's ``report.total_seconds`` only where the planner's estimated
+rows do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis import AnalysisReport
-from repro.core.jit.ir import KernelIR
-from repro.engine.plan.cost import CostModel, OptimizerConfig, stream_chunk_rows
+from repro.engine.plan.cost import CostModel, OptimizerConfig
 from repro.engine.plan.physical import (
     AggregateOp,
     DropOp,
+    ExecutionReport,
     FilterOp,
     GroupAggregateOp,
     HashJoinOp,
@@ -29,11 +33,8 @@ from repro.engine.plan.physical import (
     ScanOp,
     SortOp,
 )
-from repro.engine.sql.ast_nodes import Query
 from repro.gpusim import profiler as gpu_profiler
-from repro.gpusim import timing as gpu_timing
-from repro.gpusim.device import GpuDevice
-from repro.gpusim.streaming import StreamingConfig, StreamTiming, stream_timing
+from repro.gpusim.streaming import StreamingConfig, StreamTiming
 from repro.storage.relation import Relation
 
 
@@ -128,79 +129,69 @@ class ExplainResult:
 
 
 def explain_query(
-    query: Query,
     chain: List[PhysicalOp],
     relation: Relation,
     simulate_rows: int,
-    device: GpuDevice,
+    cost_model: CostModel,
+    optimizer: OptimizerConfig,
+    streaming: StreamingConfig,
     joined=None,
-    streaming: Optional[StreamingConfig] = None,
     measure_data_plane: bool = False,
-    cost_model: Optional[CostModel] = None,
-    optimizer: Optional[OptimizerConfig] = None,
 ) -> ExplainResult:
     """Build an ExplainResult from a planned query.
 
-    The kernel table and the compile estimate come from the kernels the
+    The estimated total is what execution would charge at the planner's
+    estimated rows, priced by the :class:`CostModel` methods execution
+    calls: the operator estimates, each kernel launch at its operator's
+    estimated input rows, the compile of every kernel the plan did not
+    find cached, and the pipeline overhead.  With streaming, the scan's
+    transfers are deferred as execution defers them: a column's first
+    kernel overlaps it, a bare aggregated column and whatever no kernel
+    read ship serially.  The kernel table comes from the kernels the
     planner recorded on the operators; nothing is compiled here.  With
     ``measure_data_plane`` each kernel is additionally run once over the
     relation's real stored columns and its wall-clock
     (``KernelPlan.data_plane_ms``) recorded -- the measured counterpart of
     the simulated ``estimated_ms``.
     """
+    cost = cost_model
     operators: List[str] = []
     kernels: List[KernelPlan] = []
-    compiled_irs: List[KernelIR] = []
-    # Mirrors the executor's residency tracking: only a column's first
-    # kernel use pays (and overlaps) its host-to-device transfer.
-    resident: set = set()
+    total = 0.0
+    compile_seconds = 0.0
+    compiled_count = 0
+    #: Deferred scan transfers, as ``QueryContext.pending_transfer`` holds them.
+    pending: Dict[str, float] = {}
 
-    def add_kernel(text: str, planned: Optional[PlannedKernel]) -> None:
-        if planned is None:
-            return  # bare columns and COUNT need no kernel
-        compiled = planned[0]
-        compiled_irs.append(compiled.kernel)
-        estimate = gpu_timing.kernel_time(compiled.kernel, simulate_rows, device)
+    def add_kernel(text: str, planned: PlannedKernel, rows: float) -> float:
+        nonlocal compile_seconds, compiled_count
+        compiled, cached = planned
+        kernel = compiled.kernel
+        if not cached:
+            compile_seconds += cost.compile(kernel, first=compiled_count == 0)
+            compiled_count += 1
+        if streaming.enabled:
+            transfer_bytes = 0.0
+            for column in kernel.input_columns:
+                transfer_bytes += pending.pop(column, 0.0)
+            timing = cost.stream(kernel, rows, streaming, transfer_bytes, optimizer.enabled)
+        else:
+            timing = cost.launch(kernel, rows)
         plan = KernelPlan(
-            name=compiled.kernel.name,
+            name=kernel.name,
             expression=text,
             optimised_expression=compiled.tree.to_sql(),
-            result_spec=str(compiled.kernel.result_spec),
+            result_spec=str(kernel.result_spec),
             alignments_before=compiled.alignments_before,
             alignments_after=compiled.alignments_after,
-            estimated_ms=estimate.seconds * 1e3,
-            source=compiled.kernel.source,
-            diagnostics=compiled.kernel.analysis,
+            estimated_ms=timing.pipelined_seconds * 1e3,
+            source=kernel.source,
+            timing=timing if streaming.enabled else None,
+            diagnostics=kernel.analysis,
         )
-        if streaming is not None and streaming.enabled:
-            fresh = [
-                column
-                for column in compiled.kernel.input_columns
-                if column not in resident
-            ]
-            resident.update(compiled.kernel.input_columns)
-            transfer_bytes = simulate_rows * sum(
-                compiled.kernel.input_columns[column].compact_bytes for column in fresh
-            )
-            chunk_rows = stream_chunk_rows(
-                compiled.kernel,
-                simulate_rows,
-                streaming,
-                transfer_bytes,
-                device,
-                cost_model,
-                optimizer,
-            )
-            plan.timing = stream_timing(
-                compiled.kernel,
-                simulate_rows,
-                chunk_rows,
-                device,
-                transfer_bytes=transfer_bytes,
-            )
         if measure_data_plane:
             inputs = {}
-            for column in compiled.kernel.input_columns:
+            for column in kernel.input_columns:
                 source = relation
                 for joined_relation in (joined or {}).values():
                     if column in joined_relation.column_names:
@@ -210,19 +201,28 @@ def explain_query(
             lengths = {data.shape[0] for data in inputs.values()}
             if len(lengths) <= 1:  # join-mixed inputs can't run standalone
                 measured = gpu_profiler.measure_data_plane(
-                    compiled.kernel,
+                    kernel,
                     inputs,
                     lengths.pop() if lengths else relation.rows,
-                    device=device,
+                    device=cost.device,
                 )
                 plan.data_plane_ms = measured.seconds * 1e3
                 plan.data_plane_rows_per_s = measured.rows_per_second
         kernels.append(plan)
+        return timing.pipelined_seconds
 
+    rows = float(simulate_rows)  # estimated rows entering each operator
     for op in chain:
         line: Optional[str] = None
+        seconds = op.estimated.total_seconds
         if isinstance(op, ScanOp):
             line = f"Scan {relation.name} [{', '.join(op.columns)}]"
+            if streaming.enabled:
+                # The scan only reads; its columns ship with their kernels.
+                scale = simulate_rows / max(relation.rows, 1)
+                wire = op.wire_bytes(relation, ExecutionReport())
+                pending = {name: wire[name] * scale for name in op.columns}
+                seconds = cost.disk_scan(int(sum(wire.values()) * scale))
         elif isinstance(op, FilterOp):
             if op.always_false:
                 line = "Filter [FALSE]"
@@ -234,7 +234,8 @@ def explain_query(
             if op.carry:
                 line += f" carry [{', '.join(op.carry)}]"
             for item, planned in zip(op.items, op.kernels):
-                add_kernel(item.text, planned)
+                if planned is not None:
+                    seconds += add_kernel(item.text, planned, rows)
         elif isinstance(op, (AggregateOp, GroupAggregateOp)):
             line = "[" + ", ".join(str(i.expression) for i in op.items) + "]"
             if isinstance(op, GroupAggregateOp):
@@ -242,7 +243,11 @@ def explain_query(
             else:
                 line = f"Aggregate {line}"
             for item, planned in zip(op.items, op.kernels):
-                add_kernel(item.text, planned)
+                if planned is not None:
+                    seconds += add_kernel(item.text, planned, rows)
+                elif item.expression.function != "COUNT":
+                    # A bare column feeds the reduction without a kernel.
+                    seconds += cost.transfer(pending.pop(item.tree.name, 0.0))
         elif isinstance(op, SortOp):
             line = "Sort [" + ", ".join(
                 f"{k.column} {'ASC' if k.ascending else 'DESC'}" for k in op.keys
@@ -261,25 +266,18 @@ def explain_query(
         elif isinstance(op, LimitOp):
             line = f"Limit [{op.count}]"
         if line is not None:
-            if op.estimated is not None:
-                line += f" {op.estimated.format()}"
-            operators.append(line)
-
-    # Reuse the compile-time model on the actual kernel set.
-    compile_seconds = gpu_timing.compile_time(compiled_irs)
-
-    # Streamed kernels are estimated at their pipelined time (which folds
-    # in the overlapped H2D transfer); serial kernels at their launch time.
-    total_ms = compile_seconds * 1e3 + sum(
-        k.timing.pipelined_seconds * 1e3 if k.timing is not None else k.estimated_ms
-        for k in kernels
-    )
+            operators.append(f"{line} {op.estimated.format()}")
+        total += seconds
+        rows = op.estimated.rows
+    # What no kernel read ships serially at the end of the plan.
+    total += cost.transfer(sum(pending.values()))
+    total += compile_seconds + cost.pipeline(len(chain), simulate_rows)
     return ExplainResult(
         sql="",
         operators=operators,
         kernels=kernels,
         estimated_compile_ms=compile_seconds * 1e3,
-        estimated_total_ms=total_ms,
+        estimated_total_ms=total * 1e3,
         simulate_rows=simulate_rows,
         rewrites=[event.format() for event in getattr(chain, "events", [])],
         choices=list(getattr(chain, "choices", [])),

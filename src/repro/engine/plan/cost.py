@@ -1,32 +1,45 @@
-"""Cost model for the planner: per-node estimates and physical choices.
+"""The engine's one cost function: every simulated charge and every estimate.
 
-The model reuses the roofline terms of :mod:`repro.gpusim.timing` -- disk
-scan, PCIe transfer, DRAM passes, kernel-launch overhead -- to put a
-``(startup, total, rows)`` estimate on every plan node, ISGBD-style, and
-to choose between physical alternatives:
+:class:`CostModel` is the only engine code that turns bytes, rows and
+kernels into simulated seconds.  Each charge is one method -- disk scan,
+PCIe transfer, filter pass, hash and nested-loop join, ORDER BY sort,
+group key sort, payload gather, multi-pass reduction, compile, kernel
+launch and chunk choice, pipeline overhead -- built on the roofline
+primitives of :mod:`repro.gpusim.timing`.  The physical operators and
+:func:`~repro.engine.executor.run_plan` call these methods with the
+actual bytes and rows of an execution; the planner calls the same methods
+with estimated inputs to put an ISGBD-style ``(startup, total, rows)``
+estimate on every plan node, and EXPLAIN prices the planned kernels,
+compile and pipeline through them too.  An estimate therefore differs
+from the charge only where its inputs do (cardinalities, catalog widths).
 
-* hash join vs nested-loop join (the build/probe random-access passes vs
+Estimates drive two physical choices:
+
+* hash join vs nested-loop join (one random-access build/probe pass vs
   the O(left x right) streaming scan -- a tiny build side wins the loop);
 * streamed vs serial kernel execution and the stream chunk size (the
   pipelined estimate of :func:`repro.gpusim.streaming.stream_timing`
   across a candidate set, with "one chunk" being the serial plan).
-
-Estimates drive *choice and EXPLAIN output only*; execution keeps charging
-its own (actual-selectivity) costs, so the report never depends on the
-estimator being right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.jit import ir
+from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.sql.ast_nodes import Comparison
 from repro.errors import ReproError
+from repro.gpusim import occupancy as gpu_occupancy
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
-from repro.gpusim.streaming import DEFAULT_CHUNK_ROWS, StreamingConfig, stream_timing
+from repro.gpusim.streaming import (
+    DEFAULT_CHUNK_ROWS,
+    StreamingConfig,
+    StreamTiming,
+    stream_timing,
+)
 from repro.storage.codecs import ZoneMap
 from repro.storage.relation import Relation
 from repro.storage.schema import DecimalType, literal_operand
@@ -34,22 +47,16 @@ from repro.storage.schema import DecimalType, literal_operand
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Which optimizer stages run for a query.
+    """Whether the optimizer runs for a query.
 
-    The default is everything on; ``OptimizerConfig.off()`` reproduces the
-    historical fixed-shape planner (modulo always-on correctness passes
-    such as sort-key retention).
+    The default is on: the logical rewrite rules (pushdown, merge, pruning
+    and statistics-driven join reordering), the cost-based hash vs
+    nested-loop join choice, and the cost-based stream chunk size.
+    ``OptimizerConfig.off()`` reproduces the historical fixed-shape planner
+    (modulo always-on correctness passes such as sort-key retention).
     """
 
-    #: Run the logical rewrite rules (pushdown, merge, pruning).
-    rewrite: bool = True
-    #: Statistics-driven multi-join reordering (requires ``rewrite``: the
-    #: reorder pass runs inside the rewrite-rule engine).
-    reorder_joins: bool = True
-    #: Cost-based hash vs nested-loop join choice.
-    choose_join: bool = True
-    #: Cost-based stream chunk sizing / serial fallback per kernel.
-    choose_streaming: bool = True
+    enabled: bool = True
     #: Raise :class:`repro.errors.PlanAnalysisError` when the plan
     #: analyzer, which runs over every planned query, reports errors
     #: (default: attach diagnostics to the plan and EXPLAIN output without
@@ -58,12 +65,7 @@ class OptimizerConfig:
 
     @classmethod
     def off(cls) -> "OptimizerConfig":
-        return cls(
-            rewrite=False,
-            reorder_joins=False,
-            choose_join=False,
-            choose_streaming=False,
-        )
+        return cls(enabled=False)
 
 
 @dataclass
@@ -276,126 +278,146 @@ class CostEstimate:
         )
 
 
+#: Thread-group width (TPI) of the multi-pass aggregation, section III-E2.
+AGGREGATION_TPI = 8
+
+#: Per-operator pipeline overhead at 10M tuples (materialisation, operator
+#: setup, result collection: the host-side engine cost around the kernels,
+#: RateupDB heritage, calibrated on Figure 14(b)).
+OPERATOR_OVERHEAD_SECONDS = 0.050
+
+
+@dataclass(frozen=True)
 class CostModel:
-    """Per-node cost estimation over the simulated device/host."""
+    """Simulated seconds of every engine charge on one device and host.
 
-    def __init__(
+    Each method prices one charge from its inputs alone, so execution
+    (actual inputs) and planning or EXPLAIN (estimated inputs) share one
+    formula.  Frozen: the plan cache keys on it.
+    """
+
+    device: GpuDevice = DEFAULT_DEVICE
+    host: HostSystem = DEFAULT_HOST
+    #: Charge the host-side disk scan (the paper's experiments exclude it).
+    include_scan: bool = True
+
+    # ---------------------------------------------------------- charges
+
+    def disk_scan(self, bytes_read: float) -> float:
+        """Host-side table scan of ``bytes_read``; nothing without ``include_scan``."""
+        if not self.include_scan:
+            return 0.0
+        return gpu_timing.disk_scan_time(int(bytes_read), self.host)
+
+    def transfer(self, bytes_moved: float) -> float:
+        """One host<->device PCIe transfer of ``bytes_moved``."""
+        return gpu_timing.pcie_time(int(bytes_moved), self.device)
+
+    def filter_pass(self, bytes_per_row: float, rows: float) -> float:
+        """A predicate kernel: one DRAM pass over the predicate columns."""
+        return (
+            gpu_timing.dram_pass_time(bytes_per_row * rows, self.device)
+            + self.device.kernel_launch_overhead
+        )
+
+    def hash_join(self, left_rows: float, right_rows: float) -> float:
+        """Hash build over the right side plus probe of the left."""
+        return gpu_timing.hash_join_time(left_rows, right_rows, self.device)
+
+    def nested_loop_join(self, left_rows: float, right_rows: float) -> float:
+        """Every left row streams the whole right key array."""
+        return gpu_timing.nested_loop_join_time(left_rows, right_rows, self.device)
+
+    def sort(self) -> float:
+        """ORDER BY over the (small) result batch: one launch."""
+        return self.device.kernel_launch_overhead
+
+    def key_sort(self, key_bytes_per_row: float, rows: float) -> float:
+        """GROUP BY's device sort: ``sort_passes`` DRAM passes over the keys."""
+        passes = gpu_timing.sort_passes(max(int(round(rows)), 1))
+        return gpu_timing.dram_pass_time(passes * key_bytes_per_row * rows, self.device)
+
+    def payload_gather(self, value_bytes_per_row: float, rows: float) -> float:
+        """Moving every aggregated value into its group's segment."""
+        return rows * value_bytes_per_row / gpu_timing.GROUP_GATHER_BANDWIDTH
+
+    def reduction(self, result_words: int, tuples: int) -> float:
+        """One multi-pass reduction of ``tuples`` values into a
+        ``result_words``-word result (:func:`~repro.core.multithread.
+        aggregation.plan_passes`)."""
+        passes = mt_aggregation.plan_passes(tuples, result_words, AGGREGATION_TPI, self.device)
+        return sum(p.seconds for p in passes)
+
+    def compile(self, kernel: ir.KernelIR, first: bool) -> float:
+        """JIT compile of one kernel; the query's ``first`` pays NVRTC startup."""
+        return gpu_timing.compile_time([kernel], include_base=first)
+
+    def launch(self, kernel: ir.KernelIR, rows: float) -> StreamTiming:
+        """One serial launch over ``rows`` tuples (at least one), as a
+        one-chunk pipeline with no transfer stage."""
+        tuples = max(int(round(rows)), 1)
+        seconds = gpu_timing.kernel_time(kernel, tuples, self.device).seconds
+        return StreamTiming(1, 0.0, seconds)
+
+    def stream(
         self,
-        device: GpuDevice = DEFAULT_DEVICE,
-        host: HostSystem = DEFAULT_HOST,
-        include_scan: bool = True,
-        include_transfer: bool = True,
-    ):
-        self.device = device
-        self.host = host
-        self.include_scan = include_scan
-        self.include_transfer = include_transfer
-
-    # ------------------------------------------------------------- per node
-
-    def scan(self, bytes_moved: float, rows: float) -> CostEstimate:
-        seconds = 0.0
-        if self.include_scan:
-            seconds += gpu_timing.disk_scan_time(int(bytes_moved), self.host)
-        if self.include_transfer:
-            seconds += gpu_timing.pcie_time(int(bytes_moved), self.device)
-        return CostEstimate(0.0, seconds, rows)
-
-    def filter(
-        self,
-        predicates: List[Comparison],
-        bytes_per_row: float,
+        kernel: ir.KernelIR,
         rows: float,
-        table: Optional[TableStats] = None,
-    ) -> CostEstimate:
-        traffic = bytes_per_row * rows
-        seconds = (
-            gpu_timing.dram_pass_time(traffic, self.device)
-            + self.device.kernel_launch_overhead
+        streaming: StreamingConfig,
+        transfer_bytes: float,
+        optimize: bool,
+    ) -> StreamTiming:
+        """A streamed launch over ``rows`` tuples whose pending input
+        transfer of ``transfer_bytes`` overlaps the chunks' compute."""
+        tuples = max(int(round(rows)), 1)
+        chunk_rows = self.chunk_rows(kernel, tuples, streaming, transfer_bytes, optimize)
+        return stream_timing(
+            kernel, tuples, chunk_rows, self.device, transfer_bytes=int(transfer_bytes)
         )
-        return CostEstimate(0.0, seconds, rows * predicate_selectivity(predicates, table))
 
-    def hash_join(
+    def chunk_rows(
         self,
-        left_rows: float,
-        right_rows: float,
-        right_bytes: float,
-        out_rows: float,
-    ) -> CostEstimate:
-        """Build on the right side (startup), probe the left (total)."""
-        startup = self.scan(right_bytes, right_rows).total_seconds
-        startup += gpu_timing.dram_pass_time(
-            right_rows * gpu_timing.JOIN_KEY_BYTES, self.device, random_access=True
-        )
-        probe = (
-            gpu_timing.dram_pass_time(
-                left_rows * gpu_timing.JOIN_KEY_BYTES, self.device, random_access=True
-            )
-            + self.device.kernel_launch_overhead
-        )
-        return CostEstimate(startup, startup + probe, out_rows)
+        kernel: ir.KernelIR,
+        tuples: int,
+        streaming: StreamingConfig,
+        transfer_bytes: float,
+        optimize: bool,
+    ) -> int:
+        """Rows per stream chunk of one launch: the pipelined-cost argmin
+        (:meth:`choose_chunk_rows`) when the optimizer runs, else the
+        configured (or memory-budget auto) size."""
+        if optimize:
+            return self.choose_chunk_rows(kernel, tuples, streaming, transfer_bytes)
+        return streaming.resolve_chunk_rows(kernel, self.device, tuples)
 
-    def nested_loop_join(
-        self,
-        left_rows: float,
-        right_rows: float,
-        right_bytes: float,
-        out_rows: float,
-    ) -> CostEstimate:
-        startup = self.scan(right_bytes, right_rows).total_seconds
-        probe = gpu_timing.nested_loop_join_time(left_rows, right_rows, self.device)
-        return CostEstimate(startup, startup + probe, out_rows)
+    def occupancy(self, kernel: ir.KernelIR) -> float:
+        """SM occupancy fraction of a launch (the scheduler's SM demand)."""
+        return gpu_occupancy.compute(kernel, self.device).occupancy
 
-    def project(self, result_bytes_per_row: float, rows: float) -> CostEstimate:
-        seconds = 0.0
-        if self.include_transfer:
-            seconds += gpu_timing.pcie_time(int(result_bytes_per_row * rows), self.device)
-        return CostEstimate(0.0, seconds, rows)
-
-    def sort(self, key_bytes_per_row: float, rows: float) -> CostEstimate:
-        passes = gpu_timing.sort_passes(rows)
-        seconds = (
-            gpu_timing.dram_pass_time(passes * key_bytes_per_row * rows, self.device)
-            + self.device.kernel_launch_overhead
-        )
-        # A sort emits nothing until the whole input is consumed.
-        return CostEstimate(seconds, seconds, rows)
-
-    def group_aggregate(
-        self, key_bytes_per_row: float, value_bytes_per_row: float, rows: float, groups: float
-    ) -> CostEstimate:
-        key_sort = self.sort(key_bytes_per_row, rows).total_seconds
-        gather = value_bytes_per_row * rows / gpu_timing.GROUP_GATHER_BANDWIDTH
-        reduce_pass = gpu_timing.dram_pass_time(value_bytes_per_row * rows, self.device)
-        total = key_sort + gather + reduce_pass
-        return CostEstimate(total, total, groups)
-
-    def aggregate(self, value_bytes_per_row: float, rows: float) -> CostEstimate:
-        seconds = (
-            gpu_timing.dram_pass_time(value_bytes_per_row * rows, self.device)
-            + self.device.kernel_launch_overhead
-        )
-        return CostEstimate(seconds, seconds, 1.0)
-
-    def limit(self, count: int, rows: float) -> CostEstimate:
-        return CostEstimate(0.0, 0.0, min(float(count), rows))
+    def pipeline(self, operators: int, simulate_rows: int) -> float:
+        """Host pipeline overhead of an ``operators``-long chain."""
+        return operators * OPERATOR_OVERHEAD_SECONDS * (simulate_rows / 10_000_000)
 
     # ------------------------------------------------------ physical choice
 
-    def choose_join(
+    def join_estimates(
         self,
         left_rows: float,
         right_rows: float,
         right_bytes: float,
         out_rows: float,
-    ) -> Tuple[str, CostEstimate, Dict[str, CostEstimate]]:
-        """Pick the cheaper join strategy; returns (name, winner, all)."""
-        candidates = {
-            "hash": self.hash_join(left_rows, right_rows, right_bytes, out_rows),
-            "nested-loop": self.nested_loop_join(left_rows, right_rows, right_bytes, out_rows),
+    ) -> Dict[str, CostEstimate]:
+        """Both join algorithms' estimates: the build side's scan and
+        transfer before any row (startup), then the join pass."""
+        startup = self.disk_scan(right_bytes) + self.transfer(right_bytes)
+        return {
+            "hash": CostEstimate(
+                startup, startup + self.hash_join(left_rows, right_rows), out_rows
+            ),
+            "nested-loop": CostEstimate(
+                startup, startup + self.nested_loop_join(left_rows, right_rows), out_rows
+            ),
         }
-        name = min(candidates, key=lambda key: candidates[key].total_seconds)
-        return name, candidates[name], candidates
 
     def choose_chunk_rows(
         self,
@@ -441,25 +463,3 @@ class CostModel:
 
         # Deterministic tie-break: prefer the larger chunk (fewer launches).
         return min(sorted(candidates, reverse=True), key=pipelined)
-
-
-def stream_chunk_rows(
-    kernel: ir.KernelIR,
-    simulate_rows: int,
-    streaming: StreamingConfig,
-    transfer_bytes: float,
-    device: GpuDevice,
-    cost_model: Optional[CostModel],
-    optimizer: Optional[OptimizerConfig],
-) -> int:
-    """Rows per stream chunk for one kernel launch.
-
-    The one chunk-size rule: the executor and EXPLAIN both call it.  With
-    ``optimizer.choose_streaming`` set and a cost model present, the cost
-    model picks the size minimising the pipelined estimate; otherwise
-    :meth:`StreamingConfig.resolve_chunk_rows` applies the configured (or
-    memory-budget auto) size.
-    """
-    if cost_model is not None and optimizer is not None and optimizer.choose_streaming:
-        return cost_model.choose_chunk_rows(kernel, simulate_rows, streaming, transfer_bytes)
-    return streaming.resolve_chunk_rows(kernel, device, simulate_rows)

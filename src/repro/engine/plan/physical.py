@@ -1,9 +1,12 @@
 """Physical operators: executable, costed plan nodes.
 
 Each operator both *computes* (bit-exactly, over the real rows registered
-with the engine) and *charges* the simulated cost model (scaled to the
-engine's ``simulate_rows``, since every model is linear in N).  The
-executor threads a :class:`Batch` through the chain.
+with the engine) and *charges* the simulated clock (scaled to the engine's
+``simulate_rows``, since every model is linear in N).  Every charge is a
+:class:`~repro.engine.plan.cost.CostModel` method called with the actual
+bytes and rows -- the same method the planner calls with estimates -- and
+a kernel launch is charged from its ``gpusim`` entry point.  The executor
+threads a :class:`Batch` through the chain.
 """
 
 from __future__ import annotations
@@ -23,14 +26,11 @@ from repro.core.decimal.vectorized import DecimalVector
 from repro.core.jit.expr_ast import ColumnRef
 from repro.core.jit.pipeline import CompiledExpression
 from repro.core.multithread import aggregation as mt_aggregation
-from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig, stream_chunk_rows
+from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey, SelectItem
 from repro.errors import ExecutionError, MultithreadError, PlanningError, StorageError
 from repro.gpusim import executor as gpu_executor
-from repro.gpusim import occupancy as gpu_occupancy
-from repro.gpusim import timing as gpu_timing
 from repro.gpusim.residency import DeviceResidency
-from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
 from repro.gpusim.streaming import StreamingConfig, StreamTiming, execute_streamed
 from repro.storage.column import Column
 from repro.storage.relation import Relation
@@ -155,18 +155,14 @@ class Batch:
 
 @dataclass
 class QueryContext:
-    """Everything operators need: device models, caches, options."""
+    """Everything operators need: the cost model, caches, options."""
 
     relation: Relation
     simulate_rows: int
     #: Relations brought in by JOIN clauses, keyed by table name.
     joined: Dict[str, Relation] = field(default_factory=dict)
-    device: GpuDevice = DEFAULT_DEVICE
-    host: HostSystem = DEFAULT_HOST
-    include_scan: bool = True
-    include_transfer: bool = True
-    include_compile: bool = True
-    tpi: int = 8  # thread-group width for aggregation
+    #: Prices every charge (device, host, whether the disk scan counts).
+    cost_model: CostModel = field(default_factory=CostModel)
     streaming: StreamingConfig = field(default_factory=StreamingConfig)
     #: Simulated bytes of scanned columns not yet shipped to the device.
     #: With streaming enabled, ScanOp defers its PCIe charge here; the
@@ -174,10 +170,8 @@ class QueryContext:
     #: compute, and :func:`repro.engine.executor.run_plan` flushes whatever
     #: no kernel consumed as a plain serial transfer.
     pending_transfer: Dict[str, float] = field(default_factory=dict)
-    #: Cost model for runtime physical choices (stream chunk sizing); None
-    #: reproduces the un-costed behaviour.
-    cost_model: Optional["CostModel"] = None
-    #: Which optimizer stages are active for this query.
+    #: Whether the optimizer runs for this query (it picks stream chunk
+    #: sizes at launch).
     optimizer: "OptimizerConfig" = field(default_factory=lambda: OptimizerConfig.off())
     #: Cross-query device residency of columns (shared by the serving
     #: layer's sessions).  ``None`` keeps the single-query behaviour:
@@ -198,7 +192,7 @@ class PhysicalOp:
     """Base class: transforms a batch and charges the report."""
 
     #: Planner-attached :class:`~repro.engine.plan.cost.CostEstimate` for
-    #: EXPLAIN display; ``None`` when the query planned without costing.
+    #: EXPLAIN; ``None`` on an operator built without the planner.
     estimated: Optional["CostEstimate"] = None
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
@@ -248,68 +242,73 @@ class ScanOp(PhysicalOp):
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         relation = context.relation
+        cost = context.cost_model
         scale = context.simulate_rows / max(relation.rows, 1)
+        wire = self.wire_bytes(relation, context.report)
+        simulated_bytes = int(sum(wire.values()) * scale)
+        context.report.scan_seconds += cost.disk_scan(simulated_bytes)
+        if cost.include_scan:
+            context.report.scan_bytes += simulated_bytes
+        ship = self.columns
+        if context.residency is not None:
+            # Shared device: columns another query already shipped are
+            # resident (keyed by version, so appends re-ship), and this
+            # scan pays PCIe only for the cold ones.
+            ship = [
+                name
+                for name in self.columns
+                if context.residency.admit(
+                    (relation.name, name, relation.column(name).version),
+                    wire[name] * scale,
+                )
+            ]
+        if context.streaming.enabled:
+            # Defer the H2D copy: the first kernel touching each column
+            # streams its transfer chunk-wise, overlapped with compute.
+            for name in ship:
+                context.pending_transfer[name] = (
+                    context.pending_transfer.get(name, 0.0) + wire[name] * scale
+                )
+        else:
+            ship_bytes = int(sum(wire[name] for name in ship) * scale) if ship else 0
+            context.report.pcie_seconds += cost.transfer(ship_bytes)
+            context.report.pcie_bytes += ship_bytes
+        columns = {name: relation.column(name) for name in self.columns}
+        context.report.simulated_rows = context.simulate_rows
+        return Batch(columns=columns, rows=relation.rows, simulated_rows=float(context.simulate_rows))
+
+    def wire_bytes(self, relation: Relation, report: ExecutionReport) -> Dict[str, float]:
+        """Per-column bytes this scan reads and ships, before scaling.
+
+        Codec columns count their encoded wire size minus the chunks a
+        zone map skips, other columns their stored bytes scaled by the
+        surviving-row fraction.  ``report`` counts the zone chunks scanned
+        and skipped.  EXPLAIN prices its deferred transfers from these
+        bytes too, so they match execution's.
+        """
         skip = _zone_skip_mask(relation, self.predicates) if self.predicates else None
         kept_fraction = 1.0
         if skip is not None:
             kept_fraction = float(np.count_nonzero(~skip)) / max(relation.rows, 1)
-
-        # Per-column bytes this scan actually reads and ships: encoded wire
-        # size for codec columns (minus zone-skipped chunks), stored bytes
-        # (scaled by the surviving-row fraction) otherwise.
         wire: Dict[str, float] = {}
         for name in self.columns:
             column = relation.column(name)
             if column.codec is not None and isinstance(column.column_type, DecimalType):
                 encoding = column.encoding()
-                context.report.zone_chunks_total += len(encoding.chunks)
+                report.zone_chunks_total += len(encoding.chunks)
                 if skip is None:
                     wire[name] = float(encoding.wire_bytes)
                 else:
                     kept = 0
                     for chunk in encoding.chunks:
                         if skip[chunk.zone.row_start : chunk.zone.row_stop].all():
-                            context.report.zone_chunks_skipped += 1
+                            report.zone_chunks_skipped += 1
                         else:
                             kept += chunk.wire_bytes
                     wire[name] = float(kept)
             else:
                 wire[name] = column.bytes_stored * kept_fraction
-
-        simulated_bytes = int(sum(wire.values()) * scale)
-        if context.include_scan:
-            context.report.scan_seconds += gpu_timing.disk_scan_time(simulated_bytes, context.host)
-            context.report.scan_bytes += simulated_bytes
-        if context.include_transfer:
-            ship = self.columns
-            if context.residency is not None:
-                # Shared device: columns another query already shipped are
-                # resident (keyed by version, so appends re-ship), and this
-                # scan pays PCIe only for the cold ones.
-                ship = [
-                    name
-                    for name in self.columns
-                    if context.residency.admit(
-                        (relation.name, name, relation.column(name).version),
-                        wire[name] * scale,
-                    )
-                ]
-            if context.streaming.enabled:
-                # Defer the H2D copy: the first kernel touching each column
-                # streams its transfer chunk-wise, overlapped with compute.
-                for name in ship:
-                    context.pending_transfer[name] = (
-                        context.pending_transfer.get(name, 0.0) + wire[name] * scale
-                    )
-            else:
-                ship_bytes = int(sum(wire[name] for name in ship) * scale) if ship else 0
-                context.report.pcie_seconds += gpu_timing.pcie_time(
-                    ship_bytes, context.device
-                )
-                context.report.pcie_bytes += ship_bytes
-        columns = {name: relation.column(name) for name in self.columns}
-        context.report.simulated_rows = context.simulate_rows
-        return Batch(columns=columns, rows=relation.rows, simulated_rows=float(context.simulate_rows))
+        return wire
 
 
 class FilterOp(PhysicalOp):
@@ -356,9 +355,9 @@ class FilterOp(PhysicalOp):
             batch.column(name).bytes_stored / max(batch.rows, 1)
             for name in predicate_columns
         )
-        context.report.filter_seconds += gpu_timing.dram_pass_time(
-            predicate_bytes * batch.simulated_rows, context.device
-        ) + context.device.kernel_launch_overhead
+        context.report.filter_seconds += context.cost_model.filter_pass(
+            predicate_bytes, batch.simulated_rows
+        )
         return Batch(
             columns={name: column.take(indices) for name, column in batch.columns.items()},
             rows=len(indices),
@@ -426,14 +425,12 @@ class _JoinOp(PhysicalOp):
         ship_bytes = int(
             right_relation.wire_bytes_for(self.right_columns) * right_scale * survival
         )
-        if context.include_scan:
-            context.report.scan_seconds += gpu_timing.disk_scan_time(
-                scanned_bytes, context.host
-            )
+        cost = context.cost_model
+        context.report.scan_seconds += cost.disk_scan(scanned_bytes)
+        if cost.include_scan:
             context.report.scan_bytes += scanned_bytes
-        if context.include_transfer:
-            context.report.pcie_seconds += gpu_timing.pcie_time(ship_bytes, context.device)
-            context.report.pcie_bytes += ship_bytes
+        context.report.pcie_seconds += cost.transfer(ship_bytes)
+        context.report.pcie_bytes += ship_bytes
 
         sim_right = right_relation.rows * right_scale * survival
         return right_relation, keep, sim_right
@@ -475,8 +472,8 @@ class HashJoinOp(_JoinOp):
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
         right_relation, keep, sim_right = self._prepare_right(context)
-        context.report.filter_seconds += gpu_timing.hash_join_time(
-            batch.simulated_rows, sim_right, context.device
+        context.report.filter_seconds += context.cost_model.hash_join(
+            batch.simulated_rows, sim_right
         )
         return self._join(batch, right_relation, keep)
 
@@ -494,8 +491,8 @@ class NestedLoopJoinOp(_JoinOp):
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
         right_relation, keep, sim_right = self._prepare_right(context)
-        context.report.filter_seconds += gpu_timing.nested_loop_join_time(
-            batch.simulated_rows, sim_right, context.device
+        context.report.filter_seconds += context.cost_model.nested_loop_join(
+            batch.simulated_rows, sim_right
         )
         return self._join(batch, right_relation, keep)
 
@@ -522,12 +519,11 @@ class ProjectOp(_KernelOp):
                 continue
             vector = _evaluate_expression(item, batch, context, self.kernels[index])
             out[item.name] = Column.decimal_from_vector(item.name, vector)
-        if context.include_transfer:
-            result_bytes = sum(
-                column.bytes_stored / max(batch.rows, 1) for column in out.values()
-            ) * batch.simulated_rows
-            context.report.pcie_seconds += gpu_timing.pcie_time(int(result_bytes), context.device)
-            context.report.pcie_bytes += result_bytes
+        result_bytes = sum(
+            column.bytes_stored / max(batch.rows, 1) for column in out.values()
+        ) * batch.simulated_rows
+        context.report.pcie_seconds += context.cost_model.transfer(result_bytes)
+        context.report.pcie_bytes += result_bytes
         for name in self.carry:
             if name not in out:
                 out[name] = batch.column(name)
@@ -562,15 +558,12 @@ class AggregateOp(_KernelOp):
                 raise MultithreadError("cannot aggregate an empty column")
             started = time.perf_counter()
             run = mt_aggregation.aggregate_segments(
-                vector,
-                _ONE_SEGMENT,
-                op=call.function.lower(),
-                tpi=context.tpi,
-                device=context.device,
-                simulate_tuples=sim_n,
+                vector, _ONE_SEGMENT, op=call.function.lower(), simulate_tuples=sim_n
             )
             context.report.data_plane_seconds += time.perf_counter() - started
-            context.report.aggregate_seconds += run.seconds
+            context.report.aggregate_seconds += context.cost_model.reduction(
+                run.spec.words, sim_n
+            )
             out[item.name] = Column.decimal_from_unscaled(item.name, run.values, run.spec)
         return Batch(columns=out, rows=1, simulated_rows=1.0)
 
@@ -597,14 +590,12 @@ class GroupAggregateOp(_KernelOp):
         order, starts = _group_rows([(codes, len(values)) for codes, values in keys], rows)
         first_rows = order[starts]
 
+        cost = context.cost_model
         sim_n = max(int(round(batch.simulated_rows)), 1)
-        # Sort cost over the key bytes + aggregation passes over all rows.
         key_bytes = sum(
             batch.column(name).bytes_stored / max(rows, 1) for name in self.group_by
         )
-        context.report.sort_seconds += gpu_timing.dram_pass_time(
-            gpu_timing.sort_passes(sim_n) * key_bytes * batch.simulated_rows, context.device
-        )
+        context.report.sort_seconds += cost.key_sort(key_bytes, batch.simulated_rows)
 
         columns: Dict[str, Column] = {}
         for name, (codes, values) in zip(self.group_by, keys):
@@ -626,21 +617,15 @@ class GroupAggregateOp(_KernelOp):
             vector = _evaluate_expression(item, batch, context, self.kernels[index])
             # Payload gather: every (4*Lw+1)-byte value moves into its
             # group segment before the blockwise reduction.
-            value_bytes = 4 * vector.spec.words + 1
-            context.report.aggregate_seconds += (
-                batch.simulated_rows * value_bytes / gpu_timing.GROUP_GATHER_BANDWIDTH
+            context.report.aggregate_seconds += cost.payload_gather(
+                4 * vector.spec.words + 1, batch.simulated_rows
             )
             started = time.perf_counter()
             run = mt_aggregation.aggregate_segments(
-                vector.take(order),
-                starts,
-                op=call.function.lower(),
-                tpi=context.tpi,
-                device=context.device,
-                simulate_tuples=charged,
+                vector.take(order), starts, op=call.function.lower(), simulate_tuples=charged
             )
             context.report.data_plane_seconds += time.perf_counter() - started
-            charges.append(run.seconds)
+            charges.append(cost.reduction(run.spec.words, charged))
             columns[item.name] = Column.decimal_from_unscaled(item.name, run.values, run.spec)
 
         # Each group's reductions are charged in group-major order, one
@@ -699,7 +684,7 @@ class SortOp(PhysicalOp):
                     ranked[ranks] = np.cumsum(distinct) - 1
                 ranks = np.argsort(-ranked, kind="stable")
             order = order[ranks]
-        context.report.sort_seconds += context.device.kernel_launch_overhead
+        context.report.sort_seconds += context.cost_model.sort()
         return Batch(
             columns={name: column.take(order) for name, column in batch.columns.items()},
             rows=batch.rows,
@@ -763,16 +748,15 @@ def _evaluate_expression(
                 f"kernel {kernel.name}: column {name!r} is {column_type} in the "
                 f"batch but was compiled as {spec}"
             )
+    cost = context.cost_model
     if cached:
         context.report.kernels_cached += 1
     else:
-        if context.include_compile:
-            # The NVRTC startup base is charged once per query, on the
-            # first kernel compiled.
-            include_base = context.report.kernels_compiled == 0
-            context.report.compile_seconds += gpu_timing.compile_time(
-                [compiled.kernel], include_base=include_base
-            )
+        # The NVRTC startup base is charged once per query, on the first
+        # kernel compiled.
+        context.report.compile_seconds += cost.compile(
+            kernel, first=context.report.kernels_compiled == 0
+        )
         context.report.kernels_compiled += 1
     started = time.perf_counter()
     inputs = {name: batch.column(name).decimal_vector() for name in kernel.input_columns}
@@ -783,18 +767,11 @@ def _evaluate_expression(
         # Only columns whose scan-time transfer is still pending (not yet
         # on the device) feed the overlapped H2D copy.
         transfer_bytes = 0.0
-        if context.include_transfer:
-            for column in kernel.input_columns:
-                transfer_bytes += context.pending_transfer.pop(column, 0.0)
-            context.report.pcie_bytes += transfer_bytes
-        chunk_rows = stream_chunk_rows(
-            kernel,
-            sim,
-            streaming,
-            transfer_bytes,
-            context.device,
-            context.cost_model,
-            context.optimizer,
+        for column in kernel.input_columns:
+            transfer_bytes += context.pending_transfer.pop(column, 0.0)
+        context.report.pcie_bytes += transfer_bytes
+        chunk_rows = cost.chunk_rows(
+            kernel, sim, streaming, transfer_bytes, context.optimizer.enabled
         )
         started = time.perf_counter()
         result, timing = execute_streamed(
@@ -803,15 +780,15 @@ def _evaluate_expression(
             batch.rows,
             simulate_tuples=sim,
             chunk_rows=chunk_rows,
-            device=context.device,
+            device=cost.device,
             transfer_bytes=int(transfer_bytes),
         )
         elapsed = time.perf_counter() - started
-        occupancy = gpu_occupancy.compute(kernel, context.device).occupancy
+        occupancy = cost.occupancy(kernel)
     else:
         started = time.perf_counter()
         run = gpu_executor.execute(
-            kernel, inputs, batch.rows, device=context.device, simulate_tuples=sim
+            kernel, inputs, batch.rows, device=cost.device, simulate_tuples=sim
         )
         elapsed = time.perf_counter() - started
         result, timing = run.result, StreamTiming(1, 0.0, run.timing.seconds)
@@ -837,11 +814,9 @@ def _evaluate_expression(
 
 def _flush_pending_transfer(context: QueryContext, columns) -> None:
     """Serially charge deferred transfers for columns used outside a kernel."""
-    if not context.include_transfer:
-        return
     pending = sum(context.pending_transfer.pop(name, 0.0) for name in columns)
     if pending:
-        context.report.pcie_seconds += gpu_timing.pcie_time(int(pending), context.device)
+        context.report.pcie_seconds += context.cost_model.transfer(pending)
         context.report.pcie_bytes += pending
 
 

@@ -24,8 +24,10 @@ import copy
 import math
 from typing import Dict, Iterator, List, Optional
 
+from repro.core.decimal import inference
 from repro.core.jit.expr_ast import ColumnRef
 from repro.core.jit.pipeline import JitOptions, KernelCache
+from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.cost import (
     CostEstimate,
     CostModel,
@@ -68,10 +70,6 @@ from repro.engine.sql.ast_nodes import AggregateCall, Query
 from repro.errors import PlanningError, TypeInferenceError
 from repro.storage.schema import DecimalType
 
-#: Estimated stored bytes per row of a computed (JIT) result column when
-#: the catalog has no entry for it: a 4-word DECIMAL payload plus sign.
-ESTIMATED_RESULT_BYTES = 17.0
-
 
 class PhysicalPlan:
     """The physical operator chain plus its planning trace.
@@ -109,7 +107,7 @@ def plan_query(
     available_columns: List[str],
     joined_columns=None,
     *,
-    stats: Optional[PlanStats] = None,
+    stats: PlanStats,
     optimizer: Optional[OptimizerConfig] = None,
     cost_model: Optional[CostModel] = None,
     kernel_cache: Optional[KernelCache] = None,
@@ -118,55 +116,46 @@ def plan_query(
 ) -> PhysicalPlan:
     """Build the physical operator plan for a parsed query.
 
-    Without ``stats``/``optimizer``/``cost_model`` this reproduces the
-    historical fixed-shape translation (plus the always-on sort-key
-    retention pass) and annotates no costs.  With ``stats`` every kernel
-    is compiled through ``kernel_cache`` (a fresh one when None) with
-    ``jit_options``; without them no column type is known and nothing is
-    compiled.  The plan-level static analyzer then runs over the plan,
-    its findings labelled ``label``.
+    ``optimizer`` defaults to off, which reproduces the historical
+    fixed-shape translation (plus the always-on sort-key retention pass),
+    and ``cost_model`` to :class:`CostModel`'s defaults.  Every operator
+    gets an estimate from the cost model's charge methods at the
+    estimated rows; every kernel is compiled through ``kernel_cache`` (a
+    fresh one when None) with ``jit_options``.  The plan-level static
+    analyzer then runs over the plan, its findings labelled ``label``.
     """
     optimizer = optimizer if optimizer is not None else OptimizerConfig.off()
+    cost_model = cost_model if cost_model is not None else CostModel()
+    cache = kernel_cache if kernel_cache is not None else KernelCache()
     logical = build_logical_plan(query, available_columns, joined_columns)
     nodes = chain_to_list(logical)
-    nodes, events = apply_rules(
-        nodes,
-        default_rules(optimize=optimizer.rewrite, reorder_joins=optimizer.reorder_joins),
-        stats,
-    )
+    nodes, events = apply_rules(nodes, default_rules(optimize=optimizer.enabled), stats)
 
     choices: List[str] = []
     ops: List[PhysicalOp] = []
-    costed = stats is not None and cost_model is not None
-    rows = float(stats.simulate_rows) if stats is not None else 0.0
+    rows = float(stats.simulate_rows)
+    #: Bytes per row of the columns computed so far (kernel and aggregate
+    #: results, renamed columns), which the catalog does not know.
+    computed: Dict[str, float] = {}
 
     for node in nodes:
-        estimate: Optional[CostEstimate] = None
         if isinstance(node, LogicalScan):
             op: PhysicalOp = ScanOp(node.columns)
-            if costed:
-                estimate = cost_model.scan(stats.main.bytes_for(node.columns) * rows, rows)
+            scanned = stats.main.bytes_for(node.columns) * rows
+            seconds = cost_model.disk_scan(scanned) + cost_model.transfer(scanned)
+            estimate = CostEstimate(0.0, seconds, rows)
         elif isinstance(node, LogicalJoin):
-            op, estimate, rows = _plan_join(
-                node, rows, stats, optimizer, cost_model, choices
-            )
-        elif isinstance(node, LogicalFilter):
-            op = FilterOp(node.predicates, always_false=node.always_false)
-            if costed:
-                if node.always_false:
-                    estimate = CostEstimate(0.0, 0.0, 0.0)
-                else:
-                    estimate = cost_model.filter(
-                        node.predicates,
-                        _predicate_bytes(node.predicates, stats),
-                        rows,
-                        table=stats.main,
-                    )
-            if node.always_false:
-                rows = 0.0
+            op, estimate, rows = _plan_join(node, rows, stats, optimizer, cost_model, choices)
+        elif isinstance(node, (LogicalFilter, LogicalHaving)):
+            always_false = isinstance(node, LogicalFilter) and node.always_false
+            op = FilterOp(node.predicates, always_false=always_false)
+            if always_false:
+                estimate = CostEstimate(0.0, 0.0, 0.0)
             else:
-                rows *= predicate_selectivity(
-                    node.predicates, stats.main if stats is not None else None
+                bytes_per_row = _predicate_bytes(node.predicates, stats, computed)
+                selected = rows * predicate_selectivity(node.predicates, stats.main)
+                estimate = CostEstimate(
+                    0.0, cost_model.filter_pass(bytes_per_row, rows), selected
                 )
         elif isinstance(node, LogicalAggregate):
             if node.group_by:
@@ -180,70 +169,42 @@ def plan_query(
                         )
                 aggregates = [item for item in node.aggregates if item.is_aggregate]
                 op = GroupAggregateOp(node.group_by, aggregates)
-                groups = _estimate_groups(node.group_by, rows, stats)
-                if costed:
-                    key_bytes = sum(_column_bytes(stats, name) for name in node.group_by)
-                    estimate = cost_model.group_aggregate(
-                        key_bytes, ESTIMATED_RESULT_BYTES * len(aggregates), rows, groups
-                    )
-                rows = groups
             else:
                 if not all(item.is_aggregate for item in node.aggregates):
                     raise PlanningError(
                         "mixing aggregates and bare expressions requires GROUP BY"
                     )
                 op = AggregateOp(node.aggregates)
-                if costed:
-                    estimate = cost_model.aggregate(
-                        ESTIMATED_RESULT_BYTES * len(node.aggregates), rows
-                    )
-                rows = 1.0
+            _compile_kernels(op, _input_types(ops, stats), cache, jit_options)
+            estimate = _aggregate_estimate(op, rows, stats, cost_model, computed)
         elif isinstance(node, LogicalProject):
             op = ProjectOp(node.items, carry=node.carry)
-            if costed:
-                result_bytes = sum(
-                    _column_bytes(stats, item.tree.name)
-                    if isinstance(item.tree, ColumnRef)
-                    else ESTIMATED_RESULT_BYTES
-                    for item in node.items
+            _compile_kernels(op, _input_types(ops, stats), cache, jit_options)
+            for item, planned in zip(node.items, op.kernels):
+                computed[item.name] = (
+                    _column_bytes(stats, item.tree.name, computed)
+                    if planned is None
+                    else planned[0].kernel.result_spec.compact_bytes
                 )
-                estimate = cost_model.project(result_bytes, rows)
-        elif isinstance(node, LogicalHaving):
-            op = FilterOp(node.predicates)
-            if costed:
-                estimate = cost_model.filter(
-                    node.predicates,
-                    _predicate_bytes(node.predicates, stats),
-                    rows,
-                    table=stats.main,
-                )
-            rows *= predicate_selectivity(
-                node.predicates, stats.main if stats is not None else None
-            )
+            result_bytes = sum(computed[item.name] for item in node.items)
+            estimate = CostEstimate(0.0, cost_model.transfer(result_bytes * rows), rows)
         elif isinstance(node, LogicalSort):
             op = SortOp(node.keys)
-            if costed:
-                key_bytes = sum(_column_bytes(stats, key.column) for key in node.keys)
-                estimate = cost_model.sort(key_bytes, rows)
+            seconds = cost_model.sort()
+            # A sort emits nothing until the whole input is consumed.
+            estimate = CostEstimate(seconds, seconds, rows)
         elif isinstance(node, LogicalDrop):
             op = DropOp(node.columns)
-            if costed:
-                estimate = CostEstimate(0.0, 0.0, rows)
+            estimate = CostEstimate(0.0, 0.0, rows)
         elif isinstance(node, LogicalLimit):
             op = LimitOp(node.count)
-            if costed:
-                estimate = cost_model.limit(node.count, rows)
-            rows = min(float(node.count), rows)
+            estimate = CostEstimate(0.0, 0.0, min(float(node.count), rows))
         else:
             raise PlanningError(f"unknown logical node {type(node).__name__}")
         op.estimated = estimate
+        rows = estimate.rows
         ops.append(op)
     _push_zone_predicates(ops)
-    if stats is not None:
-        cache = kernel_cache if kernel_cache is not None else KernelCache()
-        for position, op in enumerate(ops):
-            if isinstance(op, _KernelOp):
-                _compile_kernels(op, _input_types(ops[:position], stats), cache, jit_options)
     plan = PhysicalPlan(ops, events, choices)
     # Imported lazily: repro.analysis.plan imports the physical operators,
     # so importing it at module level would be circular.
@@ -258,6 +219,47 @@ def plan_query(
             report=plan.analysis,
         )
     return plan
+
+
+def _aggregate_estimate(
+    op: _KernelOp,
+    rows: float,
+    stats: PlanStats,
+    cost_model: CostModel,
+    computed: Dict[str, float],
+) -> CostEstimate:
+    """What :class:`AggregateOp` or :class:`GroupAggregateOp` charges over
+    ``rows`` estimated input rows, priced by the same cost-model methods.
+
+    A grouped aggregate charges the key sort, a payload gather per
+    aggregate, and each estimated group's reductions; an ungrouped one is
+    a single group over every row.  Each aggregate's width comes from its
+    input spec (the kernel's result spec, or the bare column's) and its
+    result spec, which is also recorded in ``computed``.
+    """
+    sim_n = max(int(round(rows)), 1)
+    seconds = 0.0
+    groups = 1.0
+    charged = sim_n
+    if isinstance(op, GroupAggregateOp):
+        groups = _estimate_groups(op.group_by, rows, stats)
+        charged = max(int(sim_n / max(groups, 1)), 1)
+        key_bytes = sum(_column_bytes(stats, name, computed) for name in op.group_by)
+        seconds += cost_model.key_sort(key_bytes, rows)
+    per_group = 0.0
+    for item, planned in zip(op.items, op.kernels):
+        call = item.expression
+        if call.function == "COUNT":
+            computed[item.name] = inference.count_spec(sim_n).compact_bytes
+            continue
+        spec = planned[0].kernel.result_spec if planned is not None else op.schema[item.tree.name]
+        result = mt_aggregation.result_spec(call.function.lower(), spec, charged)
+        computed[item.name] = result.compact_bytes
+        if isinstance(op, GroupAggregateOp):
+            seconds += cost_model.payload_gather(4 * spec.words + 1, rows)
+        per_group += cost_model.reduction(result.words, charged)
+    seconds += groups * per_group
+    return CostEstimate(seconds, seconds, groups)
 
 
 def _input_types(upstream: List[PhysicalOp], stats: PlanStats) -> Dict[str, object]:
@@ -369,9 +371,9 @@ def _push_zone_predicates(ops: List[PhysicalOp]) -> None:
 def _plan_join(
     node: LogicalJoin,
     rows: float,
-    stats: Optional[PlanStats],
+    stats: PlanStats,
     optimizer: OptimizerConfig,
-    cost_model: Optional[CostModel],
+    cost_model: CostModel,
     choices: List[str],
 ):
     """Lower one join, cost-choosing the algorithm when enabled.
@@ -381,15 +383,13 @@ def _plan_join(
     execution model's uniform inflation of every relation to
     ``simulate_rows``: inflation multiplies both algorithms' linear terms
     alike but squares the nested-loop term, so estimating on inflated
-    counts would never classify any build side as small.
+    counts would never classify any build side as small.  Only the inputs
+    differ from execution's: both price the join with the same
+    :class:`CostModel` methods.
     """
-    right = stats.table(node.join.table) if stats is not None else None
-    if right is None or cost_model is None:
-        return (
-            HashJoinOp(node.join, node.right_columns, node.right_predicates),
-            None,
-            rows,
-        )
+    right = stats.table(node.join.table)
+    if right is None:
+        raise PlanningError(f"no statistics for joined table {node.join.table!r}")
     scale = stats.simulate_rows / max(stats.main.rows, 1)
     survival = predicate_selectivity(node.right_predicates, right)
     right_rows = right.rows * scale * survival
@@ -405,29 +405,25 @@ def _plan_join(
         left_ndv * scale if left_ndv else 0.0,
         right_ndv * scale if right_ndv else 0.0,
     )
-    if not optimizer.choose_join:
-        estimate = cost_model.hash_join(rows, right_rows, right_bytes, out_rows)
-        return (
-            HashJoinOp(node.join, node.right_columns, node.right_predicates),
-            estimate,
-            out_rows,
+    candidates = cost_model.join_estimates(rows, right_rows, right_bytes, out_rows)
+    name = "hash"
+    if optimizer.enabled:
+        name = min(candidates, key=lambda key: candidates[key].total_seconds)
+        loser = next(key for key in candidates if key != name)
+        choices.append(
+            f"join {node.join.table}: {name} "
+            f"({candidates[name].total_seconds:.4f}s vs {loser} "
+            f"{candidates[loser].total_seconds:.4f}s, est {out_rows:,.0f} rows out)"
         )
-    name, estimate, candidates = cost_model.choose_join(
-        rows, right_rows, right_bytes, out_rows
-    )
-    loser = next(key for key in candidates if key != name)
-    choices.append(
-        f"join {node.join.table}: {name} "
-        f"({estimate.total_seconds:.4f}s vs {loser} "
-        f"{candidates[loser].total_seconds:.4f}s, est {out_rows:,.0f} rows out)"
-    )
     op_type = HashJoinOp if name == "hash" else NestedLoopJoinOp
-    return op_type(node.join, node.right_columns, node.right_predicates), estimate, out_rows
+    return (
+        op_type(node.join, node.right_columns, node.right_predicates),
+        candidates[name],
+        out_rows,
+    )
 
 
-def _estimate_groups(
-    group_by: List[str], rows: float, stats: Optional[PlanStats]
-) -> float:
+def _estimate_groups(group_by: List[str], rows: float, stats: PlanStats) -> float:
     """Distinct-group estimate: product of the group keys' NDVs.
 
     Capped by the input rows (a grouping cannot produce more groups than
@@ -435,8 +431,6 @@ def _estimate_groups(
     has no statistics (computed columns, missing catalog entries).
     """
     fallback = max(1.0, math.sqrt(max(rows, 1.0)))
-    if stats is None:
-        return fallback
     product = 1.0
     for name in group_by:
         ndv = stats.column_ndv(name)
@@ -446,17 +440,19 @@ def _estimate_groups(
     return max(1.0, min(product, max(rows, 1.0)))
 
 
-def _column_bytes(stats: Optional[PlanStats], name: str) -> float:
-    """Catalog bytes/row of a column; computed columns get the default."""
-    if stats is not None:
-        for table in [stats.main, *stats.joined.values()]:
-            if name in table.column_bytes:
-                return table.column_bytes[name]
-    return ESTIMATED_RESULT_BYTES
+def _column_bytes(stats: PlanStats, name: str, computed: Dict[str, float]) -> float:
+    """Bytes/row of a column: a computed one's result width, else the
+    catalog's wire width (0 for a name neither knows)."""
+    if name in computed:
+        return computed[name]
+    for table in [stats.main, *stats.joined.values()]:
+        if name in table.column_bytes:
+            return table.column_bytes[name]
+    return 0.0
 
 
-def _predicate_bytes(predicates, stats: Optional[PlanStats]) -> float:
+def _predicate_bytes(predicates, stats: PlanStats, computed: Dict[str, float]) -> float:
     """Bytes/row a filter pass reads: each distinct column once."""
     columns = {p.column for p in predicates}
     columns.update(p.column_rhs for p in predicates if p.column_rhs)
-    return sum(_column_bytes(stats, name) for name in columns)
+    return sum(_column_bytes(stats, name, computed) for name in columns)

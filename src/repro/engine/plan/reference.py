@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.decimal import inference
 from repro.core.decimal.context import DecimalSpec
 from repro.core.multithread import aggregation as mt_aggregation
+from repro.engine.plan.cost import AGGREGATION_TPI
 from repro.engine.plan.physical import (
     Batch,
     GroupAggregateOp,
@@ -141,8 +142,8 @@ def group_aggregate(op: GroupAggregateOp, batch: Batch, context: QueryContext) -
                 [unscaled[i] for i in indices],
                 spec,
                 op=call.function.lower(),
-                tpi=context.tpi,
-                device=context.device,
+                tpi=AGGREGATION_TPI,
+                device=context.cost_model.device,
                 simulate_tuples=charged,
             )
             context.report.aggregate_seconds += run.seconds

@@ -179,9 +179,7 @@ def apply_rules(
     return nodes, events
 
 
-def default_rules(
-    optimize: bool = True, reorder_joins: bool = True
-) -> List[RewriteRule]:
+def default_rules(optimize: bool = True) -> List[RewriteRule]:
     """The stock rule set; with ``optimize=False`` only the always-on
     correctness passes (sort-key retention) remain."""
     from repro.engine.plan.rules.join_order import JoinReorderRule
@@ -194,16 +192,12 @@ def default_rules(
 
     if not optimize:
         return [SortKeyRetentionRule()]
-    rules: List[RewriteRule] = [PredicateSimplifyRule()]
-    if reorder_joins:
+    return [
+        PredicateSimplifyRule(),
         # Before pushdown: the reorder hoists interleaved loose filters
         # above the joins, and pushdown re-sinks them on the same pass.
-        rules.append(JoinReorderRule())
-    rules.extend(
-        [
-            FilterPushdownRule(),
-            SortKeyRetentionRule(),
-            ProjectionPruningRule(),
-        ]
-    )
-    return rules
+        JoinReorderRule(),
+        FilterPushdownRule(),
+        SortKeyRetentionRule(),
+        ProjectionPruningRule(),
+    ]

@@ -147,7 +147,6 @@ class Database:
         device: GpuDevice = DEFAULT_DEVICE,
         host: HostSystem = DEFAULT_HOST,
         jit_options: Optional[JitOptions] = None,
-        aggregation_tpi: int = 8,
         streaming: Optional[StreamingConfig] = None,
         optimizer: Optional[OptimizerConfig] = None,
         residency: Optional[DeviceResidency] = None,
@@ -159,7 +158,6 @@ class Database:
             _check_simulate_rows(simulate_rows)
         self.simulate_rows = simulate_rows
         self.jit_options = jit_options if jit_options is not None else JitOptions()
-        self.aggregation_tpi = aggregation_tpi
         self.streaming = streaming if streaming is not None else StreamingConfig()
         self.optimizer = optimizer if optimizer is not None else OptimizerConfig()
         self.kernel_cache = KernelCache()
@@ -236,8 +234,6 @@ class Database:
         self,
         sql: str,
         include_scan: bool = True,
-        include_transfer: bool = True,
-        include_compile: bool = True,
         simulate_rows: Optional[int] = None,
         streaming: Optional[StreamingConfig] = None,
         optimizer: Optional[OptimizerConfig] = None,
@@ -245,8 +241,10 @@ class Database:
     ) -> QueryResult:
         """Parse, plan, and execute a SELECT statement.
 
-        ``simulate_rows`` overrides the database-level setting for this
-        query; an explicit ``0`` is honoured (charge nothing), only ``None``
+        ``include_scan=False`` leaves the host-side disk scan out of the
+        simulated time, as the paper's experiments do.  ``simulate_rows``
+        overrides the database-level setting for this query; an explicit
+        ``0`` is honoured (charge nothing), only ``None``
         falls back, and a negative count raises
         :class:`repro.errors.ExecutionError`.  ``streaming`` and
         ``optimizer`` likewise override the database-level configs per
@@ -254,9 +252,9 @@ class Database:
 
         A repeated text reuses its plan from :attr:`plan_cache` while the
         tables it read keep their column versions and no planning input
-        (``simulate_rows``, ``optimizer``, ``include_scan``,
-        ``include_transfer``, ``jit_options``, ``device``, ``host``)
-        changed; its kernels are looked up again in :attr:`kernel_cache`,
+        (``simulate_rows``, ``optimizer``, the cost model -- ``device``,
+        ``host``, ``include_scan`` -- and ``jit_options``) changed; its
+        kernels are looked up again in :attr:`kernel_cache`,
         so the compile charge is the one planning would give.
 
         ``cancel_check`` is polled once before planning or reusing a plan
@@ -266,17 +264,15 @@ class Database:
         timeout path).
         """
         optimizer = optimizer if optimizer is not None else self.optimizer
+        cost_model = CostModel(self.device, self.host, include_scan)
         # With no simulate_rows setting the main table's row count is used,
         # which the table versions an entry is checked against fix.
         key = (
             sql,
             simulate_rows if simulate_rows is not None else self.simulate_rows,
             optimizer,
-            include_scan,
-            include_transfer,
+            cost_model,
             self.jit_options,
-            self.device,
-            self.host,
         )
         cached = self.plan_cache.get(key)
         query = cached.query if cached is not None else parse_query(sql)
@@ -285,21 +281,12 @@ class Database:
         if cancel_check is not None and cancel_check():
             raise QueryCancelledError("query cancelled before planning")
         sim = self._resolve_simulate_rows(simulate_rows, relation)
-        cost_model = CostModel(
-            self.device, self.host, include_scan=include_scan, include_transfer=include_transfer
-        )
         context = QueryContext(
             relation=relation,
             joined=joined,
             simulate_rows=sim,
-            device=self.device,
-            host=self.host,
-            include_scan=include_scan,
-            include_transfer=include_transfer,
-            include_compile=include_compile,
-            tpi=self.aggregation_tpi,
-            streaming=streaming if streaming is not None else self.streaming,
             cost_model=cost_model,
+            streaming=streaming if streaming is not None else self.streaming,
             optimizer=optimizer,
             residency=self.residency,
             cancel_check=cancel_check,
@@ -344,7 +331,8 @@ class Database:
         Shows the rewritten operator chain with per-node cost estimates,
         the rewrite-rule trace, every kernel the JIT would generate (with
         its optimised expression and the Listing-1-style source), the
-        simulated cost estimates, and -- with streaming enabled -- each
+        simulated cost estimates -- priced as execution charges, at the
+        planner's estimated rows -- and, with streaming enabled, each
         kernel's chunk count and pipelined-vs-serial estimate.  With
         ``measure_data_plane`` each kernel is also run once over the stored
         rows and its measured wall clock reported alongside the estimates.
@@ -374,16 +362,14 @@ class Database:
             label=query.table,
         )
         result = explain_query(
-            query,
             chain,
             relation,
             sim,
-            self.device,
+            cost_model,
+            optimizer,
+            streaming if streaming is not None else self.streaming,
             joined=joined,
-            streaming=streaming if streaming is not None else self.streaming,
             measure_data_plane=measure_data_plane,
-            cost_model=cost_model,
-            optimizer=optimizer,
         )
         result.sql = sql.strip()
         return result

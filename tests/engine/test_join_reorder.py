@@ -135,7 +135,7 @@ def _join_tables(explain) -> list:
 
 def make_tpch_db(rows: int = 1500) -> Database:
     order_count = max(rows // 5, 50)
-    db = Database(simulate_rows=10_000_000, aggregation_tpi=8)
+    db = Database(simulate_rows=10_000_000)
     db.register(tpch.lineitem_with_orderkeys(rows=rows, seed=7, order_count=order_count))
     db.register(tpch.orders(rows=order_count, seed=17))
     db.register(tpch.customer(rows=max(order_count // 8, 10), seed=19))

@@ -278,7 +278,6 @@ class TestInvalidation:
             {"optimizer": OptimizerConfig.off()},
             {"simulate_rows": 5_000},
             {"include_scan": False},
-            {"include_transfer": False},
         ],
     )
     def test_per_call_planning_input(self, execute):

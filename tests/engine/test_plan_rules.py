@@ -198,7 +198,9 @@ class TestFilterCostAccounting:
         db = make_db()
         relation = db.catalog.get("fact")
         context = QueryContext(
-            relation=relation, simulate_rows=1_000_000, include_scan=False
+            relation=relation,
+            simulate_rows=1_000_000,
+            cost_model=CostModel(include_scan=False),
         )
         batch = ScanOp(["f_key", "f_qty", "f_amount"]).run(None, context)
         before = context.report.filter_seconds

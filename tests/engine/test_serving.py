@@ -73,7 +73,7 @@ class TestBitExactness:
         relation = tpch.lineitem_for_len(2, rows=120, seed=11)
         serial = ext_serving.reference_rows(relation, simulate_rows=100_000)
 
-        database = Database(simulate_rows=100_000, aggregation_tpi=8)
+        database = Database(simulate_rows=100_000)
         database.register(relation)
         results, schedule = ext_serving.serve_workload(
             database, session_count=4, queries_per_session=3

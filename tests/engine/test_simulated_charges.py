@@ -183,7 +183,7 @@ def lineitem():
 @pytest.mark.parametrize("query, config", sorted(EXPECTED))
 def test_charges_are_pinned(lineitem, query, config):
     streaming, optimizer = CONFIGS[config]
-    db = Database(simulate_rows=10_000_000, aggregation_tpi=8)
+    db = Database(simulate_rows=10_000_000)
     db.register(lineitem)
     sql = {"Q1": Q1_SQL, "Q6": Q6_SQL}[query]
     report = db.execute(sql, streaming=streaming, optimizer=optimizer).report

@@ -5,12 +5,11 @@ Scan-time chunk pruning (byte accounting), encoded-byte filter evaluation
 model zone-refined selectivity, and append snapshot isolation.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.decimal.context import DecimalSpec
 from repro.engine import Database
-from repro.engine.plan.cost import TableStats, predicate_selectivity
+from repro.engine.plan.cost import PlanStats, TableStats, predicate_selectivity
 from repro.engine.plan.physical import (
     FilterOp,
     QueryContext,
@@ -46,6 +45,10 @@ def make_relation(codec=OrderPreservingCodec(), chunk_rows=4, rows=16):
             {"v": codec, "w": codec}, chunk_rows=chunk_rows
         )
     return relation
+
+
+def plan_stats(relation):
+    return PlanStats(main=TableStats.from_relation(relation), simulate_rows=1_000_000)
 
 
 def scan_context(relation):
@@ -137,14 +140,16 @@ class TestPlannerAttachment:
 
     def test_scan_filter_prefix_attaches_literal_predicates(self):
         query = parse_query("SELECT SUM(v) AS s FROM t WHERE v < 4 AND w > 1")
-        plan = plan_query(query, ["v", "w"])
+        plan = plan_query(query, ["v", "w"], stats=plan_stats(make_relation()))
         scan = plan[0]
         assert isinstance(scan, ScanOp)
         assert {p.column for p in scan.predicates} == {"v", "w"}
         assert all(p.column_rhs is None for p in scan.predicates)
 
     def test_no_filter_means_no_predicates(self):
-        plan = plan_query(parse_query("SELECT SUM(v) AS s FROM t"), ["v", "w"])
+        plan = plan_query(
+            parse_query("SELECT SUM(v) AS s FROM t"), ["v", "w"], stats=plan_stats(make_relation())
+        )
         assert isinstance(plan[0], ScanOp)
         assert plan[0].predicates == []
 
