@@ -4,7 +4,6 @@ import pytest
 
 from conftest import emit
 from repro.bench.experiments import fig08_query1
-from repro.core.decimal.vectorized import DecimalVector
 from repro.core.jit import compile_expression
 from repro.gpusim import execute
 from repro.storage import datagen

@@ -10,8 +10,6 @@ Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
 tables inline; they are always written to bench_results/).
 """
 
-import pytest
-
 
 def emit(experiment):
     """Print and persist one experiment's table."""

@@ -9,14 +9,11 @@ workload kernel and is wired into CI as a gate.
 
 from repro.analysis.analyzer import analyze_kernel, apply_fast_paths
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.analysis.ranges import NarrowContainerProof, prove_narrow_container
 
 __all__ = [
     "AnalysisReport",
     "Diagnostic",
-    "NarrowContainerProof",
     "Severity",
     "analyze_kernel",
     "apply_fast_paths",
-    "prove_narrow_container",
 ]

@@ -22,16 +22,10 @@ Three kinds of facts fall out:
   for *every* row.  These facts feed back into codegen
   (:func:`repro.analysis.analyzer.apply_fast_paths`) so the executor can
   skip the per-row size dispatch.
-* ``RANGE005`` (proof object, not a diagnostic): a column whose interval
-  provably fits a signed 32-bit container.  :func:`prove_narrow_container`
-  exports the proof the storage layer's narrow codec demands -- the 32-bit
-  "Neal trick" path is gated on it, never on a heuristic (see
-  ``repro.storage.codecs``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -42,59 +36,11 @@ POSSIBLE_OVERFLOW = "RANGE001"
 OVER_ALLOCATED = "RANGE002"
 SHORT_DIVISOR = "RANGE003"
 NATIVE64 = "RANGE004"
-NARROW_CONTAINER = "RANGE005"
 
 #: Largest value the whole-column uint64 fast path can hold per lane.
 _UINT64_MAX = (1 << 64) - 1
 
-#: Largest magnitude a signed 32-bit narrow container can hold.
-_INT32_MAX = (1 << 31) - 1
-
 Interval = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class NarrowContainerProof:
-    """A ``RANGE005`` fact: every value of a column fits a signed int32.
-
-    ``source`` records what the interval came from: ``"spec"`` when the
-    declared ``DECIMAL(p, s)`` bound already fits (``10**p - 1 < 2**31``),
-    ``"observed"`` when the column's actual min/max interval was supplied
-    (zone-map statistics).  Observed proofs are tied to the data they were
-    derived from; the storage layer re-validates on every encode, so a
-    later append that violates the interval raises instead of corrupting.
-    """
-
-    rule: str
-    spec: DecimalSpec
-    lo: int
-    hi: int
-    source: str
-
-
-def fits_narrow_container(interval: Interval) -> bool:
-    """Whether a signed interval fits the 32-bit narrow container."""
-    return -_INT32_MAX - 1 <= interval[0] and interval[1] <= _INT32_MAX
-
-
-def prove_narrow_container(
-    spec: DecimalSpec, observed: Optional[Interval] = None
-) -> Optional[NarrowContainerProof]:
-    """Export a ``RANGE005`` proof for a column, or ``None``.
-
-    The declared spec is tried first (a point the interval analysis above
-    also starts from: a ``DECIMAL(p, s)`` column lies in
-    ``[-(10**p - 1), 10**p - 1]``); failing that, an ``observed`` min/max
-    interval -- the same facts zone maps record -- can carry the proof.
-    """
-    bound = spec.max_unscaled
-    if fits_narrow_container((-bound, bound)):
-        return NarrowContainerProof(NARROW_CONTAINER, spec, -bound, bound, "spec")
-    if observed is not None and fits_narrow_container(observed):
-        return NarrowContainerProof(
-            NARROW_CONTAINER, spec, int(observed[0]), int(observed[1]), "observed"
-        )
-    return None
 
 
 def _words_for(magnitude: int) -> int:

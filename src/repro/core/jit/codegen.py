@@ -22,11 +22,10 @@ from repro.core.jit.expr_ast import (
     Literal,
     UnaryOp,
 )
+from repro.errors import CodegenError
 
 #: SQL function -> RescaleOp mode.
 _RESCALE_MODES = {"ROUND": "round", "TRUNC": "trunc", "CEIL": "ceil", "FLOOR": "floor"}
-from repro.errors import CodegenError
-
 
 #: Widest subtree (in 32-bit words) the CSE pass will keep resident.
 CSE_MAX_PINNED_WORDS = 6

@@ -329,22 +329,7 @@ class FilterOp(PhysicalOp):
                 rows=0,
                 simulated_rows=0.0,
             )
-        mask = np.ones(batch.rows, dtype=bool)
-        for predicate in self.predicates:
-            if predicate.column_rhs is not None:
-                mask &= _evaluate_column_predicate(
-                    batch.column(predicate.column),
-                    predicate.op,
-                    batch.column(predicate.column_rhs),
-                )
-            else:
-                column = batch.column(predicate.column)
-                encoded = _evaluate_predicate_encoded(column, predicate)
-                mask &= (
-                    encoded
-                    if encoded is not None
-                    else _evaluate_predicate(column, predicate)
-                )
+        mask = _conjunction_mask(self.predicates, batch.column, batch.rows)
         indices = np.nonzero(mask)[0]
         selectivity = len(indices) / max(batch.rows, 1)
         # Filter kernel: one pass over each *distinct* predicate column --
@@ -400,18 +385,9 @@ class _JoinOp(PhysicalOp):
         keep: Optional[np.ndarray] = None
         survival = 1.0
         if self.right_predicates:
-            keep = np.ones(right_relation.rows, dtype=bool)
-            for predicate in self.right_predicates:
-                if predicate.column_rhs is not None:
-                    keep &= _evaluate_column_predicate(
-                        right_relation.column(predicate.column),
-                        predicate.op,
-                        right_relation.column(predicate.column_rhs),
-                    )
-                else:
-                    keep &= _evaluate_predicate(
-                        right_relation.column(predicate.column), predicate
-                    )
+            keep = _conjunction_mask(
+                self.right_predicates, right_relation.column, right_relation.rows
+            )
             survival = int(np.count_nonzero(keep)) / max(right_relation.rows, 1)
 
         # The scan reads ship + predicate columns; PCIe carries only the
@@ -868,18 +844,40 @@ def _compare(lhs, op: str, rhs):
     return compare(lhs, rhs)
 
 
+def _conjunction_mask(
+    predicates: List[Comparison], column: Callable[[str], Column], rows: int
+) -> np.ndarray:
+    """Rows passing every conjunct; ``column`` looks a column up by name.
+
+    The one evaluator of the filter and the join build side: column-vs-
+    column conjuncts compare the two columns, literal conjuncts go through
+    :func:`_evaluate_predicate`.
+    """
+    mask = np.ones(rows, dtype=bool)
+    for predicate in predicates:
+        if predicate.column_rhs is not None:
+            mask &= _evaluate_column_predicate(
+                column(predicate.column), predicate.op, column(predicate.column_rhs)
+            )
+        else:
+            mask &= _evaluate_predicate(column(predicate.column), predicate)
+    return mask
+
+
 def _evaluate_predicate_encoded(
     column: Column, predicate: Comparison
 ) -> Optional[np.ndarray]:
-    """Evaluate ``column <op> literal`` on encoded bytes, before expansion.
+    """Evaluate ``column <op> literal`` on encoded bytes.
 
-    Applies only when the column carries an order-preserving codec and the
-    scan already materialised its encoding (never pay an encode just to
-    filter).  Chunks whose zone map decides the predicate outright skip
-    per-row work; mixed chunks compare encoded bytes against the encoded
-    literal, which by the order-preserving property equals the numeric
-    comparison -- so the mask is bit-identical to the expanded path's.
-    Returns None when the encoded path does not apply.
+    :func:`_evaluate_predicate` takes this path for values past int64,
+    where it beats a limb compare.  Applies only when the column carries
+    an order-preserving codec and the scan already materialised its
+    encoding (never pay an encode just to filter).  Chunks whose zone map
+    decides the predicate outright skip per-row work; mixed chunks compare
+    encoded bytes against the encoded literal, which by the
+    order-preserving property equals the numeric comparison -- so the
+    mask is bit-identical to the lanes' and limbs'.  Returns None when the
+    encoded path does not apply.
     """
     if not isinstance(column.column_type, DecimalType):
         return None
@@ -911,7 +909,12 @@ def _evaluate_predicate_encoded(
 
 
 def _evaluate_predicate(column: Column, predicate: Comparison) -> np.ndarray:
-    """Evaluate ``column <op> literal`` to a boolean mask."""
+    """Evaluate ``column <op> literal`` to a boolean mask.
+
+    A DECIMAL column compares its int64 lanes when they answer and the
+    literal fits int64 (one numpy compare); otherwise its encoded bytes,
+    where :func:`_evaluate_predicate_encoded` applies; otherwise its limbs.
+    """
     comparison = literal_operand(predicate.op, predicate.literal, column.column_type)
     if isinstance(comparison, bool):
         return np.full(column.rows, comparison)
@@ -923,6 +926,9 @@ def _evaluate_predicate(column: Column, predicate: Comparison) -> np.ndarray:
         if signed is not None and _INT64_MIN <= rhs <= _INT64_MAX:
             lhs = signed
         else:
+            encoded = _evaluate_predicate_encoded(column, predicate)
+            if encoded is not None:
+                return encoded
             # Wide values: a limb-wise compare against the broadcast
             # literal, turned into ``order <op> 0``.
             value = DecimalValue.from_unscaled(rhs, spec)

@@ -1,8 +1,7 @@
-"""Columnar storage: schemas, relations, generators, FOR compression."""
+"""Columnar storage: schemas, relations, generators, codecs."""
 
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
-from repro.storage.compression import ForColumn, compress
 from repro.storage.persist import load_relation, save_relation
 from repro.storage.relation import Relation
 from repro.storage.schema import (
@@ -23,10 +22,8 @@ __all__ = [
     "DateType",
     "DecimalType",
     "DoubleType",
-    "ForColumn",
     "IntType",
     "Relation",
-    "compress",
     "load_relation",
     "save_relation",
     "is_decimal",

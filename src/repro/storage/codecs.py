@@ -8,14 +8,12 @@ cross PCIe.  This module turns bytes-on-the-wire into a per-column choice:
 * :class:`CompactCodec` -- the existing layout, unchanged on the wire;
 * :class:`OrderPreservingCodec` -- a decimalInfinite-style variable-length
   encoding (:mod:`repro.core.decimal.dinf`) whose byte order equals
-  numeric order, so filters compare encoded bytes before expansion;
-* :class:`NarrowCodec` -- a fixed 4-byte offset-binary container for
-  columns the analyzer's range pass *proves* fit signed int32
-  (``RANGE005``, :func:`repro.analysis.ranges.prove_narrow_container`).
-  Constructing it without a proof raises; encoding re-validates every
-  value so an observed-interval proof can never be silently violated by
-  later appends (``Database.append`` encodes before it publishes, so the
-  append itself raises).
+  numeric order, so filters on values past int64 compare encoded bytes
+  instead of limbs;
+* :class:`ForCodec` -- the section IV-D1 frame-of-reference case study:
+  each chunk stores its rows as fixed-width deltas from the chunk minimum
+  its zone map records, so the width follows the chunk's own spread and
+  holds any value the column does.
 
 Every codec (compact included) records a :class:`ZoneMap` per chunk at
 encode time -- min/max unscaled value, null and zero counts -- so scans
@@ -43,12 +41,6 @@ from repro.errors import StorageError
 
 #: Rows per encoded chunk (and zone map) unless the column overrides it.
 DEFAULT_CHUNK_ROWS = 4096
-
-#: Bytes per value of the narrow 32-bit container.
-NARROW_WIDTH = 4
-
-_INT32_MAX = (1 << 31) - 1
-_NARROW_OFFSET = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -135,6 +127,11 @@ class EncodedColumn:
     def zones(self) -> List[ZoneMap]:
         return [chunk.zone for chunk in self.chunks]
 
+    def decode(self) -> List[int]:
+        """Signed unscaled values of every chunk, in row order (round-trip oracle)."""
+        codec = self.codec
+        return [v for chunk in self.chunks for v in codec.decode_chunk(chunk, self.spec)]
+
 
 class DecimalCodec:
     """Base codec: chunked encode with zone maps, decode, byte compare."""
@@ -150,11 +147,13 @@ class DecimalCodec:
         values: Union[List[int], np.ndarray],
         compact_slice: np.ndarray,
         spec: DecimalSpec,
+        zone: ZoneMap,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
         """Encode one chunk; returns ``(data, lengths, wire_bytes)``.
 
         ``values`` is an int64 slice or a list of Python ints, as
-        :meth:`encode_column` received them.
+        :meth:`encode_column` received them; ``zone`` is the chunk's zone
+        map, already computed from them.
         """
         raise NotImplementedError
 
@@ -202,9 +201,6 @@ class DecimalCodec:
                 values = list(values)
                 lo, hi = min(values), max(values)
                 zeros = sum(1 for v in values if v == 0)
-            data, lengths, wire = self._encode_chunk(
-                values, compact[start : start + len(values)], spec
-            )
             zone = ZoneMap(
                 row_start=row_start + start,
                 rows=len(values),
@@ -212,6 +208,9 @@ class DecimalCodec:
                 max_unscaled=hi,
                 null_count=0,
                 zero_count=zeros,
+            )
+            data, lengths, wire = self._encode_chunk(
+                values, compact[start : start + len(values)], spec, zone
             )
             encoded.chunks.append(EncodedChunk(zone, data, lengths, wire))
         return encoded
@@ -228,7 +227,7 @@ class CompactCodec(DecimalCodec):
     name = "compact"
     order_preserving = False
 
-    def _encode_chunk(self, values, compact_slice, spec):
+    def _encode_chunk(self, values, compact_slice, spec, zone):
         data = np.ascontiguousarray(compact_slice)
         return data, None, int(data.nbytes)
 
@@ -244,7 +243,7 @@ class OrderPreservingCodec(DecimalCodec):
     name = "dinf"
     order_preserving = True
 
-    def _encode_chunk(self, values, compact_slice, spec):
+    def _encode_chunk(self, values, compact_slice, spec, zone):
         if not dinf.supports(spec.max_unscaled):
             raise StorageError(
                 f"{spec} exceeds the order-preserving codec's "
@@ -264,101 +263,56 @@ class OrderPreservingCodec(DecimalCodec):
         return dinf.compare(chunk.data, literal)
 
 
-class NarrowCodec(DecimalCodec):
-    """Proven-narrow 32-bit container (offset-binary, big-endian).
+class ForCodec(DecimalCodec):
+    """Frame of reference: fixed-width deltas from each chunk's minimum.
 
-    Each value is stored as ``uint32(v + 2**31)`` big-endian -- 4 fixed
-    bytes whose memcmp order equals numeric order.  Only constructible
-    from a ``RANGE005`` :class:`~repro.analysis.ranges.NarrowContainerProof`
-    for the exact column spec; encode re-checks every value against the
-    container and raises rather than truncating.  Appended rows that
-    outgrow an observed-interval proof therefore make ``Database.append``
-    raise :class:`~repro.errors.StorageError` before the new version is
-    published, and the table keeps its old rows.
+    Each row stores ``v - min`` big-endian in the fewest whole bytes that
+    hold the chunk's spread (1 for a constant chunk); the minimum is the
+    chunk's zone map ``min_unscaled``, shipped once per chunk at the
+    compact width.  The width is the chunk's own, so every value the
+    column holds encodes exactly.  Byte order is not numeric order across
+    chunks (a literal would have to be re-based per chunk), so filters
+    compare lanes or limbs instead.
     """
 
-    name = "narrow32"
-    order_preserving = True
+    name = "for"
+    order_preserving = False
 
-    def __init__(self, proof) -> None:
-        from repro.analysis.ranges import NarrowContainerProof
-
-        if not isinstance(proof, NarrowContainerProof):
-            raise StorageError(
-                "the narrow 32-bit codec requires a RANGE005 narrow-container "
-                "proof from the analyzer's range pass"
-            )
-        self.proof = proof
-
-    def _require_spec(self, spec: DecimalSpec) -> None:
-        if spec != self.proof.spec:
-            raise StorageError(
-                f"narrow-container proof covers {self.proof.spec}, not {spec}"
-            )
-
-    def _encode_chunk(self, values, compact_slice, spec):
-        self._require_spec(spec)
+    def _encode_chunk(self, values, compact_slice, spec, zone):
+        reference = zone.min_unscaled
+        width = max(1, ((zone.max_unscaled - reference).bit_length() + 7) // 8)
         if isinstance(values, np.ndarray):
-            lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+            # Modulo 2**64 the difference is exact: lanes hold |v| < 2**63,
+            # so every delta is below 2**64 even where int64 would wrap.
+            deltas = values.view(np.uint64) - np.uint64(reference % (1 << 64))
+            full = deltas.astype(">u8").view(np.uint8).reshape(len(values), 8)
+            data = np.ascontiguousarray(full[:, 8 - width :])
         else:
-            lo, hi = (min(values), max(values)) if values else (0, 0)
-        if lo < -_NARROW_OFFSET or hi > _INT32_MAX:
-            raise StorageError(
-                "column data exceeds the proven 32-bit narrow container "
-                f"(proof interval [{self.proof.lo}, {self.proof.hi}])"
-            )
-        # In range, so every value fits int64 and its offset fits uint32.
-        offset = (np.asarray(values, dtype=np.int64) + _NARROW_OFFSET).astype(np.uint32)
-        data = np.ascontiguousarray(offset.astype(">u4")).view(np.uint8)
-        data = data.reshape(len(values), NARROW_WIDTH)
-        return data, None, int(data.nbytes)
+            packed = b"".join((v - reference).to_bytes(width, "big") for v in values)
+            data = np.frombuffer(packed, dtype=np.uint8).reshape(len(values), width)
+        return data, None, spec.compact_bytes + int(data.nbytes)
 
     def decode_chunk(self, chunk, spec):
-        folded = np.ascontiguousarray(chunk.data).view(">u4").ravel()
-        return [int(v) - _NARROW_OFFSET for v in folded.tolist()]
-
-    def encode_literal(self, unscaled, spec):
-        self._require_spec(spec)
-        if not -_NARROW_OFFSET <= int(unscaled) <= _INT32_MAX:
-            raise StorageError(f"literal {unscaled} exceeds the narrow container")
-        value = np.uint32(int(unscaled) + _NARROW_OFFSET)
-        return np.array([value], dtype=">u4").view(np.uint8).copy()
-
-    def compare_chunk(self, chunk, literal):
-        return dinf.compare(chunk.data, literal)
+        reference = chunk.zone.min_unscaled
+        return [reference + int.from_bytes(row.tobytes(), "big") for row in chunk.data]
 
 
 def choose_codec(
     spec: DecimalSpec, unscaled: Optional[Sequence[int]] = None
 ) -> DecimalCodec:
-    """Pick the smallest-wire codec a column qualifies for.
+    """Pick the smaller-wire codec of ``compact`` and ``dinf`` for a column.
 
-    The narrow container is a candidate only under a ``RANGE005`` proof --
-    from the declared spec, or from the observed min/max interval when the
-    column's values are supplied (the same statistics zone maps record).
-    Among qualifying codecs the one with the smallest wire size wins;
-    ties prefer order-preserving codecs (they unlock encoded-byte filters
-    and chunk skipping on mixed chunks).
+    With the column's values supplied, ``dinf`` is sized from them; without,
+    from the spec's largest value.  Ties prefer ``dinf``: its order-preserving
+    bytes unlock encoded-byte filters on values past int64.
     """
-    from repro.analysis.ranges import prove_narrow_container
-
+    if not dinf.supports(spec.max_unscaled):
+        return CompactCodec()
     rows = len(unscaled) if unscaled is not None else 0
-    observed = (min(unscaled), max(unscaled)) if rows else None
-    proof = prove_narrow_container(spec, observed=observed)
-
-    compact_wire = spec.compact_bytes * max(rows, 1)
-    candidates: List[Tuple[int, int, DecimalCodec]] = [
-        (compact_wire, 2, CompactCodec())
-    ]
-    if dinf.supports(spec.max_unscaled):
-        if rows:
-            dinf_wire = sum(
-                1 + (abs(v).bit_length() + 7) // 8 for v in unscaled
-            )
-        else:
-            dinf_wire = dinf.max_encoded_bytes(spec.max_unscaled)
-        candidates.append((dinf_wire, 0, OrderPreservingCodec()))
-    if proof is not None:
-        candidates.append((NARROW_WIDTH * max(rows, 1), 1, NarrowCodec(proof)))
-    _wire, _rank, codec = min(candidates, key=lambda entry: (entry[0], entry[1]))
-    return codec
+    if rows:
+        dinf_wire = sum(1 + (abs(v).bit_length() + 7) // 8 for v in unscaled)
+    else:
+        dinf_wire = dinf.max_encoded_bytes(spec.max_unscaled)
+    if dinf_wire <= spec.compact_bytes * max(rows, 1):
+        return OrderPreservingCodec()
+    return CompactCodec()

@@ -16,7 +16,7 @@ from repro.engine.plan.cost import OptimizerConfig
 from repro.engine.plan.logical import LogicalFilter, _referenced_columns
 from repro.engine.plan.physical import FilterOp, ProjectOp, ScanOp, SortOp
 from repro.engine.plan.planner import plan_query
-from repro.engine.plan.rules import RewriteEvent, RewriteRule, default_rules
+from repro.engine.plan.rules import RewriteEvent, RewriteRule
 from repro.engine.sql.parser import parse_query
 from repro.errors import PlanAnalysisError
 

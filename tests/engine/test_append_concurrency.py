@@ -16,10 +16,9 @@ import sys
 import threading
 import time
 
-from repro.analysis.ranges import prove_narrow_container
 from repro.core.decimal.context import DecimalSpec
 from repro.engine import Database
-from repro.storage.codecs import CompactCodec, NarrowCodec, OrderPreservingCodec
+from repro.storage.codecs import CompactCodec, ForCodec, OrderPreservingCodec
 from repro.storage.column import Column
 from repro.storage.relation import Relation
 
@@ -70,7 +69,6 @@ def test_readers_race_the_carrying_writer():
 
     initial = [row() for _ in range(12)]
     batches = [[row() for _ in range(rng.choice([0, 1, 3, 5, 9]))] for _ in range(APPENDS)]
-    narrow = NarrowCodec(prove_narrow_container(SPEC))
     relation = Relation(
         "t",
         [
@@ -78,7 +76,7 @@ def test_readers_race_the_carrying_writer():
             for i, name in enumerate("vwx")
         ],
     ).with_codecs(
-        {"v": OrderPreservingCodec(), "w": narrow, "x": CompactCodec()}, CHUNK_ROWS
+        {"v": OrderPreservingCodec(), "w": ForCodec(), "x": CompactCodec()}, CHUNK_ROWS
     )
     db = Database(simulate_rows=1_000_000)
     db.catalog.register(relation)

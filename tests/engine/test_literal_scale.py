@@ -25,7 +25,7 @@ from repro.engine.plan import physical, reference
 from repro.engine.plan.cost import TableStats
 from repro.engine.sql.ast_nodes import Comparison
 from repro.errors import ConversionError
-from repro.storage.codecs import OrderPreservingCodec, choose_codec
+from repro.storage.codecs import ForCodec, OrderPreservingCodec, choose_codec
 from repro.storage.column import Column
 from repro.storage.relation import Relation
 
@@ -311,12 +311,14 @@ class TestAgainstRationals:
         values = data.draw(column_values(spec))
         literal = data.draw(literals(spec, values))
         op = data.draw(st.sampled_from(OPS))
-        codec = data.draw(st.sampled_from(["chosen", "dinf"]))
+        codec = data.draw(st.sampled_from(["chosen", "dinf", "for"]))
         chunk_rows = data.draw(st.integers(1, 4))
         column = Column.decimal_from_unscaled("a", values, spec)
         if codec == "dinf":
             assume(dinf.supports(spec.max_unscaled))
             column = column.with_codec(OrderPreservingCodec(), chunk_rows)
+        elif codec == "for":
+            column = column.with_codec(ForCodec(), chunk_rows)
         else:
             column = column.with_codec(choose_codec(spec, values), chunk_rows)
         column.encoding()
@@ -325,6 +327,8 @@ class TestAgainstRationals:
         encoded = physical._evaluate_predicate_encoded(column, predicate)
         if encoded is not None:
             assert encoded.tolist() == expected.tolist()
+        # Lanes, then encoded bytes for a literal past int64, then limbs.
+        assert physical._evaluate_predicate(column, predicate).tolist() == expected.tolist()
         skip = physical._zone_skip_mask(Relation("t", [column]), [predicate])
         if skip is not None:
             assert not (skip & expected).any()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.decimal.context import DecimalSpec
 from repro.engine import Database
+from repro.engine.plan import reference
 from repro.engine.plan.cost import PlanStats, TableStats, predicate_selectivity
 from repro.engine.plan.physical import (
     FilterOp,
@@ -21,7 +22,7 @@ from repro.engine.plan.planner import plan_query
 from repro.engine.sql.ast_nodes import Comparison
 from repro.engine.sql.parser import parse_query
 from repro.errors import StorageError
-from repro.storage.codecs import CompactCodec, OrderPreservingCodec, choose_codec
+from repro.storage.codecs import CompactCodec, OrderPreservingCodec
 from repro.storage.column import Column
 from repro.storage.relation import Relation
 
@@ -131,6 +132,42 @@ class TestEncodedFilter:
         column.encoding()
         assert _evaluate_predicate_encoded(column, Comparison("v", "<", 4)) is None
 
+    @pytest.mark.parametrize(
+        "spec,values,literal,encoded",
+        [
+            # int64 lanes answer: one numpy compare, no encoded bytes.
+            (SPEC, [i * 100 - 700 for i in range(16)], 3, False),
+            # Past int64: the encoded compare beats the limbs.
+            (DecimalSpec(60, 2), [(-1) ** i * (10**50 + i) for i in range(16)], 10**48, True),
+        ],
+        ids=["lanes", "wide"],
+    )
+    def test_filter_compares_lanes_before_encoded_bytes(
+        self, monkeypatch, spec, values, literal, encoded
+    ):
+        column = Column.decimal_from_unscaled("v", values, spec)
+        relation = Relation("t", [column]).with_codecs({"v": OrderPreservingCodec()}, 4)
+        relation.column("v").encoding()
+        calls = []
+        compare_chunk = OrderPreservingCodec.compare_chunk
+
+        def counting(codec, chunk, literal):
+            calls.append(chunk)
+            return compare_chunk(codec, chunk, literal)
+
+        monkeypatch.setattr(OrderPreservingCodec, "compare_chunk", counting)
+        batch = ScanOp(["v"]).run(None, scan_context(relation))
+        for op in OPS:
+            calls.clear()
+            kept = FilterOp([Comparison("v", op, literal)]).run(
+                batch, scan_context(relation)
+            )
+            expected = reference.decimal_predicate(batch.column("v"), op, literal)
+            assert kept.column("v").unscaled() == [
+                v for v, keep in zip(values, expected) if keep
+            ]
+            assert bool(calls) == encoded
+
 
 class TestPlannerAttachment:
     def _database(self):
@@ -189,6 +226,17 @@ class TestCostModelZones:
         assert predicate_selectivity([Comparison("v", "<", 1)]) == pytest.approx(1 / 3)
 
 
+class _BoundedCodec(CompactCodec):
+    """Compact bytes for values up to ``2**31 - 1``; larger ones raise."""
+
+    name = "bounded"
+
+    def _encode_chunk(self, values, compact_slice, spec, zone):
+        if zone.max_unscaled >= 2**31:
+            raise StorageError("a value is above the bound of the codec")
+        return super()._encode_chunk(values, compact_slice, spec, zone)
+
+
 class TestAppendSnapshotIsolation:
     def _database(self):
         db = Database(simulate_rows=1_000_000)
@@ -222,27 +270,25 @@ class TestAppendSnapshotIsolation:
         after = db.execute(sql)  # the appended row re-encodes and matches
         assert before.rows != after.rows
 
-    def test_append_outgrowing_a_narrow_proof_raises_and_keeps_the_table(self):
-        # v's observed interval proves the narrow 32-bit container; the
-        # appended 99999999999.00 does not fit it.
+    def test_append_the_codec_rejects_keeps_table(self):
+        # The append encodes the new version before it publishes it, so a
+        # row its codec refuses raises and the table keeps its rows.
         columns = [
             Column.decimal_from_unscaled(
                 "v", [2**30, -(2**30), 2**29, 5], DecimalSpec(20, 2)
             ),
             Column.decimal_from_unscaled("w", [100, 200, 300, 400], DecimalSpec(6, 2)),
         ]
-        relation = Relation("t", columns)
-        codecs = {
-            column.name: choose_codec(column.column_type.spec, column.unscaled())
-            for column in columns
-        }
-        assert codecs["v"].name == "narrow32"
+        relation = Relation("t", columns).with_codecs(
+            {"v": _BoundedCodec(), "w": OrderPreservingCodec()}
+        )
         db = Database(simulate_rows=1_000_000)
-        db.catalog.register(relation.with_codecs(codecs))
+        db.catalog.register(relation)
         sql = "SELECT SUM(w) FROM t"
         before = db.execute(sql).rows
-        with pytest.raises(StorageError, match="narrow container"):
+        with pytest.raises(StorageError, match="above the bound"):
             db.append("t", [["99999999999.00", "1.00"]])
         assert db.catalog.get("t").rows == 4
         assert db.execute(sql).rows == before
         assert db.execute("SELECT SUM(v) FROM t").scalar.unscaled == 2**29 + 5
+

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ranges import prove_narrow_container
 from repro.core.decimal import dinf
 from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.vectorized import DecimalVector
@@ -23,7 +22,7 @@ from repro.engine.plan.stats import (
     collect_column_stats,
     sketch_ndv,
 )
-from repro.storage.codecs import CompactCodec, NarrowCodec, OrderPreservingCodec
+from repro.storage.codecs import CompactCodec, ForCodec, OrderPreservingCodec
 from repro.storage.column import Column
 
 #: One spec per register width ``Lw`` under test.
@@ -99,12 +98,9 @@ def fresh_encoding(column):
 
 
 def codecs_for(spec):
-    codecs = [CompactCodec()]
+    codecs = [CompactCodec(), ForCodec()]
     if dinf.supports(spec.max_unscaled):
         codecs.append(OrderPreservingCodec())
-    proof = prove_narrow_container(spec)
-    if proof is not None:
-        codecs.append(NarrowCodec(proof))
     return codecs
 
 
@@ -182,34 +178,31 @@ class TestInt64Lanes:
             assert all(type(value) is int for value in fields)
 
 
-#: Per codec: its spec, and whether its values may be near the spec's
-#: maximum (LEN 30 and 32 magnitudes take the Python-int path).
+#: Per codec, its spec: wide enough that near-maximum magnitudes take the
+#: Python-int path.
 CARRY_CASES = {
-    "compact": (LEN32, True),
-    "dinf": (SPECS[30], True),
-    "narrow32": (SPECS[1], False),
+    "compact": LEN32,
+    "dinf": SPECS[30],
+    "for": SPECS[30],
 }
 
 
-def carry_codec(name, spec):
+def carry_codec(name):
     if name == "compact":
         return CompactCodec()
     if name == "dinf":
         return OrderPreservingCodec()
-    return NarrowCodec(prove_narrow_container(spec))
+    return ForCodec()
 
 
 @st.composite
-def carry_values(draw, spec, near_max, size):
-    """``size`` values of ``spec``; with ``near_max``, small, int64-edge
-    and near-maximum magnitudes, so lanes and Python ints both run."""
+def carry_values(draw, spec, size):
+    """``size`` values of ``spec``: small, int64-edge and near-maximum
+    magnitudes, so lanes and Python ints both run."""
     top = spec.max_unscaled
-    if near_max:
-        magnitude = st.integers(0, 10**6) | st.sampled_from(
-            [2**63 - 1, 2**63, top, top - 1, top // 3]
-        )
-    else:
-        magnitude = st.integers(0, top)
+    magnitude = st.integers(0, 10**6) | st.sampled_from(
+        [2**63 - 1, 2**63, top, top - 1, top // 3]
+    )
     pairs = draw(st.lists(st.tuples(magnitude, st.booleans()), min_size=size, max_size=size))
     return [-m if negative else m for m, negative in pairs]
 
@@ -219,12 +212,12 @@ class TestAppendCarry:
     @settings(max_examples=150, deadline=None)
     def test_carried_version_equals_a_fresh_build(self, data):
         name = data.draw(st.sampled_from(sorted(CARRY_CASES)))
-        spec, near_max = CARRY_CASES[name]
+        spec = CARRY_CASES[name]
         chunk_rows = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, None]))
         step = chunk_rows or 4096
-        initial = data.draw(carry_values(spec, near_max, data.draw(st.integers(0, 9))))
+        initial = data.draw(carry_values(spec, data.draw(st.integers(0, 9))))
         column = Column.decimal_from_unscaled("v", initial, spec).with_codec(
-            carry_codec(name, spec), chunk_rows
+            carry_codec(name), chunk_rows
         )
         rows = list(initial)
         for _ in range(data.draw(st.integers(1, 5))):
@@ -246,7 +239,7 @@ class TestAppendCarry:
                 if chunk_rows
                 else st.sampled_from([0, 1, 7])
             )
-            added = data.draw(carry_values(spec, near_max, size))
+            added = data.draw(carry_values(spec, size))
             merged = column.appended(Column.decimal_from_unscaled("v", added, spec))
             rows += added
 

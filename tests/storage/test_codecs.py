@@ -1,23 +1,20 @@
-"""Storage codecs: round-trips, order preservation, zone maps, gating."""
+"""Storage codecs: round-trips, order preservation, FOR widths, zone maps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ranges import prove_narrow_container
 from repro.core.decimal import dinf
 from repro.core.decimal.context import DecimalSpec
-from repro.errors import StorageError
 from repro.storage.codecs import (
     CompactCodec,
-    NarrowCodec,
+    ForCodec,
     OrderPreservingCodec,
     ZoneMap,
     choose_codec,
 )
 from repro.storage.column import Column
-from repro.storage.schema import DecimalType
 
 #: Values crossing every interesting boundary: sign flips, zero, the
 #: 1/2/8-byte magnitude-length edges, and wide (>uint64) magnitudes.
@@ -102,16 +99,15 @@ def _column(values, codec=None, chunk_rows=None):
 
 class TestCodecColumns:
     @pytest.mark.parametrize(
-        "codec", [CompactCodec(), OrderPreservingCodec()], ids=["compact", "dinf"]
+        "codec",
+        [CompactCodec(), OrderPreservingCodec(), ForCodec()],
+        ids=["compact", "dinf", "for"],
     )
     def test_chunked_round_trip(self, codec):
         values = [0, -12345, 10**10, 42, -1, 999, -(10**9)]
         column = _column(values, codec, chunk_rows=3)
         encoding = column.encoding()
-        decoded = []
-        for chunk in encoding.chunks:
-            decoded.extend(codec.decode_chunk(chunk, SPEC))
-        assert decoded == values
+        assert encoding.decode() == values
         assert [z.rows for z in encoding.zones] == [3, 3, 1]
 
     def test_zone_maps_record_exact_stats(self):
@@ -177,55 +173,69 @@ class TestZoneMapVerdicts:
         assert zone.evaluate("<>", 7) is False
 
 
-class TestNarrowCodec:
-    NARROW_SPEC = DecimalSpec(8, 2)  # max_unscaled 99,999,999 < 2**31
+@st.composite
+def for_values(draw):
+    """Signed values under one cap per example: lanes with spreads past
+    int64 (up to ``2**64 - 2``), or Python ints past 63 bits."""
+    cap = draw(st.sampled_from([999, 2**63 - 1, 10**30]))
+    edges = [e for e in (0, 1, 255, 256, 2**62, 2**63 - 1, 2**63, 2**64, 10**30) if e <= cap]
+    magnitude = st.sampled_from(edges) | st.integers(0, cap)
+    pairs = draw(st.lists(st.tuples(magnitude, st.booleans()), min_size=1, max_size=200))
+    return [-m if negative else m for m, negative in pairs]
 
-    def test_requires_a_range_proof(self):
-        with pytest.raises(StorageError):
-            NarrowCodec(None)
 
-    def test_spec_proof_round_trips(self):
-        proof = prove_narrow_container(self.NARROW_SPEC)
-        assert proof is not None and proof.source == "spec"
-        codec = NarrowCodec(proof)
-        values = [0, -1, 99_999_999, -99_999_999, 42]
-        column = Column.decimal_from_unscaled("c", values, self.NARROW_SPEC)
-        encoding = codec.encode_column(column.data, values, self.NARROW_SPEC, 2)
-        decoded = []
+def for_encoding(values, spec, chunk_rows=4096):
+    column = Column.decimal_from_unscaled("c", values, spec)
+    return column.with_codec(ForCodec(), chunk_rows).encoding()
+
+
+def ratio(encoding):
+    return encoding.spec.compact_bytes * encoding.rows / encoding.wire_bytes
+
+
+class TestForCodec:
+    """The section IV-D1 frame-of-reference codec (Figure 14(b)-FOR)."""
+
+    @given(for_values(), st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_lossless(self, values, chunk_rows):
+        spec = DecimalSpec(31, 2)
+        encoding = for_encoding(values, spec, chunk_rows)
+        assert encoding.decode() == values
         for chunk in encoding.chunks:
-            decoded.extend(codec.decode_chunk(chunk, self.NARROW_SPEC))
-        assert decoded == values
-        assert encoding.wire_bytes == 4 * len(values)
+            rows = values[chunk.zone.row_start : chunk.zone.row_stop]
+            width = max(1, ((max(rows) - min(rows)).bit_length() + 7) // 8)
+            assert chunk.data.shape == (len(rows), width)
+            assert chunk.wire_bytes == spec.compact_bytes + width * len(rows)
 
-    def test_memcmp_order_is_preserved(self):
-        proof = prove_narrow_container(self.NARROW_SPEC)
-        codec = NarrowCodec(proof)
-        values = sorted([-99_999_999, -256, -1, 0, 1, 255, 99_999_999])
-        encoded = [
-            codec.encode_literal(v, self.NARROW_SPEC).tobytes() for v in values
-        ]
-        assert encoded == sorted(encoded)
+    def test_narrow_range_compresses_well(self):
+        """TPC-H quantities: values 1..50 at huge declared precision."""
+        spec = DecimalSpec(135, 2)  # the LEN=16 extended precision
+        values = [q * 100 for q in range(1, 51)] * 20
+        assert ratio(for_encoding(values, spec)) > 10
 
-    def test_wide_spec_has_no_spec_proof_without_observation(self):
-        wide = DecimalSpec(20, 2)
-        assert prove_narrow_container(wide) is None
-        proof = prove_narrow_container(wide, observed=(-1000, 1000))
-        assert proof is not None and proof.source == "observed"
+    def test_wide_range_compresses_poorly(self):
+        spec = DecimalSpec(20, 0)
+        values = [(-1) ** i * 10**19 + i for i in range(200)]
+        assert ratio(for_encoding(values, spec)) < 2
 
-    def test_encode_revalidates_against_the_container(self):
-        # An observed-interval proof does not survive data that outgrows
-        # it (e.g. after an append): encode raises, never truncates.
-        wide = DecimalSpec(20, 2)
-        codec = NarrowCodec(prove_narrow_container(wide, observed=(0, 100)))
-        values = [0, 2**31]  # second value exceeds int32
-        column = Column.decimal_from_unscaled("c", values, wide)
-        with pytest.raises(StorageError):
-            codec.encode_column(column.data, values, wide, 16)
+    def test_chunk_references_are_the_zone_minima(self):
+        spec = DecimalSpec(10, 0)
+        values = list(range(99, -1, -1))
+        encoding = for_encoding(values, spec, chunk_rows=32)
+        assert [zone.rows for zone in encoding.zones] == [32, 32, 32, 4]
+        assert [zone.min_unscaled for zone in encoding.zones] == [68, 36, 4, 0]
+        for chunk in encoding.chunks:
+            rows = values[chunk.zone.row_start : chunk.zone.row_stop]
+            deltas = [int.from_bytes(row.tobytes(), "big") for row in chunk.data]
+            assert deltas == [v - chunk.zone.min_unscaled for v in rows]
 
-    def test_spec_mismatch_raises(self):
-        codec = NarrowCodec(prove_narrow_container(self.NARROW_SPEC))
-        with pytest.raises(StorageError):
-            codec.encode_literal(1, DecimalSpec(20, 2))
+    def test_delta_widths_minimal(self):
+        spec = DecimalSpec(10, 0)
+        encoding = for_encoding([1000, 1001, 1002, 1003], spec)
+        assert encoding.chunks[0].data.shape == (4, 1)
+        assert encoding.wire_bytes == spec.compact_bytes + 4
+        assert for_encoding([7, 7, 7], spec).chunks[0].data.shape == (3, 1)
 
 
 class TestChooseCodec:
@@ -233,18 +243,16 @@ class TestChooseCodec:
         codec = choose_codec(SPEC, [0, 100, -5000])
         assert codec.name == "dinf"
 
-    def test_narrow_wins_on_wide_int32_values(self):
-        # Values needing 4 magnitude bytes: dinf = 5 B/row, narrow = 4.
+    def test_ties_prefer_dinf(self):
+        # 4 magnitude bytes: dinf takes 5 B/row, as many as DECIMAL(10,2)'s
+        # compact row.
         values = [2**30, -(2**30), 2**29]
-        codec = choose_codec(DecimalSpec(12, 2), values)
-        assert codec.name == "narrow32"
+        assert DecimalSpec(10, 2).compact_bytes == 5
+        assert choose_codec(DecimalSpec(10, 2), values).name == "dinf"
 
-    def test_narrow_never_selected_without_a_proof(self):
-        # Same byte profile but one value outside int32: the proof fails
-        # and the selection must fall back to an unguarded codec.
-        values = [2**30, -(2**30), 2**32]
-        codec = choose_codec(DecimalSpec(12, 2), values)
-        assert codec.name != "narrow32"
+    def test_wide_values_prefer_compact(self):
+        values = [2**33, -(2**33)]  # 6 B/row in dinf, 5 compact
+        assert choose_codec(DecimalSpec(10, 2), values).name == "compact"
 
     def test_huge_spec_without_values_falls_back_to_compact_or_dinf(self):
         codec = choose_codec(DecimalSpec(285, 2))
