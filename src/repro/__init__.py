@@ -20,19 +20,20 @@ Quickstart::
 
 import sys
 
-# Python >= 3.11 caps int<->str conversion at 4300 digits as a DoS guard.
-# An arbitrary-precision decimal library legitimately renders values far
-# wider (the paper's intro cites 20,000-digit workloads), so raise the cap
-# once at import.  Only ever raise it -- never lower a user's setting.
-_MIN_STR_DIGITS = 1_000_000
-if hasattr(sys, "set_int_max_str_digits"):
-    if sys.get_int_max_str_digits() < _MIN_STR_DIGITS:
-        sys.set_int_max_str_digits(_MIN_STR_DIGITS)
-
 from repro.core.decimal import DecimalSpec, DecimalValue, DecimalVector, spec_for_len
 from repro.core.jit import JitOptions, compile_expression
 from repro.engine import Database, QueryResult
 from repro.gpusim.streaming import StreamingConfig
+
+# Python >= 3.11 caps int<->str conversion at 4300 digits as a DoS guard.
+# An arbitrary-precision decimal library legitimately renders values far
+# wider (the paper's intro cites 20,000-digit workloads), so raise the cap
+# once at import.  Only ever raise it -- never lower a user's setting (0
+# means no cap).  No module converts an int that wide while it is imported.
+_MIN_STR_DIGITS = 1_000_000
+if hasattr(sys, "set_int_max_str_digits"):
+    if 0 < sys.get_int_max_str_digits() < _MIN_STR_DIGITS:
+        sys.set_int_max_str_digits(_MIN_STR_DIGITS)
 
 __version__ = "1.0.0"
 

@@ -4,7 +4,9 @@
 register-resident ``Decimal<N>`` objects the JIT engine generates (Listing 1
 in the paper): a sign byte plus ``Lw`` little-endian 32-bit words, with the
 ``DECIMAL(p, s)`` spec held out-of-band (it is column metadata, not stored
-per value).
+per value).  Like :class:`~repro.core.decimal.vectorized.DecimalVector`, a
+value keeps the compact form -- here its magnitude as one Python int -- and
+expands to the word array only when something reads :attr:`words`.
 
 All arithmetic follows the paper's semantics:
 
@@ -13,28 +15,81 @@ All arithmetic follows the paper's semantics:
   magnitude comparison choosing minuend and subtrahend (section II-B);
 * result specs follow the section III-B3 inference rules;
 * division pre-multiplies the dividend by ``10**(s2+4)`` and truncates.
+
+Addition, subtraction and multiplication run the limb carry chains of
+:mod:`repro.core.decimal.words`, so the row loops of
+:mod:`repro.core.decimal.reference` check the vectorized kernels against
+limb-level arithmetic; everything else reads the magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decimal import convert, inference
 from repro.core.decimal import words as w
-from repro.core.decimal.context import DecimalSpec
+from repro.core.decimal.context import WORD_BITS, DecimalSpec
 from repro.errors import DivisionByZeroError, PrecisionOverflowError
 
 Numeric = Union[int, float, str]
 
 
-@dataclass(frozen=True)
 class DecimalValue:
-    """An immutable ``DECIMAL(p, s)`` value: sign + word array + spec."""
+    """An immutable ``DECIMAL(p, s)`` value: sign + magnitude + spec.
 
-    spec: DecimalSpec
-    negative: bool
-    words: Tuple[int, ...]
+    ``DecimalValue(spec, negative, words)`` keeps the word array it is
+    given.  Every other constructor and every arithmetic result holds
+    only the magnitude, which fits the ``Lw``-word container, and builds
+    :attr:`words` on first read.  Reader threads may race that first
+    read: each builds an equal tuple, and one assignment publishes it.
+    The slots are private; nothing writes them after construction.
+    """
+
+    __slots__ = ("_spec", "_negative", "_magnitude", "_words")
+
+    def __init__(self, spec: DecimalSpec, negative: bool, words: Sequence[int]):
+        self._spec = spec
+        self._negative = negative
+        self._magnitude = w.to_int(words)
+        self._words: Optional[Sequence[int]] = words
+
+    @classmethod
+    def _of(
+        cls,
+        spec: DecimalSpec,
+        negative: bool,
+        magnitude: int,
+        words: Optional[Sequence[int]] = None,
+    ) -> "DecimalValue":
+        """A value holding ``magnitude`` (and ``words``, once built)."""
+        value = cls.__new__(cls)
+        value._spec = spec
+        value._negative = negative
+        value._magnitude = magnitude
+        value._words = words
+        return value
+
+    def __reduce__(self):
+        return (DecimalValue._of, (self._spec, self._negative, self._magnitude, self._words))
+
+    @property
+    def spec(self) -> DecimalSpec:
+        """The ``DECIMAL(p, s)`` type."""
+        return self._spec
+
+    @property
+    def negative(self) -> bool:
+        """The sign."""
+        return self._negative
+
+    @property
+    def words(self) -> Sequence[int]:
+        """The magnitude as ``Lw`` little-endian 32-bit words."""
+        words = self._words
+        if words is None:
+            words = tuple(w.from_int(self._magnitude, self._spec.words))
+            self._words = words
+        return words
 
     # ---------------------------------------------------------------- create
 
@@ -43,8 +98,7 @@ class DecimalValue:
         """Build from a signed unscaled integer (``123`` for ``1.23`` at s=2)."""
         if not spec.fits(unscaled):
             raise PrecisionOverflowError(f"{unscaled} does not fit {spec}")
-        magnitude = abs(unscaled)
-        return cls(spec, unscaled < 0, tuple(w.from_int(magnitude, spec.words)))
+        return cls._of(spec, unscaled < 0, abs(unscaled))
 
     @classmethod
     def from_unscaled_container(cls, unscaled: int, spec: DecimalSpec) -> "DecimalValue":
@@ -54,8 +108,27 @@ class DecimalValue:
         exceed the paper-rule spec wrap modulo the ``Lw``-word register
         array, as a generated kernel's fixed-size array would.
         """
-        magnitude = abs(unscaled) % (1 << (32 * spec.words))
-        return cls(spec, unscaled < 0 and magnitude != 0, tuple(w.from_int(magnitude, spec.words)))
+        return cls.column_from_unscaled_container((unscaled,), spec)[0]
+
+    @classmethod
+    def column_from_unscaled_container(
+        cls, values: Iterable[int], spec: DecimalSpec
+    ) -> List["DecimalValue"]:
+        """:meth:`from_unscaled_container` of each of ``values`` (a result
+        column), with the container computed once."""
+        container = 1 << (WORD_BITS * spec.words)
+        new = cls.__new__
+        out = []
+        for unscaled in values:
+            # ``_of``'s stores, inlined: this loop runs once per result value.
+            magnitude = abs(unscaled) % container
+            value = new(cls)
+            value._spec = spec
+            value._negative = unscaled < 0 and magnitude != 0
+            value._magnitude = magnitude
+            value._words = None
+            out.append(value)
+        return out
 
     @classmethod
     def from_literal(cls, value: Numeric, spec: DecimalSpec = None) -> "DecimalValue":
@@ -69,38 +142,37 @@ class DecimalValue:
                 negative, unscaled, spec = value < 0, abs(value), DecimalSpec(
                     max(len(str(abs(value))), 1), 0
                 )
-                return cls(spec, negative and unscaled != 0, tuple(w.from_int(unscaled, spec.words)))
+                return cls._of(spec, negative and unscaled != 0, unscaled)
             negative, unscaled, spec = convert.parse_literal(
                 repr(value) if isinstance(value, float) else str(value)
             )
-            return cls(spec, negative, tuple(w.from_int(unscaled, spec.words)))
+            return cls._of(spec, negative, unscaled)
         negative, unscaled = convert.literal_to_unscaled(value, spec)
-        return cls(spec, negative, tuple(w.from_int(unscaled, spec.words)))
+        return cls._of(spec, negative, unscaled)
 
     @classmethod
     def zero(cls, spec: DecimalSpec) -> "DecimalValue":
         """The zero value of a spec."""
-        return cls(spec, False, tuple(w.zero(spec.words)))
+        return cls._of(spec, False, 0)
 
     # --------------------------------------------------------------- inspect
 
     @property
     def unscaled(self) -> int:
         """The signed unscaled integer this value stores."""
-        magnitude = w.to_int(self.words)
-        return -magnitude if self.negative else magnitude
+        return -self._magnitude if self._negative else self._magnitude
 
     @property
     def is_zero(self) -> bool:
         """Whether the magnitude is zero."""
-        return w.is_zero(self.words)
+        return self._magnitude == 0
 
     def to_fraction_parts(self) -> Tuple[int, int]:
         """``(unscaled, 10**scale)`` -- the exact rational this represents."""
         return self.unscaled, 10**self.spec.scale
 
     def __str__(self) -> str:
-        return convert.unscaled_to_string(self.negative, w.to_int(self.words), self.spec.scale)
+        return convert.unscaled_to_string(self._negative, self._magnitude, self._spec.scale)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DecimalValue({self}, {self.spec})"
@@ -112,10 +184,8 @@ class DecimalValue:
         if spec is None:
             extra = max(scale - self.spec.scale, 0)
             spec = DecimalSpec(max(self.spec.precision + extra, scale, 1), scale)
-        unscaled = convert.rescale_unscaled(
-            w.to_int(self.words), self.spec.scale, scale, spec
-        )
-        return DecimalValue(spec, self.negative and unscaled != 0, tuple(w.from_int(unscaled, spec.words)))
+        unscaled = convert.rescale_unscaled(self._magnitude, self.spec.scale, scale, spec)
+        return DecimalValue._of(spec, self.negative and unscaled != 0, unscaled)
 
     def with_spec(self, spec: DecimalSpec) -> "DecimalValue":
         """Re-declare this value at another spec (rescaling as needed)."""
@@ -136,14 +206,14 @@ class DecimalValue:
     def __neg__(self) -> "DecimalValue":
         if self.is_zero:
             return self
-        return DecimalValue(self.spec, not self.negative, self.words)
+        return DecimalValue._of(self._spec, not self._negative, self._magnitude, self._words)
 
     def __mul__(self, other: "DecimalValue") -> "DecimalValue":
         result_spec = inference.mul_result(self.spec, other.spec)
         product = w.mul(list(self.words), list(other.words))
         magnitude = w.to_int(product)
         negative = (self.negative != other.negative) and magnitude != 0
-        return DecimalValue(result_spec, negative, tuple(w.from_int(magnitude, result_spec.words)))
+        return _result(result_spec, negative, magnitude)
 
     def __truediv__(self, other: "DecimalValue") -> "DecimalValue":
         if other.is_zero:
@@ -158,7 +228,7 @@ class DecimalValue:
         # Lw-word register array (see DecimalVector.from_unscaled_container).
         magnitude = quotient % (1 << (32 * result_spec.words))
         negative = (self.negative != other.negative) and magnitude != 0
-        return DecimalValue(result_spec, negative, tuple(w.from_int(magnitude, result_spec.words)))
+        return DecimalValue._of(result_spec, negative, magnitude)
 
     def __mod__(self, other: "DecimalValue") -> "DecimalValue":
         result_spec = inference.mod_result(self.spec, other.spec)
@@ -166,7 +236,7 @@ class DecimalValue:
             raise DivisionByZeroError("decimal modulo by zero")
         magnitude = abs(self.unscaled) % abs(other.unscaled)
         negative = self.negative and magnitude != 0
-        return DecimalValue(result_spec, negative, tuple(w.from_int(magnitude, result_spec.words)))
+        return _result(result_spec, negative, magnitude)
 
     # ------------------------------------------------------------ comparison
 
@@ -203,6 +273,14 @@ class DecimalValue:
         return self.compare(other) >= 0
 
 
+def _result(spec: DecimalSpec, negative: bool, magnitude: int) -> DecimalValue:
+    """An arithmetic result; a magnitude past ``spec``'s words raises
+    ``OverflowError``, as splitting it into limbs would."""
+    if magnitude >> (WORD_BITS * spec.words):
+        raise OverflowError(f"value needs more than {spec.words} words")
+    return DecimalValue._of(spec, negative, magnitude)
+
+
 def _align_pair(
     a: DecimalValue, b: DecimalValue, result_spec: DecimalSpec
 ) -> Tuple[DecimalValue, DecimalValue]:
@@ -227,8 +305,8 @@ def _signed_add(
         total, carry = w.add(a.words, b.words, width)
         if carry:
             raise PrecisionOverflowError("addition overflowed its inferred spec")
-        negative = a.negative and not all(x == 0 for x in total)
-        return DecimalValue(spec, negative, tuple(total))
+        magnitude = w.to_int(total)
+        return DecimalValue._of(spec, a.negative and magnitude != 0, magnitude)
     order = w.compare(a.words, b.words)
     if order == 0:
         return DecimalValue.zero(spec)
@@ -238,4 +316,4 @@ def _signed_add(
     else:
         magnitude, _ = w.sub(b.words, a.words, width)
         negative = b_negative
-    return DecimalValue(spec, negative, tuple(magnitude))
+    return DecimalValue._of(spec, negative, w.to_int(magnitude))

@@ -581,6 +581,14 @@ class GroupAggregateOp(_KernelOp):
         groups = len(starts)
         charged = max(int(sim_n / max(groups, 1)), 1)
         charges: List[float] = []
+        # Each aggregate is evaluated and charged on its own, in item
+        # order, but each distinct input moves into group order once.
+        readers: Dict[str, List[Tuple[int, str]]] = {}
+        for index, item in enumerate(self.items):
+            call = item.expression
+            if isinstance(call, AggregateCall) and call.function != "COUNT":
+                readers.setdefault(item.text, []).append((index, call.function.lower()))
+        reduced: Dict[int, mt_aggregation.SegmentedRun] = {}
         for index, item in enumerate(self.items):
             call = item.expression
             assert isinstance(call, AggregateCall)
@@ -597,9 +605,16 @@ class GroupAggregateOp(_KernelOp):
                 4 * vector.spec.words + 1, batch.simulated_rows
             )
             started = time.perf_counter()
-            run = mt_aggregation.aggregate_segments(
-                vector.take(order), starts, op=call.function.lower(), simulate_tuples=charged
-            )
+            if index not in reduced:
+                # The input's first reader reduces it for every reader, so
+                # the gathered rows are freed before the next item runs.
+                ordered = vector.take(order)
+                for reader, function in readers[item.text]:
+                    reduced[reader] = mt_aggregation.aggregate_segments(
+                        ordered, starts, op=function, simulate_tuples=charged
+                    )
+                del ordered
+            run = reduced.pop(index)
             context.report.data_plane_seconds += time.perf_counter() - started
             charges.append(cost.reduction(run.spec.words, charged))
             columns[item.name] = Column.decimal_from_unscaled(item.name, run.values, run.spec)

@@ -417,9 +417,10 @@ class Database:
         for name in names:
             column = batch.columns[name]
             if isinstance(column.column_type, DecimalType):
-                spec = column.column_type.spec
                 columns.append(
-                    [DecimalValue.from_unscaled_container(u, spec) for u in column.unscaled()]
+                    DecimalValue.column_from_unscaled_container(
+                        column.unscaled(), column.column_type.spec
+                    )
                 )
             elif isinstance(column.column_type, CharType):
                 columns.append([value.decode().rstrip() for value in column.data.tolist()])

@@ -286,15 +286,20 @@ class Column:
     def with_codec(
         self, codec: Optional[DecimalCodec], chunk_rows: Optional[int] = None
     ) -> "Column":
-        """A new Column over the same compact bytes with ``codec`` attached."""
+        """A new Column over the same compact bytes with ``codec`` attached,
+        keeping this column's current expansion."""
         self._decimal_spec()
-        return Column(
+        column = Column(
             self.name,
             self.column_type,
             self.data,
             codec=codec,
             encoding_chunk_rows=chunk_rows,
         )
+        cached = self._vector_cache
+        if cached is not None and cached[0] == self._version:
+            column._vector_cache = (column._version, cached[1])
+        return column
 
     def encoding(self) -> EncodedColumn:
         """Encode under the attached codec (chunked, zone maps included).

@@ -1,18 +1,23 @@
-"""Repeated reads derive nothing twice.
+"""Reads derive nothing twice.
 
 Join and group key codes and join build sides are kept with the column
 version that owns the rows, so a repeated read computes none of them; a
 filter, join or sort hands on views of its input, and a bare projection
-renames its input, so a repeated read expands no column either.
+renames its input, so a repeated read expands no column either.  Within
+one read, a grouped aggregate gathers each distinct input once, and the
+result values hold no limb words until something reads them.
 """
 
+import dataclasses
 from collections import Counter
 from unittest import mock
 
+from repro.core.decimal import words
 from repro.core.decimal.value import DecimalValue
 from repro.core.decimal.vectorized import DecimalVector
 from repro.engine import Database
-from repro.engine.plan import physical
+from repro.engine.plan import physical, reference
+from repro.engine.plan.physical import ExecutionReport
 from repro.storage import tpch
 from repro.storage.schema import DecimalType
 from repro.workloads import tpch_queries
@@ -102,3 +107,88 @@ class TestBareProjectionsShareTheirInput:
             second = database.execute(self.SQL)
         assert unpack.call_count == 0
         assert second.rows == first.rows
+
+
+class TestGroupInputsGatheredOnce:
+    @staticmethod
+    def run_grouped(sql, group_aggregate):
+        """``sql`` with ``group_aggregate`` as the grouped operator; returns
+        the result, the operator's input row count and the row count of
+        every ``DecimalVector.take`` inside the operator."""
+        database = Database(simulate_rows=10_000_000)
+        database.register(tpch.lineitem_for_len(8, rows=300, seed=7))
+        take = DecimalVector.take
+        sizes, batch_rows = [], []
+
+        def counted_take(vector, indices):
+            sizes.append(len(indices))
+            return take(vector, indices)
+
+        def run(op, batch, context):
+            batch_rows.append(batch.rows)
+            with mock.patch.object(DecimalVector, "take", counted_take):
+                return group_aggregate(op, batch, context)
+
+        with mock.patch.object(physical.GroupAggregateOp, "run", run):
+            result = database.execute(sql)
+        (rows,) = batch_rows
+        return result, rows, sizes
+
+    def assert_matches_the_row_loop(self, sql, result, rows):
+        oracle, oracle_rows, _ = self.run_grouped(sql, reference.group_aggregate)
+        assert oracle_rows == rows
+        assert result.rows == oracle.rows
+        # The oracle charges everything but the key sort.
+        simulated = [
+            field.name
+            for field in dataclasses.fields(ExecutionReport)
+            if field.name.endswith(("_seconds", "_bytes"))
+            and field.name not in ("data_plane_seconds", "sort_seconds")
+        ]
+        assert {name: getattr(result.report, name) for name in simulated} == {
+            name: getattr(oracle.report, name) for name in simulated
+        }
+        assert [entry.timing for entry in result.report.kernel_executions] == [
+            entry.timing for entry in oracle.report.kernel_executions
+        ]
+
+    def test_q1_gathers_each_input_once_with_unchanged_rows_and_charges(self):
+        sql = tpch_queries.Q1_SQL
+        result, rows, sizes = self.run_grouped(sql, physical.GroupAggregateOp.run)
+        # Four columns (l_quantity, l_extendedprice, l_discount, l_tax)
+        # gathered through the filter's view, and five distinct aggregate
+        # inputs (three columns, two kernels) into group order: SUM and
+        # AVG of one column share a gather.  Each input used to move into
+        # group order once per aggregate: 4 + 7.
+        assert sizes == [rows] * 9
+        self.assert_matches_the_row_loop(sql, result, rows)
+
+    def test_a_repeated_kernel_runs_per_aggregate_and_is_gathered_once(self):
+        sql = (
+            "SELECT l_returnflag, SUM(l_extendedprice * l_discount) AS s, MIN(l_tax) AS t, "
+            "MAX(l_extendedprice * l_discount) AS m, AVG(l_extendedprice * l_discount) AS a "
+            "FROM lineitem GROUP BY l_returnflag"
+        )
+        result, rows, sizes = self.run_grouped(sql, physical.GroupAggregateOp.run)
+        assert len(result.report.kernel_executions) == 3
+        assert sizes == [rows] * 2
+        self.assert_matches_the_row_loop(sql, result, rows)
+
+
+class TestResultValuesBuildNoWords:
+    SQL = (
+        "SELECT l_extendedprice * (1 - l_discount) AS disc_price "
+        "FROM lineitem WHERE l_quantity < 3"
+    )
+
+    def test_a_projection_splits_no_value_into_limbs(self):
+        database = Database(simulate_rows=10_000_000)
+        database.register(tpch.lineitem_for_len(8, rows=2_000, seed=1))
+        with mock.patch.object(words, "from_int", wraps=words.from_int) as split:
+            result = database.execute(self.SQL)
+        assert result.rows
+        assert split.call_count == 0
+        value = result.rows[0][0]
+        with mock.patch.object(words, "from_int", wraps=words.from_int) as split:
+            assert words.to_int(value.words) == abs(value.unscaled)
+        assert split.call_count == 1

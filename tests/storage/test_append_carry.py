@@ -3,9 +3,12 @@
 The storage passes (encode, zone maps, DECIMAL statistics) read a column's
 int64 lanes whenever its values fit 63 bits; the Python-int paths are the
 reference they must equal.  ``Column.appended`` reuses an old version's full
-chunks and register planes; the new version must equal one built from
-scratch, byte for byte, and the old version must not change.
+chunks and register planes, and ``Column.with_codec`` its expansion; the
+new version must equal one built from scratch, byte for byte, and the old
+version must not change.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,6 +310,44 @@ class TestAppendCarry:
         assert merged.data.tolist() == [1, 2, 3, 4]
         assert merged.version != column.version
         assert merged.cached_encoding() is None
+
+
+class TestWithCodecCarry:
+    @pytest.mark.parametrize("lw", [1, 2, 7, 30])
+    def test_the_expansion_is_carried_not_unpacked_again(self, lw):
+        spec = SPECS[lw]
+        edges = [edge for edge in EDGES if edge <= spec.max_unscaled]
+        values = edges + [-edge for edge in edges] + [spec.max_unscaled, -spec.max_unscaled]
+        for codec in codecs_for(spec):
+            column = Column.decimal_from_unscaled("v", values, spec)
+            vector = column.decimal_vector()
+            coded = column.with_codec(codec, 3)
+            with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+                encoded = coded.encoding()
+            assert coded.version != column.version
+            assert coded.decimal_vector() is vector
+            assert coded.unscaled() == values
+            assert_carried_vector(coded, spec)
+            assert_same_encoding(encoded, fresh_encoding(coded))
+
+    def test_a_view_carries_its_gathered_expansion(self):
+        spec = SPECS[2]
+        view = Column.decimal_from_unscaled("v", list(range(-5, 5)), spec).take(
+            np.array([9, 0, 4])
+        )
+        gathered = view.decimal_vector()
+        coded = view.with_codec(ForCodec(), 2)
+        assert coded.decimal_vector() is gathered
+        assert_same_encoding(coded.encoding(), fresh_encoding(coded))
+
+    def test_an_unexpanded_column_expands_its_own_bytes(self):
+        spec = SPECS[2]
+        built = Column.decimal_from_unscaled("v", [7, -8, 9], spec)
+        column = Column("v", built.column_type, built.data)
+        coded = column.with_codec(CompactCodec(), 2)
+        assert coded._vector_cache is None
+        assert coded.unscaled() == [7, -8, 9]
+        assert column._vector_cache is None
 
 
 @pytest.mark.parametrize("spec", [SPECS[1], LEN32])
