@@ -16,6 +16,18 @@ file:
   the registered header list -- a drive-by header rename must update the
   registry (and the consumers it documents) in the same change.
 
+It then validates every performance ledger at the repository root
+(``BENCH_*.json``) against the benchmark it reports on, ``BENCHMARK.json``:
+
+* every workload and every end-to-end metric the benchmark names appears,
+  at both ledger seeds (:data:`LEDGER_SEEDS`) and on both sides (the
+  parent commit and the change);
+* each metric carries a finite ``median``, ``q1`` and ``q3`` with
+  ``q1 <= median <= q3``;
+* the ``environment`` fingerprint names the Python and NumPy versions,
+  the CPU model and ``nproc``;
+* every ``traced`` per-layer value is a finite number.
+
 Usage::
 
     python benchmarks/check_bench_results.py [directory]
@@ -30,6 +42,18 @@ import math
 import sys
 from pathlib import Path
 from typing import List
+
+#: The repository root: ``BENCHMARK.json`` and the ``BENCH_*.json`` ledgers.
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Seeds every ledger reports, as perfbench's ``--seed`` values.
+LEDGER_SEEDS = ("1", "1009")
+
+#: Sides every ledger compares.
+LEDGER_SIDES = ("parent", "change")
+
+#: Keys of a ledger's environment fingerprint.
+ENVIRONMENT_KEYS = ("python", "numpy", "cpu", "nproc")
 
 #: Header fragments that mark a column as a timing/rate: values there must
 #: be finite and non-negative (a negative simulated time is always a bug).
@@ -140,6 +164,74 @@ def check_file(path: Path) -> List[str]:
     return problems
 
 
+def _finite(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def check_ledger(path: Path, benchmark: dict) -> List[str]:
+    """All violations in one ``BENCH_*.json`` ledger (empty = clean)."""
+    try:
+        ledger = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        return [f"unreadable JSON: {error}"]
+    if not isinstance(ledger, dict):
+        return ["top level is not an object"]
+
+    problems = []
+    environment = ledger.get("environment")
+    if not isinstance(environment, dict):
+        problems.append("missing 'environment' object")
+    else:
+        problems += [
+            f"environment lacks {key!r}" for key in ENVIRONMENT_KEYS if key not in environment
+        ]
+
+    untraced = ledger.get("untraced")
+    if not isinstance(untraced, dict):
+        return problems + ["missing 'untraced' object"]
+    metrics = [metric["name"] for metric in benchmark["end_to_end"]]
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
+        seeds = untraced.get(workload)
+        if not isinstance(seeds, dict):
+            problems.append(f"untraced lacks workload {workload!r}")
+            continue
+        for seed in LEDGER_SEEDS:
+            sides = seeds.get(seed)
+            if not isinstance(sides, dict):
+                problems.append(f"{workload}: no seed {seed}")
+                continue
+            for side in LEDGER_SIDES:
+                values = sides.get(side)
+                if not isinstance(values, dict):
+                    problems.append(f"{workload} seed {seed}: no {side!r} side")
+                    continue
+                for metric in metrics:
+                    where = f"{workload} seed {seed} {side} {metric}"
+                    summary = values.get(metric)
+                    if not isinstance(summary, dict):
+                        problems.append(f"{where}: missing")
+                    elif not all(_finite(summary.get(key)) for key in ("median", "q1", "q3")):
+                        problems.append(f"{where}: median, q1 and q3 must be finite numbers")
+                    elif not summary["q1"] <= summary["median"] <= summary["q3"]:
+                        problems.append(f"{where}: quartiles out of order")
+
+    problems += [
+        f"{where}: not a finite number" for where in _not_finite(ledger.get("traced", {}), "traced")
+    ]
+    return problems
+
+
+def _not_finite(tree, where: str) -> List[str]:
+    """Where the leaves of nested objects are not finite numbers."""
+    if isinstance(tree, dict):
+        return [bad for key, sub in tree.items() for bad in _not_finite(sub, f"{where} {key}")]
+    return [] if _finite(tree) else [where]
+
+
 def main(argv: List[str]) -> int:
     directory = Path(argv[1]) if len(argv) > 1 else Path("bench_results")
     artifacts = sorted(directory.glob("*.json"))
@@ -152,10 +244,22 @@ def main(argv: List[str]) -> int:
         for problem in problems:
             print(f"FAIL {path}: {problem}")
         failures += len(problems)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ledgers = sorted(ROOT.glob("BENCH_*.json"))
+    for path in ledgers:
+        problems = check_ledger(path, benchmark)
+        for problem in problems:
+            print(f"FAIL {path.name}: {problem}")
+        failures += len(problems)
+
     if failures:
-        print(f"{failures} problem(s) across {len(artifacts)} artifact(s)")
+        print(f"{failures} problem(s) across {len(artifacts) + len(ledgers)} file(s)")
         return 1
-    print(f"OK: {len(artifacts)} artifacts under {directory}/ are valid")
+    print(
+        f"OK: {len(artifacts)} artifacts under {directory}/ and "
+        f"{len(ledgers)} ledger(s) are valid"
+    )
     return 0
 
 

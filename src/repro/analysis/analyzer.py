@@ -49,12 +49,10 @@ def analyze_kernel(kernel: ir.KernelIR, tree: Optional[Expr] = None) -> Analysis
 def apply_fast_paths(kernel: ir.KernelIR, fast_paths: Dict[int, str]) -> ir.KernelIR:
     """Annotate Div/Mod instructions with statically proven routes.
 
-    Returns a rewritten *copy* of the kernel (fresh instruction list, the
-    annotated sites replaced wholesale -- the instruction dataclasses are
-    frozen), or the input kernel itself when nothing changed.  The input
-    is never mutated: it may be shared through the kernel cache, and an
-    in-place edit of ``kernel.instructions`` would silently rewrite every
-    other holder's view of it.
+    Returns a new kernel (a fresh instruction tuple with the annotated
+    sites replaced, and no cost profiles yet), or the input kernel itself
+    when nothing changed.  Kernels and instructions are frozen, so the
+    input, which may be shared through the kernel cache, stays as it was.
     """
     instructions = list(kernel.instructions)
     rewritten = 0
@@ -68,4 +66,4 @@ def apply_fast_paths(kernel: ir.KernelIR, fast_paths: Dict[int, str]) -> ir.Kern
         rewritten += 1
     if not rewritten:
         return kernel
-    return dataclasses.replace(kernel, instructions=instructions)
+    return dataclasses.replace(kernel, instructions=tuple(instructions))

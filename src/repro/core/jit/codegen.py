@@ -195,24 +195,26 @@ def generate_kernel(
     runtime_constants: bool = False,
     cse: bool = False,
 ) -> ir.KernelIR:
-    """Generate a kernel for a type-annotated binary expression tree."""
+    """Generate a kernel for a type-annotated binary expression tree.
+
+    The kernel has no ``source`` yet: ``compile_expression`` renders it
+    (:func:`render_source`) once the analyzer's fast-path routes are in.
+    """
     emitter = _Emitter(runtime_constants=runtime_constants, cse=cse)
     if cse:
         emitter.count_subtrees(expr)
     result_register = emitter.emit(expr)
     emitter.instructions.append(ir.StoreResult(result_register, expr.spec, result_register))
-    kernel = ir.KernelIR(
+    return ir.KernelIR(
         name=name,
         expression_sql=expr.to_sql(),
-        instructions=emitter.instructions,
+        instructions=tuple(emitter.instructions),
         input_columns=emitter.columns,
         result_spec=expr.spec,
         register_words=emitter.peak_words,
         tpi=tpi,
         released_after=dict(emitter.released_after),
     )
-    kernel.source = render_source(kernel)
-    return kernel
 
 
 def render_source(kernel: ir.KernelIR) -> str:

@@ -11,6 +11,15 @@ Three compile-time optimisations over the n-ary tree:
   DECIMAL constant at compile time and pre-aligned "to the minimum of the
   nodes having a greater or equal scale", so no per-tuple conversion or
   alignment is spent on it (Figure 7's ``2.23`` -> ``2.230`` example).
+
+A folded constant keeps the scale the section III-B3 rules give the
+literals it replaces (the largest addend scale, or the sum of the factor
+scales): ``0.10 * a`` stays at ``a``'s scale plus 2, not plus 1.  A
+narrower constant would move its term to a scale no sibling has and cost
+the enclosing sum an alignment the unoptimised kernel does not perform.
+For the same reason the ``1 * a`` shortcut is held back for a sum's term
+when the folded one carries a scale (``c + 1.00 * a``); elsewhere
+``0.25 * (a + b) * 4`` still folds to ``a + b``.
 """
 
 from __future__ import annotations
@@ -30,18 +39,24 @@ from repro.core.jit.expr_ast import (
 )
 
 
-def fold_constants(expr: Expr) -> Expr:
-    """Fold constant subtrees bottom-up; returns the (possibly new) root."""
+def fold_constants(expr: Expr, in_sum: bool = False) -> Expr:
+    """Fold constant subtrees bottom-up; returns the (possibly new) root.
+
+    Requires inference to have run: folded literals take their scale from
+    the specs of the nodes they replace.  ``in_sum`` marks a term (or a
+    negated term) of an n-ary sum.
+    """
     if isinstance(expr, NaryAdd):
-        terms = [fold_constants(term) for term in expr.terms]
+        terms = [fold_constants(term, in_sum=True) for term in expr.terms]
         terms = _flatten_sums(terms)
         literals, others = _split(terms)
         constant = sum((lit.value for lit in literals), Fraction(0))
+        scale = max((_scale(lit) for lit in literals), default=0)
         if not others:
-            return Literal(constant)
+            return _folded(constant, scale)
         new_terms = list(others)
         if constant != 0:
-            new_terms.append(Literal(constant))
+            new_terms.append(_folded(constant, scale))
         if len(new_terms) == 1:
             return new_terms[0]  # the "0 + a -> a" shortcut
         return NaryAdd(new_terms)
@@ -51,22 +66,24 @@ def fold_constants(expr: Expr) -> Expr:
         constant = Fraction(1)
         for literal in literals:
             constant *= literal.value
+        scale = sum(_scale(lit) for lit in literals)
         if constant == 0:
-            return Literal(Fraction(0))  # 0 * a evaluates immediately
+            # 0 * a evaluates immediately, at the product's scale.
+            return _folded(constant, expr.spec.scale if expr.spec else scale)
         if not others:
-            return Literal(constant)
+            return _folded(constant, scale)
         new_factors = list(others)
-        if constant != 1:
-            new_factors.insert(0, Literal(constant))
+        if constant != 1 or (in_sum and scale > 0):
+            new_factors.insert(0, _folded(constant, scale))
         if len(new_factors) == 1:
             return new_factors[0]  # the "1 * a -> a" shortcut
         return NaryMul(new_factors)
     if isinstance(expr, UnaryOp):
-        operand = fold_constants(expr.operand)
+        operand = fold_constants(expr.operand, in_sum=in_sum)
         if expr.op == "+":
             return operand
         if isinstance(operand, Literal):
-            return Literal(-operand.value)
+            return _folded(-operand.value, _scale(operand))
         if isinstance(operand, UnaryOp) and operand.op == "-":
             return operand.operand
         return UnaryOp(expr.op, operand)
@@ -75,7 +92,7 @@ def fold_constants(expr: Expr) -> Expr:
         if isinstance(argument, Literal):
             folded = _fold_function(expr.function, argument.value, expr.scale_arg)
             if folded is not None:
-                return Literal(folded)
+                return _folded(folded, expr.spec.scale if expr.spec else 0)
         return FuncCall(expr.function, argument, expr.scale_arg)
     if isinstance(expr, BinaryOp):
         # '/' and '%' keep DECIMAL truncation semantics, so only fold them
@@ -90,7 +107,7 @@ def fold_constants(expr: Expr) -> Expr:
         ):
             exact = left.value / right.value
             if _is_decimal_fraction(exact):
-                return Literal(exact)
+                return _folded(exact, expr.spec.scale if expr.spec else 0)
         return BinaryOp(expr.op, left, right)
     return expr
 
@@ -163,6 +180,15 @@ def align_constants(expr: Expr) -> Expr:
 def _with_spec(new: Expr, old: Expr) -> Expr:
     new.spec = old.spec
     return new
+
+
+def _scale(literal: Literal) -> int:
+    return (literal.spec or literal.minimal_spec()).scale
+
+
+def _folded(value: Fraction, scale: int) -> Literal:
+    """A literal for ``value`` at ``scale``, or wider if the value needs it."""
+    return _rescale_literal(Literal(value), scale)
 
 
 def _rescale_literal(literal: Literal, scale: int) -> Literal:

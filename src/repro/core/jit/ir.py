@@ -16,7 +16,7 @@ instruction's ``spec``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.decimal.context import DecimalSpec
 
@@ -155,7 +155,7 @@ class StoreResult(Instruction):
     src: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelIR:
     """A compiled expression kernel.
 
@@ -163,11 +163,16 @@ class KernelIR:
     referenced column names to their specs; ``result_spec`` is the inferred
     output.  ``register_words`` is the peak number of 32-bit value words
     live at once per thread, which drives the occupancy model.
+
+    Frozen: a kernel is shared through the kernel cache and priced from
+    :attr:`profiles`, so an edit builds a new one with
+    :func:`dataclasses.replace` (which starts with no profiles).
+    ``instructions`` is a tuple; a list handed in is converted.
     """
 
     name: str
     expression_sql: str
-    instructions: List[Instruction]
+    instructions: Tuple[Instruction, ...]
     input_columns: Dict[str, DecimalSpec]
     result_spec: DecimalSpec
     register_words: int
@@ -183,6 +188,15 @@ class KernelIR:
     #: is type-checking-only to keep this module free of upward runtime
     #: dependencies).
     analysis: Optional["AnalysisReport"] = field(default=None, repr=False, compare=False)
+    #: Per-device cost profiles, filled on a kernel's first pricing for a
+    #: device by :func:`repro.gpusim.timing.kernel_profile`.
+    profiles: Dict[Any, Any] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.instructions, tuple):
+            object.__setattr__(self, "instructions", tuple(self.instructions))
 
     @property
     def bytes_read_per_tuple(self) -> int:

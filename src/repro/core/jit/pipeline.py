@@ -22,6 +22,7 @@ other schemas and options.  Every pass builds its own nodes, starting with
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -191,14 +192,11 @@ def compile_expression(
         raise CodegenError(broken[0].message)
     if report.fast_paths and not report.has_errors:
         # Feed the proven division facts back into the IR (and the rendered
-        # listing) so the executor skips the per-row size dispatch.  The
-        # rewrite returns a copy; this kernel is not yet cached or shared,
-        # so swapping it in here is the only mutation-free window.
-        annotated = apply_fast_paths(kernel, report.fast_paths)
-        if annotated is not kernel:
-            kernel = annotated
-            kernel.source = codegen.render_source(kernel)
-    kernel.analysis = report
+        # listing) so the executor skips the per-row size dispatch.
+        kernel = apply_fast_paths(kernel, report.fast_paths)
+    kernel = dataclasses.replace(
+        kernel, source=codegen.render_source(kernel), analysis=report
+    )
     if options.strict_analysis and report.has_errors:
         from repro.analysis import Severity
         from repro.errors import AnalysisError

@@ -38,9 +38,10 @@ def infer(expr: Expr, schema: Schema) -> DecimalSpec:
         # Keep an already-annotated spec: constant pre-alignment (section
         # III-D2) deliberately widens a literal beyond its minimal spec, and
         # the pipeline re-infers after POWER expansion -- resetting here
-        # would undo the alignment and re-emit a runtime Align.  Parsed and
-        # freshly folded literals carry either no spec or the minimal one,
-        # so first-time inference is unchanged.
+        # would undo the alignment and re-emit a runtime Align.  Parsed
+        # literals carry their written spec and folded ones the scale of the
+        # literals they replace; only a bare ``Literal(value)`` gets the
+        # minimal one.
         if expr.spec is None:
             expr.spec = expr.minimal_spec()
     elif isinstance(expr, UnaryOp):

@@ -31,7 +31,6 @@ from repro.core.jit import ir
 from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.sql.ast_nodes import Comparison
 from repro.errors import ReproError
-from repro.gpusim import occupancy as gpu_occupancy
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
 from repro.gpusim.streaming import (
@@ -392,7 +391,7 @@ class CostModel:
 
     def occupancy(self, kernel: ir.KernelIR) -> float:
         """SM occupancy fraction of a launch (the scheduler's SM demand)."""
-        return gpu_occupancy.compute(kernel, self.device).occupancy
+        return gpu_timing.kernel_profile(kernel, self.device).occupancy.occupancy
 
     def pipeline(self, operators: int, simulate_rows: int) -> float:
         """Host pipeline overhead of an ``operators``-long chain."""

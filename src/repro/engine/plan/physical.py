@@ -372,6 +372,39 @@ class _JoinOp(PhysicalOp):
         self.join = join
         self.right_columns = right_columns
         self.right_predicates = list(right_predicates or [])
+        #: ``(versions, keep, survival)`` of the last build-side evaluation,
+        #: keyed by the versions of the columns the predicates read.
+        self._right_mask: Optional[Tuple[Tuple[int, ...], np.ndarray, float]] = None
+
+    def _right_keep(self, relation: Relation) -> Tuple[Optional[np.ndarray], float]:
+        """``(keep, survival)``: the read-only mask of ``relation``'s rows
+        the build-side predicates pass (None without predicates) and the
+        fraction it keeps.
+
+        The mask depends only on the versions of the columns the
+        predicates read, so this plan node keeps the last one it computed
+        and a repeated read (the plan cache hands it the same node)
+        evaluates nothing.  One mask per node: the plan cache bounds the
+        memory, and distinct literals add nothing to any column.  Reader
+        threads may race a fill: each computes an equal mask, and one
+        assignment publishes it.
+        """
+        if not self.right_predicates:
+            return None, 1.0
+        versions = tuple(
+            relation.column(name).version
+            for predicate in self.right_predicates
+            for name in (predicate.column, predicate.column_rhs)
+            if name is not None
+        )
+        hit = self._right_mask
+        if hit is not None and hit[0] == versions:
+            return hit[1], hit[2]
+        keep = _conjunction_mask(self.right_predicates, relation.column, relation.rows)
+        keep.setflags(write=False)
+        survival = int(np.count_nonzero(keep)) / max(relation.rows, 1)
+        self._right_mask = (versions, keep, survival)
+        return keep, survival
 
     def _prepare_right(self, context: QueryContext):
         """Scan/filter/ship the right side; returns (relation, keep, sim_rows),
@@ -381,14 +414,7 @@ class _JoinOp(PhysicalOp):
         except KeyError:
             raise ExecutionError(f"joined relation {self.join.table!r} missing") from None
         right_scale = context.simulate_rows / max(right_relation.rows, 1)
-
-        keep: Optional[np.ndarray] = None
-        survival = 1.0
-        if self.right_predicates:
-            keep = _conjunction_mask(
-                self.right_predicates, right_relation.column, right_relation.rows
-            )
-            survival = int(np.count_nonzero(keep)) / max(right_relation.rows, 1)
+        keep, survival = self._right_keep(right_relation)
 
         # The scan reads ship + predicate columns; PCIe carries only the
         # ship columns of rows that survived the build-side predicates.

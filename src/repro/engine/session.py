@@ -94,7 +94,8 @@ class PlanCache:
     :class:`~repro.core.jit.pipeline.KernelCache`, an entry is inserted
     only whole, after planning returns, and counts a miss, and a reuse
     counts a hit.  Serving sessions share the cache; planning runs outside
-    its lock, and a reused plan is never edited.
+    its lock, and a reused plan is never edited (a join node only keeps
+    its build-side predicate mask, keyed by the column versions it read).
     """
 
     def __init__(self) -> None:

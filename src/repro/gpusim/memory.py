@@ -73,11 +73,9 @@ def profile(kernel: ir.KernelIR, non_compact: bool = False) -> int:
     return total
 
 
-def memory_profile(
-    kernel: ir.KernelIR, device: GpuDevice, non_compact: bool = False
-) -> MemoryProfile:
-    """The kernel's traffic + coalescing profile."""
+def memory_profile(kernel: ir.KernelIR, device: GpuDevice) -> MemoryProfile:
+    """The kernel's compact-layout traffic + coalescing profile."""
     return MemoryProfile(
-        bytes_per_tuple=profile(kernel, non_compact=non_compact),
+        bytes_per_tuple=profile(kernel),
         coalescing=coalescing_factor(kernel, device),
     )

@@ -33,7 +33,7 @@ from repro.core.jit import ir
 from repro.errors import ExecutionError
 from repro.gpusim.device import DEFAULT_DEVICE, GpuDevice
 from repro.gpusim.executor import execute
-from repro.gpusim.timing import kernel_time, pcie_time
+from repro.gpusim.timing import kernel_profile, kernel_time, pcie_time
 
 #: Default rows per stream chunk.
 DEFAULT_CHUNK_ROWS = 1_000_000
@@ -83,7 +83,8 @@ class StreamingConfig:
             return self.chunk_rows
         # Double-buffered inputs (copy of chunk N+1 overlaps compute on N)
         # plus the result column written back.
-        bytes_per_row = 2 * kernel.bytes_read_per_tuple + kernel.bytes_written_per_tuple
+        profile = kernel_profile(kernel, device)
+        bytes_per_row = 2 * profile.bytes_read_per_tuple + profile.bytes_written_per_tuple
         budget = AUTO_MEMORY_FRACTION * device.memory_bytes
         rows = int(budget / max(bytes_per_row, 1))
         if tuples is not None:

@@ -1,12 +1,18 @@
-"""Roofline timing model for simulated kernels and queries.
+"""Timing model for simulated kernels and queries.
 
-``kernel_time`` = max(compute, memory) + launch overhead, where
+``kernel_time`` = compute + memory + launch overhead (additive, not a
+roofline max; :attr:`KernelTiming.seconds` says why), where
 
 * compute = per-tuple PTX issue cycles (section III-C expansions) divided by
   the device's integer throughput, derated when occupancy is too low to
   hide latency;
 * memory = compact bytes moved divided by effective DRAM bandwidth
-  (peak x efficiency x coalescing factor).
+  (peak x efficiency x coalescing factor, derated the same way).
+
+Only the tuple count varies between launches of one kernel on one device:
+the cycles, occupancy, memory profile and both divisors are a
+:class:`KernelCostProfile`, computed on the kernel's first pricing for a
+device and kept on the kernel (:func:`kernel_profile`).
 
 Query-level costs add PCIe transfers (GPU databases in the paper include
 them), the JIT compilation model (~320-423 ms for TPC-H Q1, section
@@ -145,36 +151,67 @@ def shuffle_cycles(kernel: ir.KernelIR) -> float:
     return cycles * kernel.tpi  # cost is paid by every thread in the group
 
 
+@dataclass(frozen=True)
+class KernelCostProfile:
+    """Everything that prices one kernel on one device except the tuple count.
+
+    ``compute_rate`` and ``bandwidth`` are the divisors of the compute and
+    memory terms: integer ops per second and effective DRAM bytes per
+    second, both derated by the same latency-hiding factor of the
+    occupancy.  The byte counts are compact bytes per tuple.
+    """
+
+    cycles_per_tuple: float
+    occupancy: occupancy.Occupancy
+    memory_profile: memory.MemoryProfile
+    compute_rate: float
+    bandwidth: float
+    bytes_read_per_tuple: int
+    bytes_written_per_tuple: int
+
+
+def kernel_profile(
+    kernel: ir.KernelIR, device: GpuDevice = DEFAULT_DEVICE
+) -> KernelCostProfile:
+    """The kernel's cost profile on ``device``, computed on first use.
+
+    Kept in ``kernel.profiles`` keyed by device.  Reader threads may race
+    the first fill: each computes an equal profile, and one assignment
+    publishes it.
+    """
+    profile = kernel.profiles.get(device)
+    if profile is None:
+        occ = occupancy.compute(kernel, device)
+        mem = memory.memory_profile(kernel, device)
+        latency_hiding = min(1.0, occ.occupancy / (0.5 * device.latency_hiding_knee))
+        profile = KernelCostProfile(
+            cycles_per_tuple=tuple_cycles(kernel),
+            occupancy=occ,
+            memory_profile=mem,
+            compute_rate=device.int_throughput * latency_hiding,
+            bandwidth=(
+                device.dram_bandwidth * device.dram_efficiency * mem.coalescing * latency_hiding
+            ),
+            bytes_read_per_tuple=kernel.bytes_read_per_tuple,
+            bytes_written_per_tuple=kernel.bytes_written_per_tuple,
+        )
+        kernel.profiles[device] = profile
+    return profile
+
+
 def kernel_time(
-    kernel: ir.KernelIR,
-    tuples: int,
-    device: GpuDevice = DEFAULT_DEVICE,
-    non_compact: bool = False,
+    kernel: ir.KernelIR, tuples: int, device: GpuDevice = DEFAULT_DEVICE
 ) -> KernelTiming:
-    """Simulated wall time of one kernel launch."""
-    occ = occupancy.compute(kernel, device)
-    mem = memory.memory_profile(kernel, device, non_compact=non_compact)
-    cycles = tuple_cycles(kernel)
-
-    latency_hiding = min(1.0, occ.occupancy / (0.5 * device.latency_hiding_knee))
-    compute_seconds = tuples * cycles / (device.int_throughput * latency_hiding)
-
-    effective_bandwidth = (
-        device.dram_bandwidth
-        * device.dram_efficiency
-        * mem.coalescing
-        * min(1.0, occ.occupancy / (0.5 * device.latency_hiding_knee))
-    )
-    memory_seconds = mem.total_bytes(tuples) / effective_bandwidth
-
+    """Simulated wall time of one kernel launch over ``tuples`` tuples."""
+    profile = kernel_profile(kernel, device)
     return KernelTiming(
         tuples=tuples,
-        cycles_per_tuple=cycles,
-        compute_seconds=compute_seconds,
-        memory_seconds=memory_seconds,
+        cycles_per_tuple=profile.cycles_per_tuple,
+        compute_seconds=tuples * profile.cycles_per_tuple / profile.compute_rate,
+        memory_seconds=profile.memory_profile.total_bytes(tuples) / profile.bandwidth,
         launch_seconds=device.kernel_launch_overhead,
-        occupancy=occ,
-        memory_profile=mem,
+        occupancy=profile.occupancy,
+        memory_profile=profile.memory_profile,
     )
 
 

@@ -23,14 +23,15 @@ from repro.errors import AnalysisError
 
 
 def _strip_fast_paths(kernel: ir.KernelIR) -> ir.KernelIR:
-    stripped = dataclasses.replace(kernel)
-    stripped.instructions = [
-        dataclasses.replace(i, fast_path=None)
-        if isinstance(i, (ir.DivOp, ir.ModOp))
-        else i
-        for i in kernel.instructions
-    ]
-    return stripped
+    return dataclasses.replace(
+        kernel,
+        instructions=[
+            dataclasses.replace(i, fast_path=None)
+            if isinstance(i, (ir.DivOp, ir.ModOp))
+            else i
+            for i in kernel.instructions
+        ],
+    )
 
 
 class TestBitExactExecution:
@@ -151,7 +152,7 @@ class TestApplyFastPathsImmutability:
         # parties; annotating one holder's view must not leak to the other.
         shared = _strip_fast_paths(compiled.kernel)
         original_instructions = shared.instructions
-        original_items = list(shared.instructions)
+        original_items = tuple(shared.instructions)
         _findings, fast_paths = analyze_ranges(shared)
         assert fast_paths  # the x / 7 divisor is statically provable
 

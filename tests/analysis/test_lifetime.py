@@ -1,5 +1,7 @@
 """Tests for the def-use/lifetime pass (dead code, pool discipline)."""
 
+import dataclasses
+
 from repro.analysis import analyze_kernel
 from repro.analysis.lifetime import (
     DEAD_STORE,
@@ -95,7 +97,7 @@ class TestGeneratedKernels:
         kernel = compile_expression(
             "a + b", {"a": DecimalSpec(10, 2), "b": DecimalSpec(8, 1)}
         ).kernel
-        kernel.register_words += 3
+        kernel = dataclasses.replace(kernel, register_words=kernel.register_words + 3)
         report = analyze_kernel(kernel)
         assert PEAK_WORDS_MISMATCH in report.rules()
         assert not report.has_errors  # a width misestimate is waste, not unsoundness

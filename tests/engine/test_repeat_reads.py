@@ -2,10 +2,12 @@
 
 Join and group key codes and join build sides are kept with the column
 version that owns the rows, so a repeated read computes none of them; a
-filter, join or sort hands on views of its input, and a bare projection
-renames its input, so a repeated read expands no column either.  Within
-one read, a grouped aggregate gathers each distinct input once, and the
-result values hold no limb words until something reads them.
+join node keeps its build-side predicate mask for the column versions it
+read, so a repeated read evaluates none; a filter, join or sort hands on
+views of its input, and a bare projection renames its input, so a
+repeated read expands no column either.  Within one read, a grouped
+aggregate gathers each distinct input once, and the result values hold no
+limb words until something reads them.
 """
 
 import dataclasses
@@ -18,7 +20,9 @@ from repro.core.decimal.vectorized import DecimalVector
 from repro.engine import Database
 from repro.engine.plan import physical, reference
 from repro.engine.plan.physical import ExecutionReport
+from repro.engine.sql.ast_nodes import Comparison
 from repro.storage import tpch
+from repro.storage.relation import Relation
 from repro.storage.schema import DecimalType
 from repro.workloads import tpch_queries
 
@@ -91,6 +95,88 @@ class TestKeysDerivedOncePerVersion:
         after, _ = derivations(database, QUERIES)
         expected = Counter({key: 1 for key in first if key[1] == "lineitem"})
         assert after == expected
+
+
+def build_side_masks(database, queries):
+    """Run ``queries``; count the build-side predicate evaluations per
+    joined table (a filter's evaluation reads a batch, not a relation)."""
+    counts = Counter()
+    conjunction_mask = physical._conjunction_mask
+
+    def counted(predicates, column, rows):
+        owner = getattr(column, "__self__", None)
+        if isinstance(owner, Relation):
+            counts[owner.name] += 1
+        return conjunction_mask(predicates, column, rows)
+
+    with mock.patch.object(physical, "_conjunction_mask", counted):
+        results = [database.execute(sql) for sql in queries]
+    return counts, results
+
+
+#: Simulated charges but the compile, which only a kernel cache miss pays.
+SIMULATED = [
+    field.name
+    for field in dataclasses.fields(ExecutionReport)
+    if field.name.endswith(("_seconds", "_bytes"))
+    and field.name not in ("data_plane_seconds", "compile_seconds")
+]
+
+
+def answers(results):
+    """Rows and every simulated charge (PCIe bytes included) of each result."""
+    return [
+        (result.rows, {name: getattr(result.report, name) for name in SIMULATED})
+        for result in results
+    ]
+
+
+class TestBuildSideMaskOncePerVersion:
+    JOINS = (tpch_queries.Q3_SQL, tpch_queries.Q5_SQL, tpch_queries.Q10_SQL)
+
+    def test_second_read_evaluates_no_build_side_predicate(self):
+        database = tpch_database()
+        first, results = build_side_masks(database, self.JOINS)
+        assert first["customer"] + first["orders"] >= 2 and first["lineitem"] == 1
+        again, results_again = build_side_masks(database, self.JOINS)
+        assert again == Counter()
+        # The kept mask ships the same bytes, keeps the same survival
+        # (which prices the join) and joins the same rows.
+        assert answers(results_again) == answers(results)
+        assert all(result.rows for result in results)
+
+    def test_an_append_recomputes_the_mask(self):
+        database = tpch_database()
+        lineitem = database.catalog.get("lineitem")
+        op = physical.HashJoinOp(None, ["l_orderkey"], [Comparison("l_returnflag", "=", "R")])
+        with mock.patch.object(
+            physical, "_conjunction_mask", wraps=physical._conjunction_mask
+        ) as evaluate:
+            keep, survival = op._right_keep(lineitem)
+            assert not keep.flags.writeable
+            again, survival_again = op._right_keep(lineitem)
+            assert evaluate.call_count == 1
+            assert again is keep and survival_again == survival
+
+            row = list(first_row(lineitem))
+            row[lineitem.column_names.index("l_returnflag")] = "R"
+            appended = database.append("lineitem", [tuple(row)])
+            grown, grown_survival = op._right_keep(appended)
+            assert evaluate.call_count == 2
+        assert grown.tolist() == keep.tolist() + [True]
+        assert grown_survival == (int(keep.sum()) + 1) / appended.rows
+
+    def test_reads_after_an_append_match_a_cold_database(self):
+        database = tpch_database()
+        build_side_masks(database, self.JOINS)
+        database.append("lineitem", [first_row(database.catalog.get("lineitem"))])
+        _, warm = build_side_masks(database, self.JOINS)
+
+        cold = Database(simulate_rows=10_000_000)
+        for name in database.catalog.names():
+            cold.register(database.catalog.get(name))
+        _, fresh = build_side_masks(cold, self.JOINS)
+        assert answers(warm) == answers(fresh)
 
 
 class TestBareProjectionsShareTheirInput:

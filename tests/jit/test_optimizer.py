@@ -207,6 +207,38 @@ class TestConstantFolding:
         assert compiled.tree.to_sql().count("+") == 3
 
 
+class TestFoldedConstantScale:
+    """A folded constant keeps the scale of the literals it replaces."""
+
+    SCHEMA = {"a": DecimalSpec(2, 0), "b": DecimalSpec(4, 2)}
+    NO_FOLDING = JitOptions(constant_folding=False, constant_alignment=False)
+
+    def test_trailing_zero_keeps_its_scale(self):
+        """0.10 * a stays at scale 2, so it adds to 0.01 unaligned."""
+        compiled = compile_expression("a + 0.01 + 0.10 * a", self.SCHEMA)
+        assert (compiled.alignments_before, compiled.alignments_after) == (1, 1)
+        assert compiled.kernel.result_spec.scale == 2
+
+    def test_product_of_constants_keeps_the_summed_scale(self):
+        """44 * 493.40 folds to one constant at scale 0 + 2."""
+        folded = compile_expression("b * 44 * 493.40 - a", self.SCHEMA)
+        unfolded = compile_expression("b * 44 * 493.40 - a", self.SCHEMA, self.NO_FOLDING)
+        assert folded.kernel.result_spec.scale == unfolded.kernel.result_spec.scale == 4
+        assert folded.alignments_after <= folded.alignments_before
+
+    def test_unit_factor_with_a_scale_stays_in_a_sum(self):
+        """Dropping 1.00 would put a at scale 0 next to b's 2: one alignment."""
+        compiled = compile_expression("b + 1.00 * a", self.SCHEMA)
+        assert (compiled.alignments_before, compiled.alignments_after) == (0, 0)
+
+    def test_folding_does_not_change_the_result_type(self):
+        schema = {"l_tax": DecimalSpec(15, 2)}
+        expression = "(l_tax * (574.48 * l_tax)) * 626.25"
+        folded = compile_expression(expression, schema)
+        unfolded = compile_expression(expression, schema, self.NO_FOLDING)
+        assert folded.kernel.result_spec == unfolded.kernel.result_spec
+
+
 def _walk(expr):
     from repro.core.jit.expr_ast import walk
 

@@ -1,6 +1,8 @@
 """Tests for the kernel IR structural verifier (``check_structure``) and
 the JIT pipeline's refusal of structurally broken kernels."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,8 +55,9 @@ class TestAcceptsGeneratedKernels:
 class TestRejectsBrokenKernels:
     def test_undefined_register(self):
         kernel = valid_kernel()
-        kernel.instructions.insert(
-            0, ir.AddOp(99, DecimalSpec(4, 0), 50, 51)
+        kernel = dataclasses.replace(
+            kernel,
+            instructions=(ir.AddOp(99, DecimalSpec(4, 0), 50, 51), *kernel.instructions),
         )
         assert "undefined register" in first_finding(kernel)
 
@@ -78,9 +81,10 @@ class TestRejectsBrokenKernels:
 
     def test_missing_store(self):
         kernel = valid_kernel()
-        kernel.instructions = [
-            i for i in kernel.instructions if not isinstance(i, ir.StoreResult)
-        ]
+        kernel = dataclasses.replace(
+            kernel,
+            instructions=[i for i in kernel.instructions if not isinstance(i, ir.StoreResult)],
+        )
         assert "exactly one result" in first_finding(kernel)
 
     def test_wrong_align_exponent(self):
@@ -130,8 +134,7 @@ class TestRejectsBrokenKernels:
         assert "integer" in first_finding(kernel)
 
     def test_store_spec_mismatch(self):
-        kernel = valid_kernel()
-        kernel.result_spec = DecimalSpec(30, 5)
+        kernel = dataclasses.replace(valid_kernel(), result_spec=DecimalSpec(30, 5))
         assert "result spec" in first_finding(kernel)
 
 
@@ -143,8 +146,10 @@ class TestCompileRejectsBrokenCodegen:
 
         def broken(*args, **kwargs):
             kernel = generate(*args, **kwargs)
-            kernel.instructions.insert(0, ir.AddOp(99, DecimalSpec(4, 0), 50, 51))
-            return kernel
+            return dataclasses.replace(
+                kernel,
+                instructions=(ir.AddOp(99, DecimalSpec(4, 0), 50, 51), *kernel.instructions),
+            )
 
         monkeypatch.setattr(codegen, "generate_kernel", broken)
         with pytest.raises(CodegenError, match="undefined register"):
