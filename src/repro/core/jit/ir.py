@@ -156,6 +156,16 @@ class StoreResult(Instruction):
 
 
 @dataclass(frozen=True)
+class Traffic:
+    """A kernel's global-memory traffic per tuple, in compact bytes."""
+
+    bytes_read: int
+    bytes_written: int
+    #: Column loads and result stores that move those bytes.
+    accesses: int
+
+
+@dataclass(frozen=True)
 class KernelIR:
     """A compiled expression kernel.
 
@@ -198,23 +208,29 @@ class KernelIR:
         if not isinstance(self.instructions, tuple):
             object.__setattr__(self, "instructions", tuple(self.instructions))
 
+    def traffic(self) -> Traffic:
+        """What each tuple moves through global memory: one walk of the
+        loads and stores."""
+        read = written = accesses = 0
+        for instruction in self.instructions:
+            if isinstance(instruction, LoadColumn):
+                read += instruction.spec.compact_bytes
+            elif isinstance(instruction, StoreResult):
+                written += instruction.spec.compact_bytes
+            else:
+                continue
+            accesses += 1
+        return Traffic(read, written, accesses)
+
     @property
     def bytes_read_per_tuple(self) -> int:
         """Compact input bytes each tuple loads from global memory."""
-        return sum(
-            instruction.spec.compact_bytes
-            for instruction in self.instructions
-            if isinstance(instruction, LoadColumn)
-        )
+        return self.traffic().bytes_read
 
     @property
     def bytes_written_per_tuple(self) -> int:
         """Compact output bytes each tuple stores."""
-        return sum(
-            instruction.spec.compact_bytes
-            for instruction in self.instructions
-            if isinstance(instruction, StoreResult)
-        )
+        return self.traffic().bytes_written
 
     def count(self, kind) -> int:
         """Number of IR instructions of a given type."""

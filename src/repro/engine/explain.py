@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis import AnalysisReport
-from repro.engine.plan.cost import CostModel, OptimizerConfig
+from repro.engine.plan.cost import CostModel, OptimizerConfig, PlanStats
 from repro.engine.plan.physical import (
     AggregateOp,
     DropOp,
@@ -33,6 +33,7 @@ from repro.engine.plan.physical import (
     ScanOp,
     SortOp,
 )
+from repro.engine.plan.planner import estimate_plan
 from repro.gpusim import profiler as gpu_profiler
 from repro.gpusim.streaming import StreamingConfig, StreamTiming
 from repro.storage.relation import Relation
@@ -131,7 +132,7 @@ class ExplainResult:
 def explain_query(
     chain: List[PhysicalOp],
     relation: Relation,
-    simulate_rows: int,
+    stats: PlanStats,
     cost_model: CostModel,
     optimizer: OptimizerConfig,
     streaming: StreamingConfig,
@@ -140,11 +141,14 @@ def explain_query(
 ) -> ExplainResult:
     """Build an ExplainResult from a planned query.
 
-    The estimated total is what execution would charge at the planner's
-    estimated rows, priced by the :class:`CostModel` methods execution
-    calls: the operator estimates, each kernel launch at its operator's
-    estimated input rows, the compile of every kernel the plan did not
-    find cached, and the pipeline overhead.  With streaming, the scan's
+    ``stats`` are the statistics the query was planned with.  Each
+    operator's estimate comes from
+    :func:`~repro.engine.plan.planner.estimate_plan` over them, and the
+    estimated total is what execution would charge at those estimated
+    rows, priced by the :class:`CostModel` methods execution calls: the
+    operator estimates, each kernel launch at its operator's estimated
+    input rows, the compile of every kernel the plan did not find cached,
+    and the pipeline overhead.  With streaming, the scan's
     transfers are deferred as execution defers them: a column's first
     kernel overlaps it, a bare aggregated column and whatever no kernel
     read ship serially.  The kernel table comes from the kernels the
@@ -211,10 +215,11 @@ def explain_query(
         kernels.append(plan)
         return timing.pipelined_seconds
 
+    simulate_rows = stats.simulate_rows
     rows = float(simulate_rows)  # estimated rows entering each operator
-    for op in chain:
+    for op, estimate in zip(chain, estimate_plan(chain, stats, cost)):
         line: Optional[str] = None
-        seconds = op.estimated.total_seconds
+        seconds = estimate.total_seconds
         if isinstance(op, ScanOp):
             line = f"Scan {relation.name} [{', '.join(op.columns)}]"
             if streaming.enabled:
@@ -266,9 +271,9 @@ def explain_query(
         elif isinstance(op, LimitOp):
             line = f"Limit [{op.count}]"
         if line is not None:
-            operators.append(f"{line} {op.estimated.format()}")
+            operators.append(f"{line} {estimate.format()}")
         total += seconds
-        rows = op.estimated.rows
+        rows = estimate.rows
     # What no kernel read ships serially at the end of the plan.
     total += cost.transfer(sum(pending.values()))
     total += compile_seconds + cost.pipeline(len(chain), simulate_rows)

@@ -7,9 +7,10 @@ group key sort, payload gather, multi-pass reduction, compile, kernel
 launch and chunk choice, pipeline overhead -- built on the roofline
 primitives of :mod:`repro.gpusim.timing`.  The physical operators and
 :func:`~repro.engine.executor.run_plan` call these methods with the
-actual bytes and rows of an execution; the planner calls the same methods
-with estimated inputs to put an ISGBD-style ``(startup, total, rows)``
-estimate on every plan node, and EXPLAIN prices the planned kernels,
+actual bytes and rows of an execution;
+:func:`~repro.engine.plan.planner.estimate_plan` calls the same methods
+with estimated inputs for an ISGBD-style ``(startup, total, rows)``
+estimate of every plan node, and EXPLAIN prices the planned kernels,
 compile and pipeline through them too.  An estimate therefore differs
 from the charge only where its inputs do (cardinalities, catalog widths).
 

@@ -26,7 +26,7 @@ from repro.core.decimal.vectorized import DecimalVector
 from repro.core.jit.expr_ast import ColumnRef
 from repro.core.jit.pipeline import CompiledExpression
 from repro.core.multithread import aggregation as mt_aggregation
-from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig
+from repro.engine.plan.cost import CostModel, OptimizerConfig
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey, SelectItem
 from repro.errors import ExecutionError, MultithreadError, PlanningError, StorageError
 from repro.gpusim import executor as gpu_executor
@@ -190,10 +190,6 @@ OutputValue = Union[DecimalValue, int, float, str]
 
 class PhysicalOp:
     """Base class: transforms a batch and charges the report."""
-
-    #: Planner-attached :class:`~repro.engine.plan.cost.CostEstimate` for
-    #: EXPLAIN; ``None`` on an operator built without the planner.
-    estimated: Optional["CostEstimate"] = None
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         raise NotImplementedError

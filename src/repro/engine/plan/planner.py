@@ -1,11 +1,13 @@
 """Logical -> physical planning: rewrite rules, costing, physical choice.
 
 ``plan_query`` builds the logical chain, drives the rewrite-rule engine
-(:mod:`repro.engine.plan.rules`) to a fixpoint, lowers each logical node
-to a physical operator -- choosing between physical alternatives (hash vs
-nested-loop join) with the :class:`~repro.engine.plan.cost.CostModel` --
-and annotates every operator with an ISGBD-style per-node
-:class:`~repro.engine.plan.cost.CostEstimate` for EXPLAIN.
+(:mod:`repro.engine.plan.rules`) to a fixpoint, and lowers each logical
+node to a physical operator, choosing between physical alternatives
+(hash vs nested-loop join) with the
+:class:`~repro.engine.plan.cost.CostModel`.  :func:`estimate_plan` puts
+an ISGBD-style :class:`~repro.engine.plan.cost.CostEstimate` on every
+operator of a finished plan: the planner reads it for the rows entering
+each join, and EXPLAIN for every line it prints.
 
 It is also the one place that compiles: every kernel of the plan is
 compiled once, through the kernel cache the caller passes, and recorded
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.decimal import inference
 from repro.core.jit.expr_ast import ColumnRef
@@ -118,11 +120,15 @@ def plan_query(
 
     ``optimizer`` defaults to off, which reproduces the historical
     fixed-shape translation (plus the always-on sort-key retention pass),
-    and ``cost_model`` to :class:`CostModel`'s defaults.  Every operator
-    gets an estimate from the cost model's charge methods at the
-    estimated rows; every kernel is compiled through ``kernel_cache`` (a
-    fresh one when None) with ``jit_options``.  The plan-level static
-    analyzer then runs over the plan, its findings labelled ``label``.
+    and ``cost_model`` to :class:`CostModel`'s defaults.  Every kernel is
+    compiled through ``kernel_cache`` (a fresh one when None) with
+    ``jit_options``.  The plan-level static analyzer then runs over the
+    plan, its findings labelled ``label``.
+
+    The plan holds only what planning decided.  Estimates are
+    :func:`estimate_plan`'s, read here only for the rows entering each
+    join, so a join-free plan reads of ``stats`` only the main table's
+    column types and ``simulate_rows``.
     """
     optimizer = optimizer if optimizer is not None else OptimizerConfig.off()
     cost_model = cost_model if cost_model is not None else CostModel()
@@ -133,30 +139,16 @@ def plan_query(
 
     choices: List[str] = []
     ops: List[PhysicalOp] = []
-    rows = float(stats.simulate_rows)
-    #: Bytes per row of the columns computed so far (kernel and aggregate
-    #: results, renamed columns), which the catalog does not know.
-    computed: Dict[str, float] = {}
-
     for node in nodes:
         if isinstance(node, LogicalScan):
             op: PhysicalOp = ScanOp(node.columns)
-            scanned = stats.main.bytes_for(node.columns) * rows
-            seconds = cost_model.disk_scan(scanned) + cost_model.transfer(scanned)
-            estimate = CostEstimate(0.0, seconds, rows)
         elif isinstance(node, LogicalJoin):
-            op, estimate, rows = _plan_join(node, rows, stats, optimizer, cost_model, choices)
+            # The rows entering a join are the one estimate planning reads.
+            rows = estimate_plan(ops, stats, cost_model)[-1].rows
+            op = _plan_join(node, rows, stats, optimizer, cost_model, choices)
         elif isinstance(node, (LogicalFilter, LogicalHaving)):
             always_false = isinstance(node, LogicalFilter) and node.always_false
             op = FilterOp(node.predicates, always_false=always_false)
-            if always_false:
-                estimate = CostEstimate(0.0, 0.0, 0.0)
-            else:
-                bytes_per_row = _predicate_bytes(node.predicates, stats, computed)
-                selected = rows * predicate_selectivity(node.predicates, stats.main)
-                estimate = CostEstimate(
-                    0.0, cost_model.filter_pass(bytes_per_row, rows), selected
-                )
         elif isinstance(node, LogicalAggregate):
             if node.group_by:
                 for item in node.aggregates:
@@ -176,33 +168,17 @@ def plan_query(
                     )
                 op = AggregateOp(node.aggregates)
             _compile_kernels(op, _input_types(ops, stats), cache, jit_options)
-            estimate = _aggregate_estimate(op, rows, stats, cost_model, computed)
         elif isinstance(node, LogicalProject):
             op = ProjectOp(node.items, carry=node.carry)
             _compile_kernels(op, _input_types(ops, stats), cache, jit_options)
-            for item, planned in zip(node.items, op.kernels):
-                computed[item.name] = (
-                    _column_bytes(stats, item.tree.name, computed)
-                    if planned is None
-                    else planned[0].kernel.result_spec.compact_bytes
-                )
-            result_bytes = sum(computed[item.name] for item in node.items)
-            estimate = CostEstimate(0.0, cost_model.transfer(result_bytes * rows), rows)
         elif isinstance(node, LogicalSort):
             op = SortOp(node.keys)
-            seconds = cost_model.sort()
-            # A sort emits nothing until the whole input is consumed.
-            estimate = CostEstimate(seconds, seconds, rows)
         elif isinstance(node, LogicalDrop):
             op = DropOp(node.columns)
-            estimate = CostEstimate(0.0, 0.0, rows)
         elif isinstance(node, LogicalLimit):
             op = LimitOp(node.count)
-            estimate = CostEstimate(0.0, 0.0, min(float(node.count), rows))
         else:
             raise PlanningError(f"unknown logical node {type(node).__name__}")
-        op.estimated = estimate
-        rows = estimate.rows
         ops.append(op)
     _push_zone_predicates(ops)
     plan = PhysicalPlan(ops, events, choices)
@@ -219,6 +195,66 @@ def plan_query(
             report=plan.analysis,
         )
     return plan
+
+
+def estimate_plan(
+    ops: Sequence[PhysicalOp], stats: PlanStats, cost_model: CostModel
+) -> List[CostEstimate]:
+    """Each operator's ISGBD-style ``(startup, total, rows)`` estimate, in order.
+
+    Every estimate is priced by the cost model's charge methods at the
+    estimated rows entering its operator: ``simulate_rows`` at the scan,
+    then each operator's estimated output.  Filters take their
+    selectivity from the catalog statistics, joins their cardinality
+    (:func:`_join_estimates`), aggregates their group count.  The
+    planner reads the rows entering each join; EXPLAIN reads them all.
+    """
+    estimates: List[CostEstimate] = []
+    rows = float(stats.simulate_rows)
+    #: Bytes per row of the columns computed so far (kernel and aggregate
+    #: results, renamed columns), which the catalog does not know.
+    computed: Dict[str, float] = {}
+    for op in ops:
+        if isinstance(op, ScanOp):
+            scanned = stats.main.bytes_for(op.columns) * rows
+            seconds = cost_model.disk_scan(scanned) + cost_model.transfer(scanned)
+            estimate = CostEstimate(0.0, seconds, rows)
+        elif isinstance(op, _JoinOp):
+            algorithm = "hash" if isinstance(op, HashJoinOp) else "nested-loop"
+            estimate = _join_estimates(op, rows, stats, cost_model)[algorithm]
+        elif isinstance(op, FilterOp):
+            if op.always_false:
+                estimate = CostEstimate(0.0, 0.0, 0.0)
+            else:
+                bytes_per_row = _predicate_bytes(op.predicates, stats, computed)
+                selected = rows * predicate_selectivity(op.predicates, stats.main)
+                estimate = CostEstimate(
+                    0.0, cost_model.filter_pass(bytes_per_row, rows), selected
+                )
+        elif isinstance(op, (AggregateOp, GroupAggregateOp)):
+            estimate = _aggregate_estimate(op, rows, stats, cost_model, computed)
+        elif isinstance(op, ProjectOp):
+            for item, planned in zip(op.items, op.kernels):
+                computed[item.name] = (
+                    _column_bytes(stats, item.tree.name, computed)
+                    if planned is None
+                    else planned[0].kernel.result_spec.compact_bytes
+                )
+            result_bytes = sum(computed[item.name] for item in op.items)
+            estimate = CostEstimate(0.0, cost_model.transfer(result_bytes * rows), rows)
+        elif isinstance(op, SortOp):
+            seconds = cost_model.sort()
+            # A sort emits nothing until the whole input is consumed.
+            estimate = CostEstimate(seconds, seconds, rows)
+        elif isinstance(op, DropOp):
+            estimate = CostEstimate(0.0, 0.0, rows)
+        elif isinstance(op, LimitOp):
+            estimate = CostEstimate(0.0, 0.0, min(float(op.count), rows))
+        else:
+            raise PlanningError(f"unknown physical operator {type(op).__name__}")
+        estimates.append(estimate)
+        rows = estimate.rows
+    return estimates
 
 
 def _aggregate_estimate(
@@ -375,8 +411,29 @@ def _plan_join(
     optimizer: OptimizerConfig,
     cost_model: CostModel,
     choices: List[str],
-):
-    """Lower one join, cost-choosing the algorithm when enabled.
+) -> _JoinOp:
+    """Lower one join over ``rows`` estimated left rows, cost-choosing the
+    algorithm when the optimizer runs (hash join otherwise)."""
+    candidates = _join_estimates(node, rows, stats, cost_model)
+    name = "hash"
+    if optimizer.enabled:
+        name = min(candidates, key=lambda key: candidates[key].total_seconds)
+        loser = next(key for key in candidates if key != name)
+        choices.append(
+            f"join {node.join.table}: {name} "
+            f"({candidates[name].total_seconds:.4f}s vs {loser} "
+            f"{candidates[loser].total_seconds:.4f}s, "
+            f"est {candidates[name].rows:,.0f} rows out)"
+        )
+    op_type = HashJoinOp if name == "hash" else NestedLoopJoinOp
+    return op_type(node.join, node.right_columns, node.right_predicates)
+
+
+def _join_estimates(
+    join, rows: float, stats: PlanStats, cost_model: CostModel
+) -> Dict[str, CostEstimate]:
+    """Both algorithms' estimates for ``join`` (a :class:`LogicalJoin` or
+    its operator) over ``rows`` estimated left rows.
 
     The estimates keep the catalog's *relative* cardinalities (the right
     side scales by ``simulate_rows / main.rows``) rather than the
@@ -387,40 +444,26 @@ def _plan_join(
     differ from execution's: both price the join with the same
     :class:`CostModel` methods.
     """
-    right = stats.table(node.join.table)
+    clause = join.join
+    right = stats.table(clause.table)
     if right is None:
-        raise PlanningError(f"no statistics for joined table {node.join.table!r}")
+        raise PlanningError(f"no statistics for joined table {clause.table!r}")
     scale = stats.simulate_rows / max(stats.main.rows, 1)
-    survival = predicate_selectivity(node.right_predicates, right)
+    survival = predicate_selectivity(join.right_predicates, right)
     right_rows = right.rows * scale * survival
-    right_bytes = right.bytes_for(node.right_columns) * right_rows
+    right_bytes = right.bytes_for(join.right_columns) * right_rows
     # |L| * |R| / max(ndv(L.key), ndv(R.key)).  NDVs are catalog-scale, so
     # inflate them by the same simulate factor as the row counts: a key
     # column's distinct count grows with the relation it indexes.
-    left_ndv = stats.column_ndv(node.join.left_column)
-    right_ndv = right.ndv(node.join.right_column)
+    left_ndv = stats.column_ndv(clause.left_column)
+    right_ndv = right.ndv(clause.right_column)
     out_rows = join_output_rows(
         rows,
         right_rows,
         left_ndv * scale if left_ndv else 0.0,
         right_ndv * scale if right_ndv else 0.0,
     )
-    candidates = cost_model.join_estimates(rows, right_rows, right_bytes, out_rows)
-    name = "hash"
-    if optimizer.enabled:
-        name = min(candidates, key=lambda key: candidates[key].total_seconds)
-        loser = next(key for key in candidates if key != name)
-        choices.append(
-            f"join {node.join.table}: {name} "
-            f"({candidates[name].total_seconds:.4f}s vs {loser} "
-            f"{candidates[loser].total_seconds:.4f}s, est {out_rows:,.0f} rows out)"
-        )
-    op_type = HashJoinOp if name == "hash" else NestedLoopJoinOp
-    return (
-        op_type(node.join, node.right_columns, node.right_predicates),
-        candidates[name],
-        out_rows,
-    )
+    return cost_model.join_estimates(rows, right_rows, right_bytes, out_rows)
 
 
 def _estimate_groups(group_by: List[str], rows: float, stats: PlanStats) -> float:

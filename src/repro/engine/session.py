@@ -15,9 +15,13 @@ paper's 10-million-tuple relations.  Pass ``simulate_rows=None`` to charge
 the actual row count.
 
 A repeated query is planned once: :class:`PlanCache` keeps each planned
-text and reuses it while the tables it read are unchanged, so a repeat
-skips parsing, rewriting, planning and plan analysis and only looks its
-kernels up again (:func:`~repro.engine.plan.planner.kernel_view`).
+text and reuses it while what its planning read of the catalog is
+unchanged, so a repeat skips parsing, rewriting, planning and plan
+analysis and only looks its kernels up again
+(:func:`~repro.engine.plan.planner.kernel_view`).  A join-free plan under
+an explicit ``simulate_rows`` read only its table's column names and
+types, so it outlives appends; a plan with a join, or one made with
+``simulate_rows`` unset, holds while the column versions it read do.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decimal.value import DecimalValue
 from repro.core.jit.expr_ast import ColumnRef
@@ -50,9 +54,9 @@ OutputValue = Union[DecimalValue, int, float, str]
 #: first: room for every distinct text of a repeated workload.
 PLAN_CACHE_ENTRIES = 64
 
-#: ``(column name, version)`` of every column of each table a plan read:
-#: the main table, then each JOIN table.
-TableVersions = Tuple[Tuple[Tuple[str, int], ...], ...]
+#: What planning read of the catalog (:func:`_catalog_reads`): per table,
+#: ``(column name, type)`` or ``(column name, version)`` of every column.
+CatalogReads = Tuple[Tuple[Tuple[str, object], ...], ...]
 
 
 @dataclass
@@ -78,19 +82,25 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class PlannedQuery:
-    """A parsed and planned query, and the table versions it was planned on."""
+    """A parsed and planned query, and what its planning read of the catalog.
+
+    ``reads`` holds names, types and version numbers, never a column or a
+    relation, so a kept plan pins no table data.
+    """
 
     query: Query
     plan: PhysicalPlan
-    tables: TableVersions
+    reads: CatalogReads
 
 
 class PlanCache:
     """Planned queries keyed by SQL text and every planning input (LRU).
 
-    An entry is reused only while the tables it read still have the
-    column versions it was planned against; otherwise the query is planned
-    again and the entry replaced.  As in
+    An entry is reused only while the catalog still reads as it did when
+    the query was planned (:func:`_catalog_reads`); otherwise the query is
+    planned again and the entry replaced.  A join-free entry under an
+    explicit ``simulate_rows`` is checked against its table's column names
+    and types, any other against every column version it read.  As in
     :class:`~repro.core.jit.pipeline.KernelCache`, an entry is inserted
     only whole, after planning returns, and counts a miss, and a reuse
     counts a hit.  Serving sessions share the cache; planning runs outside
@@ -112,9 +122,9 @@ class PlanCache:
                 self._entries.move_to_end(key)
             return entry
 
-    def reuse(self, entry: PlannedQuery, tables: TableVersions) -> bool:
-        """Whether ``entry`` was planned against ``tables``; counts a hit if so."""
-        if entry.tables != tables:
+    def reuse(self, entry: PlannedQuery, reads: CatalogReads) -> bool:
+        """Whether ``entry`` was planned on ``reads``; counts a hit if so."""
+        if entry.reads != reads:
             return False
         with self._lock:
             self.hits += 1
@@ -251,12 +261,17 @@ class Database:
         ``optimizer`` likewise override the database-level configs per
         query.
 
-        A repeated text reuses its plan from :attr:`plan_cache` while the
-        tables it read keep their column versions and no planning input
-        (``simulate_rows``, ``optimizer``, the cost model -- ``device``,
-        ``host``, ``include_scan`` -- and ``jit_options``) changed; its
-        kernels are looked up again in :attr:`kernel_cache`,
-        so the compile charge is the one planning would give.
+        A repeated text reuses its plan from :attr:`plan_cache` while no
+        planning input (``simulate_rows``, ``optimizer``, the cost model --
+        ``device``, ``host``, ``include_scan`` -- and ``jit_options``)
+        changed and the catalog reads as it did at planning.  A join-free
+        query under an explicit ``simulate_rows`` keeps its plan while its
+        table keeps its column names and types, across appends; a join,
+        whose order and algorithm statistics chose, or an unset
+        ``simulate_rows``, which charges the row count, plans again once
+        any column it read has a new version.  The kernels are looked up
+        again in :attr:`kernel_cache`, so the compile charge is the one
+        planning would give.
 
         ``cancel_check`` is polled once before planning or reusing a plan
         (planning compiles the query's kernels) and then at operator
@@ -266,15 +281,8 @@ class Database:
         """
         optimizer = optimizer if optimizer is not None else self.optimizer
         cost_model = CostModel(self.device, self.host, include_scan)
-        # With no simulate_rows setting the main table's row count is used,
-        # which the table versions an entry is checked against fix.
-        key = (
-            sql,
-            simulate_rows if simulate_rows is not None else self.simulate_rows,
-            optimizer,
-            cost_model,
-            self.jit_options,
-        )
+        setting = simulate_rows if simulate_rows is not None else self.simulate_rows
+        key = (sql, setting, optimizer, cost_model, self.jit_options)
         cached = self.plan_cache.get(key)
         query = cached.query if cached is not None else parse_query(sql)
         relation = self.catalog.get(query.table)
@@ -292,11 +300,10 @@ class Database:
             residency=self.residency,
             cancel_check=cancel_check,
         )
-        tables = tuple(
-            tuple((column.name, column.version) for column in table.columns)
-            for table in (relation, *joined.values())
-        )
-        if cached is not None and self.plan_cache.reuse(cached, tables):
+        # With no simulate_rows setting the main table's row count is a
+        # planning input, which only the column versions fix.
+        reads = _catalog_reads(relation, joined, bool(query.joins) or setting is None)
+        if cached is not None and self.plan_cache.reuse(cached, reads):
             chain = kernel_view(cached.plan, self.kernel_cache, self.jit_options)
         else:
             chain = plan_query(
@@ -310,7 +317,7 @@ class Database:
                 jit_options=self.jit_options,
                 label=query.table,
             )
-            self.plan_cache.put(key, PlannedQuery(query, chain, tables))
+            self.plan_cache.put(key, PlannedQuery(query, chain, reads))
         batch = run_plan(chain, context)
         return QueryResult(
             column_names=self._output_names(query, batch),
@@ -351,11 +358,12 @@ class Database:
         sim = self._resolve_simulate_rows(simulate_rows, relation)
         optimizer = optimizer if optimizer is not None else self.optimizer
         cost_model = CostModel(self.device, self.host)
+        stats = self._plan_stats(relation, joined, sim)
         chain = plan_query(
             query,
             relation.column_names,
             {name: rel.column_names for name, rel in joined.items()},
-            stats=self._plan_stats(relation, joined, sim),
+            stats=stats,
             optimizer=optimizer,
             cost_model=cost_model,
             kernel_cache=KernelCache(),
@@ -365,7 +373,7 @@ class Database:
         result = explain_query(
             chain,
             relation,
-            sim,
+            stats,
             cost_model,
             optimizer,
             streaming if streaming is not None else self.streaming,
@@ -428,6 +436,25 @@ class Database:
             else:
                 columns.append(column.data.tolist())
         return list(zip(*columns)) if columns else []
+
+
+def _catalog_reads(
+    relation: Relation, joined: Dict[str, Relation], by_version: bool
+) -> CatalogReads:
+    """What planning a query over ``relation`` and ``joined`` read of them.
+
+    A join-free plan under an explicit ``simulate_rows`` reads only the
+    main table's column names and types: an append, a column invalidation
+    or a re-registration that keeps them changes nothing it decided.
+    Otherwise (``by_version``) the plan read statistics or the row count,
+    so it holds only while every column of each table keeps its version.
+    """
+    if by_version:
+        return tuple(
+            tuple((column.name, column.version) for column in table.columns)
+            for table in (relation, *joined.values())
+        )
+    return (tuple((column.name, column.column_type) for column in relation.columns),)
 
 
 def _check_simulate_rows(simulate_rows: int) -> None:

@@ -32,26 +32,24 @@ class MemoryProfile:
         return self.bytes_per_tuple * tuples
 
 
-def average_access_width(kernel: ir.KernelIR) -> float:
-    """Average compact width (bytes) of the kernel's column accesses."""
-    widths = [
-        instruction.spec.compact_bytes
-        for instruction in kernel.instructions
-        if isinstance(instruction, (ir.LoadColumn, ir.StoreResult))
-    ]
-    return sum(widths) / len(widths) if widths else 4.0
-
-
 def coalescing_factor(kernel: ir.KernelIR, device: GpuDevice) -> float:
-    """Effective-bandwidth factor of the kernel's access pattern.
+    """Effective-bandwidth factor of the kernel's access pattern."""
+    return _coalescing(kernel.traffic(), kernel.tpi)
+
+
+def _coalescing(traffic: ir.Traffic, tpi: int) -> float:
+    """Effective-bandwidth factor of ``traffic``'s average access width.
 
     A thread group of TPI threads covers ``4 * TPI`` bytes per coalesced
     transaction slice; accesses wider than that serialise.  The square root
     reflects that consecutive threads still hit neighbouring DRAM rows, so
-    the penalty grows sub-linearly with width.
+    the penalty grows sub-linearly with width.  A kernel with no column
+    access counts as 4 bytes wide.
     """
-    width = average_access_width(kernel)
-    span = 4.0 * kernel.tpi
+    width = 4.0
+    if traffic.accesses:
+        width = (traffic.bytes_read + traffic.bytes_written) / traffic.accesses
+    span = 4.0 * tpi
     if width <= span:
         return 1.0
     return max((span / width) ** 0.5, 0.08)
@@ -75,7 +73,12 @@ def profile(kernel: ir.KernelIR, non_compact: bool = False) -> int:
 
 def memory_profile(kernel: ir.KernelIR, device: GpuDevice) -> MemoryProfile:
     """The kernel's compact-layout traffic + coalescing profile."""
+    return traffic_profile(kernel.traffic(), kernel.tpi)
+
+
+def traffic_profile(traffic: ir.Traffic, tpi: int) -> MemoryProfile:
+    """The memory profile of a kernel of TPI ``tpi`` that moves ``traffic``."""
     return MemoryProfile(
-        bytes_per_tuple=profile(kernel),
-        coalescing=coalescing_factor(kernel, device),
+        bytes_per_tuple=traffic.bytes_read + traffic.bytes_written,
+        coalescing=_coalescing(traffic, tpi),
     )

@@ -182,7 +182,8 @@ def kernel_profile(
     profile = kernel.profiles.get(device)
     if profile is None:
         occ = occupancy.compute(kernel, device)
-        mem = memory.memory_profile(kernel, device)
+        traffic = kernel.traffic()
+        mem = memory.traffic_profile(traffic, kernel.tpi)
         latency_hiding = min(1.0, occ.occupancy / (0.5 * device.latency_hiding_knee))
         profile = KernelCostProfile(
             cycles_per_tuple=tuple_cycles(kernel),
@@ -192,8 +193,8 @@ def kernel_profile(
             bandwidth=(
                 device.dram_bandwidth * device.dram_efficiency * mem.coalescing * latency_hiding
             ),
-            bytes_read_per_tuple=kernel.bytes_read_per_tuple,
-            bytes_written_per_tuple=kernel.bytes_written_per_tuple,
+            bytes_read_per_tuple=traffic.bytes_read,
+            bytes_written_per_tuple=traffic.bytes_written,
         )
         kernel.profiles[device] = profile
     return profile

@@ -5,9 +5,11 @@ and encoding caches, which reader threads may be filling at that moment.
 More reader threads than cores query whichever version is current while
 one writer appends; a short switch interval forces fine interleavings.
 Every read must see exactly one snapshot, and every version's carried
-encoding must equal a from-scratch encode.  The readers repeat two texts,
-so they both reuse plans from the shared plan cache and re-plan them as
-each new version makes the cached plan stale.
+encoding must equal a from-scratch encode.  The readers repeat three
+texts from the shared plan cache.  The two join-free ones keep their
+plans across appends, so each reader plans them at most once; the join
+to a small static table plans again as each new version makes its
+cached plan stale, so planning still races the writer.
 """
 
 import os
@@ -15,6 +17,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 from repro.core.decimal.context import DecimalSpec
 from repro.engine import Database
@@ -33,17 +36,22 @@ JOIN_TIMEOUT = 120.0
 READS = (
     "SELECT COUNT(*), SUM(v), SUM(w), SUM(x) FROM t",
     "SELECT COUNT(*), SUM(w), MAX(x) FROM t WHERE v >= 0",
+    "SELECT COUNT(*), SUM(w) FROM t JOIN k ON v = kv",
 )
+JOIN_READ = READS[2]
 
 
-def expected_results(rows):
-    """Each read's answer over the first ``len(rows)`` rows."""
+def expected_results(rows, keys):
+    """Each read's answer over the first ``len(rows)`` rows, ``keys``
+    the static table's distinct ``kv`` values."""
     kept = [row for row in rows if row[0] >= 0]
+    matched = [row for row in rows if row[0] in keys]
     return {
         READS[0]: (len(rows), sum(r[0] for r in rows), sum(r[1] for r in rows),
                    sum(r[2] for r in rows)),
         READS[1]: (len(kept), sum(r[1] for r in kept),
                    max((r[2] for r in kept), default=None)),
+        JOIN_READ: (len(matched), sum(r[1] for r in matched) if matched else None),
     }
 
 
@@ -78,14 +86,25 @@ def test_readers_race_the_carrying_writer():
     ).with_codecs(
         {"v": OrderPreservingCodec(), "w": ForCodec(), "x": CompactCodec()}, CHUNK_ROWS
     )
+    keys = sorted({r[0] for r in initial[::2]})
     db = Database(simulate_rows=1_000_000)
     db.catalog.register(relation)
+    db.catalog.register(Relation("k", [Column.decimal_from_unscaled("kv", keys, SPEC)]))
+    #: Plans made per (thread, text): each thread counts under its own keys.
+    planned = Counter()
+    put = db.plan_cache.put
+
+    def counting_put(key, entry):
+        planned[threading.current_thread().name, key[0]] += 1
+        put(key, entry)
+
+    db.plan_cache.put = counting_put
 
     prefix = list(initial)
     snapshots = {}
     for batch in [[]] + batches:
         prefix += batch
-        for sql, answer in expected_results(prefix).items():
+        for sql, answer in expected_results(prefix, set(keys)).items():
             snapshots.setdefault(sql, set()).add(answer)
 
     versions = [relation]
@@ -137,7 +156,9 @@ def test_readers_race_the_carrying_writer():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(versions) == APPENDS + 1 and all(reads)
-    assert db.plan_cache.hits > 0 and db.plan_cache.misses > len(READS)
+    assert db.plan_cache.hits > 0
+    assert all(count == 1 for (_, sql), count in planned.items() if sql != JOIN_READ)
+    assert sum(count for (_, sql), count in planned.items() if sql == JOIN_READ) > 1
     assert db.catalog.get("t").rows == len(prefix)
     for version in versions[1:]:
         for column in version.columns:

@@ -1,14 +1,18 @@
 """The session plan cache: a repeated read reuses its plan, and only then.
 
 ``Database.execute`` keeps each planned text (``Database.plan_cache``)
-and reuses it while every table the plan read keeps its column versions
-and every planning input is unchanged.  A reuse skips parsing, rewriting,
-planning and plan analysis, looks each kernel up again in the session
-``KernelCache``, and must return exactly the rows and the report that
-planning afresh would give.
+and reuses it while every planning input is unchanged and the catalog
+reads as planning read it: a join-free plan under an explicit
+``simulate_rows`` while its table keeps its column names and types, any
+other plan while every column it read keeps its version.  A reuse skips
+parsing, rewriting, planning and plan analysis, looks each kernel up
+again in the session ``KernelCache``, and must return exactly the rows
+and the report that planning afresh would give.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -29,7 +33,7 @@ from repro.errors import (
     QueryCancelledError,
     TypeInferenceError,
 )
-from repro.storage import Column
+from repro.storage import Column, Relation
 
 JOIN_SQL = (
     "SELECT f_key, SUM(f_amount * d_weight) AS s, COUNT(*) AS n FROM fact "
@@ -42,8 +46,8 @@ SUM_SQL = "SELECT SUM(f_amount * f_rate) AS s, MAX(f_amount + 1) AS m FROM fact"
 COMPILE_FIELDS = ("compile_seconds", "kernels_compiled", "kernels_cached")
 
 
-def make_db(**options) -> Database:
-    db = Database(simulate_rows=1_000_000, **options)
+def make_db(simulate_rows=1_000_000, **options) -> Database:
+    db = Database(simulate_rows=simulate_rows, **options)
     db.create_table(
         "fact",
         {"f_key": "INT", "f_amount": "DECIMAL(12, 2)", "f_rate": "DECIMAL(6, 4)"},
@@ -176,7 +180,9 @@ class TestReuse:
                 return None
 
         monkeypatch.setattr(planner, "default_rules", lambda **kwargs: [PoppingRule()])
-        db = make_db()
+        # Unset, simulate_rows follows the row count: the entry is checked
+        # against column versions, so an empty append plans it again.
+        db = make_db(simulate_rows=None)
         sql = "SELECT f_amount FROM fact WHERE f_key > 1 AND f_amount < 9.00"
         first = db.execute(sql)
         db.append("fact", [])
@@ -195,60 +201,139 @@ class TestReuse:
         assert db.plan_cache.hits == 1 and db.plan_cache.misses == 1
 
 
+def fresh_copy(db: Database) -> Database:
+    """A new database over copies of ``db``'s current rows: no plan,
+    kernel or column cache of ``db`` reaches it."""
+    fresh = Database(simulate_rows=db.simulate_rows)
+    for name in db.catalog.names():
+        columns = db.catalog.get(name).columns
+        fresh.register(
+            Relation(name, [Column(c.name, c.column_type, c.data.copy()) for c in columns])
+        )
+    return fresh
+
+
+def unscaled(row):
+    return tuple(value.unscaled for value in row)
+
+
+def append_row(db):
+    db.append("fact", [(1, "100.00", "0.5000")])
+
+
+def append_nothing(db):
+    db.append("fact", [])
+
+
+def register_replace(db):
+    db.create_table(
+        "fact",
+        {"f_key": "INT", "f_amount": "DECIMAL(12, 2)", "f_rate": "DECIMAL(6, 4)"},
+        rows=[(0, "1.00", "0.1000")],
+        replace=True,
+    )
+
+
+def drop_then_create(db):
+    db.drop("fact")
+    db.create_table(
+        "fact",
+        {"f_key": "INT", "f_amount": "DECIMAL(12, 2)", "f_rate": "DECIMAL(6, 4)"},
+        rows=[(0, "2.00", "0.1000"), (1, "3.00", "0.2000")],
+    )
+
+
+def invalidate_column(db):
+    column = db.catalog.get("fact").column("f_amount")
+    column.data[:] = 0
+    column.invalidate()
+
+
 class TestInvalidation:
-    """Each change to a table or a planning input plans the query again."""
+    """A data change keeps a join-free plan under an explicit
+    ``simulate_rows``; a schema change, or any change to a table a join
+    plan or a plan with ``simulate_rows`` unset read, plans again, and
+    so does a change to a planning input."""
 
     SQL = "SELECT SUM(f_amount * 2) AS s, COUNT(*) AS n FROM fact WHERE f_key >= 0"
 
-    def replanned(self, db, change, **execute):
+    def replanned(self, db, change, sql=None, **execute):
         """Run, apply ``change``, run again: the second run must re-plan.
 
-        Returns the second run's row as unscaled integers.
+        Returns the second run's result.
         """
-        db.execute(self.SQL)
+        sql = sql or self.SQL
+        db.execute(sql)
         misses = db.plan_cache.misses
         change(db)
-        result = db.execute(self.SQL, **execute)
+        result = db.execute(sql, **execute)
         assert db.plan_cache.misses == misses + 1
-        return tuple(value.unscaled for value in result.rows[0]), result
+        return result
 
-    def test_append(self):
+    def data_change(self, calls, change, expected):
+        """``change`` keeps ``fact``'s column names and types; ``expected``
+        is :attr:`SQL`'s answer after it, as unscaled integers.
+
+        The join-free text reuses its plan and answers as a fresh database
+        does; the join text, and the join-free one with ``simulate_rows``
+        unset, plan again.
+        """
         db = make_db()
-        row, _ = self.replanned(db, lambda db: db.append("fact", [(1, "100.00", "0.5000")]))
-        assert row == (2 * (sum(k * 100 + 25 for k in range(12)) + 10_000), 13)
+        db.execute(self.SQL)
+        planned = dict(calls)
+        hits, misses = db.plan_cache.hits, db.plan_cache.misses
+        change(db)
+        reused = db.execute(self.SQL)
+        assert (db.plan_cache.hits, db.plan_cache.misses) == (hits + 1, misses)
+        assert calls == planned
+        assert unscaled(reused.rows[0]) == expected
 
-    def test_empty_append(self):
+        # The same read planned afresh, its kernels cached as the reuse's are.
+        fresh = fresh_copy(db)
+        fresh.execute(self.SQL)
+        fresh.plan_cache.clear()
+        afresh = fresh.execute(self.SQL)
+        assert reused.rows == afresh.rows
+        assert reused.column_names == afresh.column_names
+        assert simulated(reused.report) == simulated(afresh.report)
+
         db = make_db()
-        row, _ = self.replanned(db, lambda db: db.append("fact", []))
-        assert row == (2 * sum(k * 100 + 25 for k in range(12)), 12)
+        joined = self.replanned(db, change, sql=JOIN_SQL)
+        fresh_join = fresh_copy(db).execute(JOIN_SQL)
+        assert joined.rows == fresh_join.rows
+        assert without_compile(joined.report) == without_compile(fresh_join.report)
 
-    def test_register_replace(self):
+        db = make_db(simulate_rows=None)
+        counted = self.replanned(db, change)
+        assert unscaled(counted.rows[0]) == expected
+        assert counted.report.simulated_rows == db.catalog.get("fact").rows
+
+    def test_append(self, calls):
+        self.data_change(
+            calls, append_row, (2 * (sum(k * 100 + 25 for k in range(12)) + 10_000), 13)
+        )
+
+    def test_empty_append(self, calls):
+        self.data_change(calls, append_nothing, (2 * sum(k * 100 + 25 for k in range(12)), 12))
+
+    def test_register_replace(self, calls):
+        self.data_change(calls, register_replace, (200, 1))
+
+    def test_drop_then_create(self, calls):
+        self.data_change(calls, drop_then_create, (1000, 2))
+
+    def test_column_invalidate(self, calls):
+        self.data_change(calls, invalidate_column, (0, 12))
+
+    def test_reused_plan_pins_no_table_data(self):
         db = make_db()
-
-        def replace(db):
-            db.create_table(
-                "fact",
-                {"f_key": "INT", "f_amount": "DECIMAL(12, 2)", "f_rate": "DECIMAL(6, 4)"},
-                rows=[(0, "1.00", "0.1000")],
-                replace=True,
-            )
-
-        row, _ = self.replanned(db, replace)
-        assert row == (200, 1)
-
-    def test_drop_then_create(self):
-        db = make_db()
-
-        def recreate(db):
-            db.drop("fact")
-            db.create_table(
-                "fact",
-                {"f_key": "INT", "f_amount": "DECIMAL(12, 2)", "f_rate": "DECIMAL(6, 4)"},
-                rows=[(0, "2.00", "0.1000"), (1, "3.00", "0.2000")],
-            )
-
-        row, _ = self.replanned(db, recreate)
-        assert row == (1000, 2)
+        db.execute(self.SQL)
+        planned_on = weakref.ref(db.catalog.get("fact").column("f_amount"))
+        db.append("fact", [(1, "100.00", "0.5000")])
+        db.execute(self.SQL)
+        assert db.plan_cache.hits == 1 and len(db.plan_cache) == 1
+        gc.collect()
+        assert planned_on() is None
 
     def test_relation_add(self):
         db = make_db()
@@ -261,16 +346,20 @@ class TestInvalidation:
         self.replanned(db, add)
         assert db.execute("SELECT SUM(f_extra * 2) FROM fact").rows[0][0].unscaled == 132
 
-    def test_column_invalidate(self):
+    def test_register_with_another_type(self):
         db = make_db()
 
-        def edit(db):
-            column = db.catalog.get("fact").column("f_amount")
-            column.data[:] = 0
-            column.invalidate()
+        def retype(db):
+            db.create_table(
+                "fact",
+                {"f_key": "INT", "f_amount": "DECIMAL(14, 3)", "f_rate": "DECIMAL(6, 4)"},
+                rows=[(0, "1.125", "0.1000")],
+                replace=True,
+            )
 
-        row, _ = self.replanned(db, edit)
-        assert row == (0, 12)
+        result = self.replanned(db, retype)
+        assert unscaled(result.rows[0]) == (2250, 1)
+        assert str(result.query.select_items[0].expression) == "SUM(f_amount * 2)"
 
     @pytest.mark.parametrize(
         "execute",
@@ -282,7 +371,7 @@ class TestInvalidation:
     )
     def test_per_call_planning_input(self, execute):
         db = make_db()
-        _, result = self.replanned(db, lambda db: None, **execute)
+        result = self.replanned(db, lambda db: None, **execute)
         fresh = make_db().execute(self.SQL, **execute)
         assert result.rows == fresh.rows
         assert without_compile(result.report) == without_compile(fresh.report)
@@ -293,7 +382,7 @@ class TestInvalidation:
         def change(db):
             db.jit_options = JitOptions(constant_folding=False)
 
-        _, result = self.replanned(db, change)
+        result = self.replanned(db, change)
         assert result.report.kernels_compiled == 1
 
     def test_unset_simulate_rows_follows_the_row_count(self):

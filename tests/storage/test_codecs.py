@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.decimal import dinf
 from repro.core.decimal.context import DecimalSpec
+from repro.storage import codecs
 from repro.storage.codecs import (
     CompactCodec,
     ForCodec,
@@ -257,3 +258,39 @@ class TestChooseCodec:
     def test_huge_spec_without_values_falls_back_to_compact_or_dinf(self):
         codec = choose_codec(DecimalSpec(285, 2))
         assert codec.name in ("dinf", "compact")
+
+
+#: Every magnitude-byte edge: 0, +-1, 2**(8k) and its neighbours up to
+#: int64's ends, and values past int64.
+SIZING_EDGES = st.sampled_from(
+    [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, -(2**63) - 1, 2**64, -(2**100)]
+    + [
+        sign * (2 ** (8 * k) + step)
+        for k in range(1, 8)
+        for step in (-1, 0, 1)
+        for sign in (1, -1)
+    ]
+)
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+class TestDinfSizing:
+    """``choose_codec`` sizes ``dinf`` from int64 lanes when every value
+    fits, and one value at a time otherwise; both must count alike."""
+
+    @staticmethod
+    def per_value(values):
+        return sum(1 + (abs(v).bit_length() + 7) // 8 for v in values)
+
+    @given(st.lists(st.one_of(SIZING_EDGES, INT64), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_lane_count_equals_the_per_value_count(self, values):
+        assert codecs._dinf_wire(values) == self.per_value(values)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_each_byte_edge(self, k):
+        edge = 2 ** (8 * k)
+        values = [edge - 1, edge, -edge, -(edge - 1), 0]
+        assert codecs._dinf_wire(values) == self.per_value(values)
+        fits = all(-(2**63) <= v < 2**63 for v in values)
+        assert fits == (k < 8)
