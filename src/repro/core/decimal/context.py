@@ -34,6 +34,13 @@ WORD_MASK = WORD_BASE - 1
 
 
 @functools.lru_cache(maxsize=None)
+def max_unscaled_for_precision(precision: int) -> int:
+    """``10**p - 1``, the largest unscaled magnitude of precision ``p``
+    (literal conversion checks every value against it)."""
+    return 10**precision - 1
+
+
+@functools.lru_cache(maxsize=None)
 def value_bits(precision: int) -> int:
     """Exact number of bits needed to store any integer below ``10**p``."""
     if precision < 1:
@@ -108,7 +115,7 @@ class DecimalSpec:
     @property
     def max_unscaled(self) -> int:
         """Largest unscaled magnitude representable: ``10**p - 1``."""
-        return 10**self.precision - 1
+        return max_unscaled_for_precision(self.precision)
 
     def fits(self, unscaled: int) -> bool:
         """Whether an unscaled integer magnitude fits this spec."""

@@ -20,6 +20,30 @@ Numeric = Union[int, float, str, Decimal]
 _DECIMAL_RE = re.compile(r"^([+-]?)(\d*)(?:\.(\d*))?$")
 
 
+def decimal_parts(text: str) -> Tuple[bool, str, int]:
+    """Split decimal text into ``(minus, digits, scale)``: the one literal grammar.
+
+    The text is an optional sign, then digits with at most one decimal
+    point and at least one digit, with surrounding whitespace ignored.
+    ``minus`` is whether the sign is ``-`` (``"-0.00"`` has one),
+    ``digits`` the integer and fractional digits run together and
+    ``scale`` the number of fractional digits.  Anything else raises
+    :class:`~repro.errors.ConversionError`.
+
+    >>> decimal_parts(" -1.50 ")
+    (True, '150', 2)
+    >>> decimal_parts(".5")
+    (False, '05', 1)
+    """
+    match = _DECIMAL_RE.match(text.strip())
+    if match is not None:
+        sign, int_part, frac_part = match.groups()
+        if int_part or frac_part:
+            frac_part = frac_part or ""
+            return sign == "-", (int_part or "0") + frac_part, len(frac_part)
+    raise ConversionError(f"not a decimal literal: {text!r}")
+
+
 def parse_literal(text: str) -> Tuple[bool, int, DecimalSpec]:
     """Parse a decimal literal into ``(negative, unscaled, minimal_spec)``.
 
@@ -28,18 +52,11 @@ def parse_literal(text: str) -> Tuple[bool, int, DecimalSpec]:
     >>> parse_literal("10")
     (False, 10, DecimalSpec(precision=2, scale=0))
     """
-    match = _DECIMAL_RE.match(text.strip())
-    if not match or (not match.group(2) and not match.group(3)):
-        raise ConversionError(f"not a decimal literal: {text!r}")
-    sign, int_part, frac_part = match.groups()
-    frac_part = frac_part or ""
-    digits = (int_part or "0") + frac_part
+    minus, digits, scale = decimal_parts(text)
     unscaled = int(digits)
-    negative = sign == "-" and unscaled != 0
-    scale = len(frac_part)
     # Minimal precision: significant digits, at least scale, at least 1.
     precision = max(len(digits.lstrip("0")), scale, 1)
-    return negative, unscaled, DecimalSpec(precision, scale)
+    return minus and unscaled != 0, unscaled, DecimalSpec(precision, scale)
 
 
 def literal_to_unscaled(value: Numeric, spec: DecimalSpec) -> Tuple[bool, int]:
@@ -53,16 +70,20 @@ def literal_to_unscaled(value: Numeric, spec: DecimalSpec) -> Tuple[bool, int]:
     if isinstance(value, bool):
         raise ConversionError("booleans are not decimal literals")
     if isinstance(value, int):
-        negative, unscaled, src = value < 0, abs(value), DecimalSpec(max(len(str(abs(value))), 1), 0)
-    elif isinstance(value, float):
-        negative, unscaled, src = parse_literal(repr(value))
-    elif isinstance(value, Decimal):
-        negative, unscaled, src = parse_literal(format(value, "f"))
-    elif isinstance(value, str):
-        negative, unscaled, src = parse_literal(value)
+        negative, unscaled, scale = value < 0, abs(value), 0
     else:
-        raise ConversionError(f"unsupported literal type: {type(value).__name__}")
-    return negative, rescale_unscaled(unscaled, src.scale, spec.scale, spec)
+        if isinstance(value, str):
+            text = value
+        elif isinstance(value, float):
+            text = repr(value)
+        elif isinstance(value, Decimal):
+            text = format(value, "f")
+        else:
+            raise ConversionError(f"unsupported literal type: {type(value).__name__}")
+        minus, digits, scale = decimal_parts(text)
+        unscaled = int(digits)
+        negative = minus and unscaled != 0
+    return negative, rescale_unscaled(unscaled, scale, spec.scale, spec)
 
 
 def rescale_unscaled(unscaled: int, from_scale: int, to_scale: int, spec: DecimalSpec) -> int:
@@ -115,9 +136,9 @@ def scaled_comparison(
     The exact rule :func:`literal_comparison` applies to a DECIMAL column;
     an integer column is the case ``scale = 0``.
     """
-    negative, unscaled, source = parse_literal(literal_text(literal))
-    signed = -unscaled if negative else unscaled
-    drop = source.scale - scale
+    minus, digits, source_scale = decimal_parts(literal_text(literal))
+    signed = -int(digits) if minus else int(digits)
+    drop = source_scale - scale
     if drop <= 0:
         target = signed * 10**-drop
     else:

@@ -57,6 +57,19 @@ def _nbytes(magnitude: int) -> int:
     return (magnitude.bit_length() + 7) // 8
 
 
+#: The smallest magnitude that takes ``k + 1`` bytes, for k = 0..7.
+_BYTE_STEPS = np.array([1 << (8 * k) for k in range(8)], dtype=np.uint64)
+
+#: ``2**(8 * k) - 1`` for k = 0..8: the complement of a ``k``-byte magnitude
+#: ``m`` is ``_ALL_ONES[k] - m``.
+_ALL_ONES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def magnitude_bytes(magnitudes: np.ndarray) -> np.ndarray:
+    """Bytes of each uint64 magnitude without leading zero bytes (0 for zero)."""
+    return np.searchsorted(_BYTE_STEPS, magnitudes, side="right")
+
+
 def encode(values: Union[Sequence[int], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Encode signed ints into a zero-padded ``(N, width)`` uint8 matrix.
 
@@ -72,66 +85,60 @@ def encode(values: Union[Sequence[int], np.ndarray]) -> Tuple[np.ndarray, np.nda
     docstring).
     """
     if isinstance(values, np.ndarray):
-        negative = values < 0
         # |v| < 2**63, so np.abs cannot wrap.
-        folded = np.abs(values).astype(np.uint64)
-        nbytes = np.zeros(folded.shape, dtype=np.int64)
-        for shift in range(0, 64, 8):
-            nbytes += (folded >> np.uint64(shift)) != 0
-        out, lengths = _frame(negative, nbytes, np.arange(folded.size), folded)
-    else:
-        n = len(values)
-        magnitudes = [-v if v < 0 else v for v in values]
-        nbytes = np.fromiter((_nbytes(m) for m in magnitudes), dtype=np.int64, count=n)
-        if n and int(nbytes.max()) > MAX_MAGNITUDE_BYTES:
-            row = int(np.argmax(nbytes))
-            raise ValueError(
-                f"magnitude at row {row} needs {int(nbytes[row])} bytes; the "
-                f"order-preserving encoding caps at {MAX_MAGNITUDE_BYTES}"
-            )
-        negative = np.fromiter((v < 0 for v in values), dtype=bool, count=n)
-        # Magnitudes that fit uint64 write their big-endian bytes in bulk;
-        # wider rows fall back to int.to_bytes.
-        small = np.nonzero((nbytes >= 1) & (nbytes <= 8))[0]
-        folded = np.fromiter(
-            (magnitudes[i] for i in small.tolist()), dtype=np.uint64, count=small.size
+        magnitudes = np.abs(values).view(np.uint64)
+        return _frame(values < 0, magnitude_bytes(magnitudes), slice(None), magnitudes)
+    n = len(values)
+    negative = np.fromiter((v < 0 for v in values), dtype=bool, count=n)
+    magnitudes = [-v if v < 0 else v for v in values]
+    nbytes = np.fromiter((_nbytes(m) for m in magnitudes), dtype=np.int64, count=n)
+    if n and int(nbytes.max()) > MAX_MAGNITUDE_BYTES:
+        row = int(np.argmax(nbytes))
+        raise ValueError(
+            f"magnitude at row {row} needs {int(nbytes[row])} bytes; the "
+            f"order-preserving encoding caps at {MAX_MAGNITUDE_BYTES}"
         )
-        out, lengths = _frame(negative, nbytes, small, folded)
-        for i in np.nonzero(nbytes > 8)[0].tolist():
-            nb = int(nbytes[i])
-            out[i, 1 : 1 + nb] = np.frombuffer(
-                magnitudes[i].to_bytes(nb, "big"), dtype=np.uint8
-            )
-
-    if negative.any():
-        # Complement the magnitude bytes of negative rows (prefix excluded,
-        # padding excluded) so bigger magnitudes sort lower.
-        columns = np.arange(out.shape[1])[None, :]
-        payload = negative[:, None] & (columns >= 1) & (columns < lengths[:, None])
-        out[payload] = 0xFF - out[payload]
+    small = np.nonzero(nbytes <= 8)[0]
+    folded = np.fromiter(
+        (magnitudes[i] for i in small.tolist()), dtype=np.uint64, count=small.size
+    )
+    out, lengths = _frame(negative, nbytes, small, folded)
+    # Wider rows one at a time, a negative's magnitude complemented too,
+    # then written with one scatter.
+    wide = np.nonzero(nbytes > 8)[0]
+    width = out.shape[1] - 1
+    rows = []
+    for i, nb in zip(wide.tolist(), nbytes[wide].tolist()):
+        magnitude = magnitudes[i]
+        if values[i] < 0:
+            magnitude = (1 << (8 * nb)) - 1 - magnitude
+        rows.append(magnitude.to_bytes(nb, "big").ljust(width, b"\0"))
+    out[wide, 1:] = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(wide.size, width)
     return out, lengths
 
 
 def _frame(
-    negative: np.ndarray, nbytes: np.ndarray, rows: np.ndarray, folded: np.ndarray
+    negative: np.ndarray,
+    nbytes: np.ndarray,
+    rows: Union[slice, np.ndarray],
+    magnitudes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The padded matrix with every prefix byte and the uint64 magnitudes.
+    """The padded matrix: every row's prefix byte, and the magnitude bytes
+    of the rows ``rows``, whose uint64 magnitudes are ``magnitudes``.
 
-    ``folded[k]`` is the magnitude of row ``rows[k]``; its big-endian bytes
-    are written in bulk, one gather per distinct byte length.
+    A negative magnitude is complemented in its own bytes first (``m`` ->
+    ``2**(8*nb) - 1 - m``); each one is then left-aligned in a big-endian
+    uint64, so its bytes, and zeros up to the width, land with one slice.
     """
     lengths = (nbytes + 1).astype(np.int32)
     width = int(lengths.max()) if lengths.size else 1
     out = np.zeros((lengths.size, width), dtype=np.uint8)
-    out[:, 0] = np.where(
-        negative, ZERO_PREFIX - nbytes, ZERO_PREFIX + nbytes
-    ).astype(np.uint8)
-    be = np.ascontiguousarray(folded.astype(">u8")).view(np.uint8)
-    be = be.reshape(folded.size, 8)
+    out[:, 0] = np.where(negative, ZERO_PREFIX - nbytes, ZERO_PREFIX + nbytes)
     row_nbytes = nbytes[rows]
-    for nb in np.unique(row_nbytes).tolist():
-        pos = np.nonzero(row_nbytes == nb)[0]
-        out[rows[pos], 1 : 1 + nb] = be[pos, 8 - nb : 8]
+    payload = np.where(negative[rows], _ALL_ONES[row_nbytes] - magnitudes, magnitudes)
+    payload <<= (64 - 8 * row_nbytes).astype(np.uint64)
+    span = min(width - 1, 8)
+    out[rows, 1 : 1 + span] = payload.astype(">u8").view(np.uint8).reshape(-1, 8)[:, :span]
     return out, lengths
 
 

@@ -290,6 +290,15 @@ class DecimalVector:
         negative, words = self._expand()
         return DecimalVector(self.spec, negative[indices], np.take(words, indices, axis=0))
 
+    def tail(self, start: int) -> "DecimalVector":
+        """The rows ``start:``, sharing this vector's memoized lanes, else
+        its planes: nothing is copied."""
+        lanes = self._memoized_lanes()
+        if lanes is not None:
+            return DecimalVector._from_lanes(self.spec, lanes[start:])
+        negative, words = self._expand()
+        return DecimalVector(self.spec, negative[start:], words[start:])
+
     # --------------------------------------------------------------- rescale
 
     def rescale(self, scale: int) -> "DecimalVector":

@@ -14,7 +14,7 @@ touch limb arrays:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.core.decimal.context import DecimalSpec
 from repro.core.decimal.convert import literal_to_unscaled
@@ -66,14 +66,20 @@ def build_relation(
     schema: Dict[str, TypeSpec],
     rows: Sequence[Sequence] = (),
 ) -> Relation:
-    """Build a relation from a schema and rows of host literals."""
+    """Build a relation from a schema and rows of host literals.
+
+    Every row must hold one value per schema column: the first that does
+    not raises :class:`~repro.errors.SchemaError`.
+    """
     types = {column: parse_type(spec) for column, spec in schema.items()}
+    rows = list(rows)
+    for index, row in enumerate(rows):
+        if len(row) != len(types):
+            raise SchemaError(
+                f"row {index} has {len(row)} values but the schema has {len(types)} columns"
+            )
     columns: List[Column] = []
     transposed = list(zip(*rows)) if rows else [[] for _ in types]
-    if rows and len(transposed) != len(types):
-        raise SchemaError(
-            f"rows have {len(transposed)} values but the schema has {len(types)} columns"
-        )
     for (column_name, column_type), values in zip(types.items(), transposed):
         values = list(values)
         if isinstance(column_type, DecimalType):
@@ -94,14 +100,16 @@ def _unscaled_values(values: Sequence, spec: DecimalSpec) -> List[int]:
     """Signed unscaled ints of host literals, each distinct literal converted once.
 
     Appended batches repeat values (prices, quantities, flags), so the
-    conversion is memoized per column.  The key holds the literal's type:
-    ``True == 1`` with equal hashes, and a value-only key would let a
-    boolean through once ``1`` had converted (booleans are rejected).
+    conversion is memoized per column.  A column of ``str`` keys on the
+    text; otherwise the key holds the literal's type: ``True == 1`` with
+    equal hashes, and a value-only key would let a boolean through once
+    ``1`` had converted (booleans are rejected).
     """
-    converted: Dict[Tuple[type, object], int] = {}
+    by_text = set(map(type, values)) <= {str}
+    converted: Dict[object, int] = {}
     unscaled = []
     for value in values:
-        key = (type(value), value)
+        key = value if by_text else (type(value), value)
         try:
             result = converted[key]
         except KeyError:

@@ -318,16 +318,12 @@ def choose_codec(
     return CompactCodec()
 
 
-#: The smallest magnitude that takes ``k + 1`` bytes, for k = 0..7.
-_MAGNITUDE_BYTE_STEPS = np.array([1 << (8 * k) for k in range(8)], dtype=np.uint64)
-
-
 def _dinf_wire(unscaled: Sequence[int]) -> int:
     """Bytes ``dinf`` puts ``unscaled`` in: per value, one sign-and-length
     byte and the magnitude's bytes (none for zero).
 
-    Values that fit int64 are counted from an int64 array; wider ones one
-    by one.
+    Values that fit int64 are counted from an int64 array, by the byte
+    rule ``dinf.encode`` frames them with; wider ones one by one.
     """
     try:
         lanes = np.fromiter(unscaled, dtype=np.int64, count=len(unscaled))
@@ -335,5 +331,4 @@ def _dinf_wire(unscaled: Sequence[int]) -> int:
         return sum(1 + (abs(v).bit_length() + 7) // 8 for v in unscaled)
     # abs(-2**63) wraps to -2**63, whose uint64 view is its magnitude 2**63.
     magnitudes = np.abs(lanes).view(np.uint64)
-    steps = np.searchsorted(_MAGNITUDE_BYTE_STEPS, magnitudes, side="right")
-    return len(lanes) + int(steps.sum())
+    return len(lanes) + int(dinf.magnitude_bytes(magnitudes).sum())

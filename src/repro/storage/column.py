@@ -359,10 +359,10 @@ class Column:
         (int64 lanes when both have them memoized, planes otherwise),
         and every full chunk of a cached encoding is reused by reference,
         zone map included, so only the last partial chunk and the new rows
-        are encoded (each chunk depends only on its own rows).  Without a
-        cached encoding the new version is encoded from scratch.  Either
-        way a codec column is encoded here, before the caller publishes
-        it, so rows the codec cannot hold raise
+        are encoded (each chunk depends only on its own rows), from a slice
+        of the carried expansion.  Without a cached encoding the new version
+        is encoded from scratch.  Either way a codec column is encoded here,
+        before the caller publishes it, so rows the codec cannot hold raise
         :class:`~repro.errors.StorageError`.  Statistics are not carried:
         equi-depth buckets do not merge exactly.
 
@@ -380,6 +380,10 @@ class Column:
         if not isinstance(self.column_type, DecimalType):
             return merged
         spec = self.column_type.spec
+        # The encoding is read first: :meth:`encoding` fills the expansion
+        # before it, so a current encoding comes with a current expansion,
+        # and ``merged.decimal_vector()`` below returns the carried one.
+        encoding_cache = self._encoding_cache
         vector_cache = self._vector_cache
         if vector_cache is not None and vector_cache[0] == self._version:
             vector = DecimalVector.concatenate(
@@ -388,7 +392,6 @@ class Column:
             merged._vector_cache = (merged._version, vector)
         if self.codec is None:
             return merged
-        encoding_cache = self._encoding_cache
         if encoding_cache is None or encoding_cache[0] != self._version:
             merged.encoding()
             return merged
@@ -396,9 +399,7 @@ class Column:
         full = self.rows // prefix.chunk_rows
         tail_start = full * prefix.chunk_rows
         tail = merged._encode(
-            self.codec,
-            DecimalVector.from_compact(merged.data[tail_start:], spec),
-            tail_start,
+            self.codec, merged.decimal_vector().tail(tail_start), tail_start
         )
         encoded = EncodedColumn(
             codec=self.codec,

@@ -304,6 +304,31 @@ class TestAppendCarry:
         assert after.chunks[2] is not before.chunks[2]
         assert after.zones[2].rows == 4 and after.zones[2].min_unscaled == -99
 
+    @pytest.mark.parametrize("name", sorted(CARRY_CASES))
+    def test_the_tail_encodes_from_the_carried_lanes(self, name):
+        spec = SPECS[2]
+        column = Column.decimal_from_unscaled("v", list(range(-5, 6)), spec).with_codec(
+            carry_codec(name), 4
+        )
+        column.encoding()
+        addition = Column.decimal_from_unscaled("v", [99, -99, 7], spec)
+        with mock.patch.object(DecimalVector, "from_compact", side_effect=AssertionError):
+            merged = column.appended(addition)
+        tail = merged.cached_encoding().chunks[2:]
+        assert [chunk.zone.row_start for chunk in tail] == [8, 12]
+        assert merged._vector_cache[1]._planes is None  # still lane-only
+        assert_same_encoding(merged.cached_encoding(), fresh_encoding(merged))
+
+    def test_a_tail_shares_the_carried_lanes_or_planes(self):
+        lanes = DecimalVector.from_int64(np.array([1, -2, 3, 4]), SPECS[2])
+        assert np.shares_memory(lanes.tail(1).to_int64(), lanes.to_int64())
+        assert lanes.tail(1).to_unscaled() == [-2, 3, 4]
+        planes = DecimalVector.from_unscaled([2**64, -1, 5], SPECS[3])
+        tail = planes.tail(1)
+        assert np.shares_memory(tail.words, planes.words)
+        assert np.shares_memory(tail.negative, planes.negative)
+        assert tail.to_unscaled() == [-1, 5]
+
     def test_non_decimal_columns_append_without_caches(self):
         column = Column.integers("k", [1, 2, 3])
         merged = column.appended(Column.integers("k", [4]))

@@ -294,3 +294,75 @@ class TestDinfSizing:
         assert codecs._dinf_wire(values) == self.per_value(values)
         fits = all(-(2**63) <= v < 2**63 for v in values)
         assert fits == (k < 8)
+
+
+def dinf_rows(values):
+    """``dinf.encode``'s matrix and lengths, built one row at a time: the
+    prefix ``0x80 +- nb``, the magnitude's ``nb`` bytes (complemented for a
+    negative), zeros up to the widest row."""
+    rows = []
+    for value in values:
+        magnitude = abs(value)
+        nb = (magnitude.bit_length() + 7) // 8
+        if value < 0:
+            magnitude = 2 ** (8 * nb) - 1 - magnitude
+        prefix = 0x80 - nb if value < 0 else 0x80 + nb
+        rows.append(bytes([prefix]) + magnitude.to_bytes(nb, "big"))
+    width = max((len(row) for row in rows), default=1)
+    padded = b"".join(row.ljust(width, b"\0") for row in rows)
+    data = np.frombuffer(padded, dtype=np.uint8).reshape(len(rows), width)
+    return data, np.array([len(row) for row in rows], dtype=np.int32)
+
+
+#: 0, +-1, both sides of every byte-length step up to 8 bytes, and int64's ends.
+BYTE_STEP_EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1)] + [
+    sign * (2 ** (8 * k) - step) for k in range(1, 9) for step in (1, 0) for sign in (1, -1)
+]
+#: Magnitudes up to the 127-byte cap.
+CAPPED_MAGNITUDES = st.integers(0, dinf.MAX_MAGNITUDE_BYTES).flatmap(
+    lambda nb: st.integers(0, 2 ** (8 * nb) - 1)
+)
+
+
+class TestDinfBytes:
+    """``dinf.encode`` over lists and int64 arrays against the row-at-a-time
+    reference, matrix and lengths alike, dtypes included."""
+
+    @staticmethod
+    def assert_encodes(values):
+        expected, expected_lengths = dinf_rows(values)
+        encodings = [dinf.encode(values)]
+        if all(abs(v) < 2**63 for v in values):
+            encodings.append(dinf.encode(np.array(values, dtype=np.int64)))
+        for data, lengths in encodings:
+            assert data.dtype == expected.dtype and data.shape == expected.shape
+            assert np.array_equal(data, expected)
+            assert lengths.dtype == expected_lengths.dtype
+            assert np.array_equal(lengths, expected_lengths)
+            assert codecs._dinf_wire(values) == lengths.sum()
+
+    @given(
+        st.lists(
+            st.sampled_from(BYTE_STEP_EDGES)
+            | st.tuples(CAPPED_MAGNITUDES, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+            | st.integers(-(2**63) + 1, 2**63 - 1),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_lists(self, values):
+        self.assert_encodes(values)
+
+    @given(st.lists(st.integers(1, 2**64) | st.sampled_from([2**63 - 1, 2**1015]), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_all_negative_lists(self, magnitudes):
+        self.assert_encodes([-m for m in magnitudes])
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_each_byte_step(self, k):
+        self.assert_encodes([2 ** (8 * k) - 1, 2 ** (8 * k), -(2 ** (8 * k) - 1), -(2 ** (8 * k))])
+
+    def test_empty_list(self):
+        self.assert_encodes([])
+        data, lengths = dinf.encode([])
+        assert data.shape == (0, 1) and lengths.shape == (0,)
