@@ -4,7 +4,7 @@ Every analysis pass reports through :class:`Diagnostic`: a stable rule id
 (``RANGE001``, ``LIFE004``, ...), a severity, the kernel name, and the
 offending instruction index when one exists.  Passes *collect* everything
 they find instead of bailing at the first violation; callers decide whether
-errors are fatal (the JIT pipeline's strict mode, the CI sweep gate) or
+errors are fatal (the JIT pipeline on ``STRUCT*``, the CI sweep gates) or
 informational (EXPLAIN output).
 
 Rule id registry (the full table lives in DESIGN.md):
@@ -31,8 +31,8 @@ class Severity(enum.Enum):
     """How bad a diagnostic is.
 
     ``ERROR`` means the kernel is provably or potentially unsound (a
-    register can overflow, a released register is read); strict mode and
-    the CI gate fail on these.  ``WARNING`` flags wasted resources or
+    register can overflow, a released register is read); the CI gates
+    fail on these.  ``WARNING`` flags wasted resources or
     missed optimisations; ``INFO`` records proven facts (e.g. a division
     fast path is statically guaranteed).
     """

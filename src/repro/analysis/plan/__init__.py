@@ -17,9 +17,9 @@ Findings reuse :class:`repro.analysis.diagnostics.AnalysisReport`: the
 ``kernel`` field carries the plan label and ``instruction`` the operator
 position, so ``Diagnostic.format`` output reads naturally for plans too.
 
-The planner runs this over every plan it builds; ``strict_plan_analysis``
-escalates errors to :class:`repro.errors.PlanAnalysisError`.  ``python -m
-repro.analysis --plans`` sweeps the workload queries through it in CI.
+Planning does not run it: ``Database.explain`` runs it over the plan it
+prints, and ``python -m repro.analysis --plans`` sweeps the workload
+queries through EXPLAIN in CI.
 """
 
 from __future__ import annotations

@@ -196,9 +196,9 @@ def iter_plan_reports(
 ) -> Iterator[SweptPlan]:
     """Plan-analyze every TPC-H workload query x optimizer x codec variant.
 
-    Each query is planned with the optimizer on and off under every
-    storage-codec variant; the planner attaches the plan analyzer's report
-    in both configurations, which the caller gates on.
+    Each query is explained with the optimizer on and off under every
+    storage-codec variant; EXPLAIN runs the plan analyzer over the plan
+    in both configurations, and the caller gates on its report.
     """
     from repro.engine.plan.cost import OptimizerConfig
     from repro.storage import tpch
@@ -233,7 +233,7 @@ def iter_plan_reports(
             for mode, config in modes.items():
                 explained = db.explain(sql, optimizer=config)
                 report = explained.plan_diagnostics
-                if report is None:  # pragma: no cover - planner always attaches one
+                if report is None:  # pragma: no cover - EXPLAIN always analyzes
                     report = AnalysisReport(kernel=workload)
                 yield SweptPlan(
                     workload,

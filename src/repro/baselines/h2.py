@@ -59,8 +59,3 @@ class H2Model(BaselineEngine):
         return DecimalValue.from_unscaled_container(
             -magnitude if negative else magnitude, spec
         )
-
-    def division_result_spec(self, dividend: DecimalSpec, divisor: DecimalSpec) -> DecimalSpec:
-        """The wider spec H2 divisions produce (for profiling)."""
-        scale = dividend.scale + H2_DIVISION_EXTRA_DIGITS
-        return DecimalSpec(max(dividend.integer_digits + divisor.scale, 1) + scale, scale)

@@ -124,11 +124,6 @@ def mul(a: Words, b: Words) -> List[int]:
     return out
 
 
-def mul_fixed(a: Words, b: Words, width: int) -> List[int]:
-    """Schoolbook multiplication truncated to ``width`` words."""
-    return mul(a, b)[:width] + zero(max(0, width - len(a) - len(b)))
-
-
 def mul_small(a: Words, factor: int, width: int) -> Tuple[List[int], int]:
     """Multiply by a single non-negative word; returns (words, carry_out)."""
     if not 0 <= factor < WORD_BASE:
@@ -169,13 +164,6 @@ def pow10_words_needed(exponent: int) -> int:
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     return max(1, -(-(10**exponent - 1).bit_length() // WORD_BITS)) if exponent else 1
-
-
-def pow10_words(exponent: int, width: int) -> List[int]:
-    """``10**exponent`` as a word array (the alignment multiplier)."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    return from_int(10**exponent, width)
 
 
 def mul_pow10(a: Words, exponent: int, width: int) -> List[int]:

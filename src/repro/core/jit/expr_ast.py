@@ -238,7 +238,3 @@ def column_names(expr: Expr) -> List[str]:
             seen.append(node.name)
     return seen
 
-
-def count_ops(expr: Expr, op: str) -> int:
-    """Number of binary nodes with the given operator."""
-    return sum(1 for node in walk(expr) if isinstance(node, BinaryOp) and node.op == op)

@@ -59,10 +59,6 @@ class JitOptions:
     #: expression scheduling).  Off by default to stay paper-faithful; the
     #: ext_cse benchmark ablates it on the Taylor-series workload.
     subexpression_elimination: bool = False
-    #: Raise :class:`repro.errors.AnalysisError` when the static analyzer
-    #: reports errors (possible overflow, use-after-release).  Off by
-    #: default: diagnostics are attached to the kernel either way.
-    strict_analysis: bool = False
     tpi: int = 1
 
     def cache_key_part(self) -> Tuple:
@@ -72,7 +68,6 @@ class JitOptions:
             self.constant_alignment,
             self.constant_construction,
             self.subexpression_elimination,
-            self.strict_analysis,
             self.tpi,
         )
 
@@ -135,10 +130,12 @@ def expand_powers(expr: Expr) -> Expr:
     return expr
 
 
-def optimize(expr: Expr, schema: Schema, options: JitOptions) -> Expr:
-    """Run the optimisation passes over a parsed tree; returns a binary tree."""
-    tree = nary.to_nary(expr)
-    type_inference.infer(tree, schema)
+def optimize(tree: Expr, schema: Schema, options: JitOptions) -> Expr:
+    """Run the optimisation passes over a typed n-ary tree; returns a binary tree.
+
+    ``tree`` is ``nary.to_nary`` of a parsed tree, annotated by
+    ``type_inference.infer``; the passes may rewrite and re-annotate it.
+    """
     if options.constant_folding:
         tree = constant_folding.fold_constants(tree)
         type_inference.infer(tree, schema)
@@ -162,18 +159,18 @@ def compile_expression(
 ) -> CompiledExpression:
     """Optimise and generate a kernel for a parsed tree, or for text.
 
-    Text is parsed first, by the same grammar.  Every pass (including
-    ``expand_powers``) is value-oriented, so the one tree feeds the naive
-    alignment count and the optimiser, and is left as it was handed in.
+    Text is parsed first, by the same grammar.  One typed n-ary copy of
+    the tree feeds the naive alignment count and then the optimiser, so
+    the tree handed in is left as it was.
     """
     if options is None:
         options = JitOptions()
     parsed = parse_expression(expr) if isinstance(expr, str) else expr
-    naive_nary = nary.to_nary(parsed)
-    type_inference.infer(naive_nary, schema)
-    alignments_before = alignment.count_alignments(naive_nary)
+    tree = nary.to_nary(parsed)
+    type_inference.infer(tree, schema)
+    alignments_before = alignment.count_alignments(tree)
 
-    tree = optimize(parsed, schema, options)
+    tree = optimize(tree, schema, options)
     alignments_after = alignment.count_alignments(tree)
     kernel = codegen.generate_kernel(
         tree,
@@ -197,14 +194,6 @@ def compile_expression(
     kernel = dataclasses.replace(
         kernel, source=codegen.render_source(kernel), analysis=report
     )
-    if options.strict_analysis and report.has_errors:
-        from repro.analysis import Severity
-        from repro.errors import AnalysisError
-
-        raise AnalysisError(
-            "static analysis failed:\n" + report.format(Severity.ERROR),
-            report=report,
-        )
     return CompiledExpression(
         kernel=kernel,
         tree=tree,

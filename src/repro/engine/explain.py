@@ -4,11 +4,11 @@ executing a query's data plane at full size.
 ``Database.explain(sql)`` plans the query, which JIT-compiles its
 expressions, and returns an :class:`ExplainResult` carrying the operator
 chain, every planned kernel (with its CUDA-like source and per-kernel
-timing estimate), and the end-to-end simulated cost estimate.  Every
-number is priced by the :class:`~repro.engine.plan.cost.CostModel`
-methods execution charges through, so the estimate differs from an
-execution's ``report.total_seconds`` only where the planner's estimated
-rows do.
+timing estimate), the plan analyzer's findings, and the end-to-end
+simulated cost estimate.  Every number is priced by the
+:class:`~repro.engine.plan.cost.CostModel` methods execution charges
+through, so the estimate differs from an execution's
+``report.total_seconds`` only where the planner's estimated rows do.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis import AnalysisReport
+from repro.analysis import plan as plan_analysis
 from repro.engine.plan.cost import CostModel, OptimizerConfig, PlanStats
 from repro.engine.plan.physical import (
     AggregateOp,
@@ -78,8 +79,8 @@ class ExplainResult:
     #: cost-based physical choices the planner made.
     rewrites: List[str] = field(default_factory=list)
     choices: List[str] = field(default_factory=list)
-    #: Plan-level static analyzer findings (``PLAN*``/``PREC*``/``RULE*``),
-    #: attached by the planner.
+    #: Plan-level static analyzer findings (``PLAN*``/``PREC*``/``RULE*``)
+    #: over the explained plan.
     plan_diagnostics: Optional["AnalysisReport"] = None
 
     def format(self, with_source: bool = False) -> str:
@@ -156,7 +157,8 @@ def explain_query(
     ``measure_data_plane`` each kernel is additionally run once over the
     relation's real stored columns and its wall-clock
     (``KernelPlan.data_plane_ms``) recorded -- the measured counterpart of
-    the simulated ``estimated_ms``.
+    the simulated ``estimated_ms``.  The plan analyzer runs over ``chain``
+    with ``stats``, its findings labelled with the relation's name.
     """
     cost = cost_model
     operators: List[str] = []
@@ -286,5 +288,7 @@ def explain_query(
         simulate_rows=simulate_rows,
         rewrites=[event.format() for event in getattr(chain, "events", [])],
         choices=list(getattr(chain, "choices", [])),
-        plan_diagnostics=getattr(chain, "analysis", None),
+        plan_diagnostics=plan_analysis.analyze_plan(
+            chain, stats=stats, label=relation.name
+        ),
     )

@@ -58,80 +58,49 @@ class OptimizerConfig:
     """
 
     enabled: bool = True
-    #: Raise :class:`repro.errors.PlanAnalysisError` when the plan
-    #: analyzer, which runs over every planned query, reports errors
-    #: (default: attach diagnostics to the plan and EXPLAIN output without
-    #: failing the query).
-    strict_plan_analysis: bool = False
 
     @classmethod
     def off(cls) -> "OptimizerConfig":
         return cls(enabled=False)
 
 
+@dataclass
 class TableStats:
-    """Planner-visible statistics of one relation.
+    """Planner-visible statistics of one relation."""
 
-    ``column_bytes`` and ``zones`` left out (``None``) are derived from
-    ``columns`` on first read, which encodes every codec column there:
-    :meth:`from_relation` leaves both out, so planning a join-free text,
-    which reads neither (only ``column_types``), encodes nothing.  A
-    hand-built instance that gives ``columns`` but omits ``zones`` thus
-    gets the columns' zone maps, not ``{}``.
-    """
-
-    def __init__(
-        self,
-        rows: int,
-        column_bytes: Optional[Dict[str, float]] = None,
-        column_types: Optional[Dict[str, object]] = None,
-        zones: Optional[Dict[str, List[ZoneMap]]] = None,
-        columns: Optional[Dict[str, Column]] = None,
-    ) -> None:
-        self.rows = rows
-        #: Column name -> storage type (drives exact literal canonicalisation
-        #: in the predicate-merge rule).
-        self.column_types: Dict[str, object] = column_types or {}
-        #: The relation's Column objects, for lazy per-column statistics
-        #: (NDV / histograms -- see :meth:`column_stats`), wire widths and
-        #: zone maps.  Optional so hand-built TableStats (tests, profiles)
-        #: keep working; without it every statistics lookup declines and
-        #: the System-R defaults apply.
-        self.columns: Dict[str, Column] = columns or {}
-        self._column_bytes = column_bytes
-        self._zones = zones
+    rows: int
+    #: *Wire* bytes per row, per column: the encoded size under the
+    #: column's storage codec, falling back to stored bytes without one --
+    #: so codec choice feeds every scan/PCIe estimate downstream.
+    column_bytes: Dict[str, float]
+    #: Column name -> storage type (drives exact literal canonicalisation
+    #: in the predicate-merge rule).
+    column_types: Dict[str, object]
+    #: Zone-map index per codec-carrying DECIMAL column, for data-aware
+    #: selectivity estimates (see :meth:`zone_fraction`).
+    zones: Dict[str, List[ZoneMap]] = field(default_factory=dict)
+    #: The relation's Column objects, for lazy per-column statistics
+    #: (NDV / histograms -- see :meth:`column_stats`).  Optional so
+    #: hand-built TableStats (tests, profiles) keep working; without it
+    #: every statistics lookup declines and the System-R defaults apply.
+    columns: Dict[str, Column] = field(default_factory=dict)
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "TableStats":
+        rows = max(relation.rows, 1)
+        zones: Dict[str, List[ZoneMap]] = {}
+        for column in relation.columns:
+            if column.codec is not None and isinstance(column.column_type, DecimalType):
+                zones[column.name] = column.encoding().zones
         return cls(
             rows=relation.rows,
+            column_bytes={
+                column.name: column.wire_bytes / rows for column in relation.columns
+            },
             column_types={column.name: column.column_type for column in relation.columns},
+            zones=zones,
             columns={column.name: column for column in relation.columns},
         )
-
-    @property
-    def column_bytes(self) -> Dict[str, float]:
-        """*Wire* bytes per row, per column: the encoded size under the
-        column's storage codec, falling back to stored bytes without one --
-        so codec choice feeds every scan/PCIe estimate downstream."""
-        if self._column_bytes is None:
-            rows = max(self.rows, 1)
-            self._column_bytes = {
-                name: column.wire_bytes / rows for name, column in self.columns.items()
-            }
-        return self._column_bytes
-
-    @property
-    def zones(self) -> Dict[str, List[ZoneMap]]:
-        """Zone-map index per codec-carrying DECIMAL column, for data-aware
-        selectivity estimates (see :meth:`zone_fraction`)."""
-        if self._zones is None:
-            self._zones = {
-                name: column.encoding().zones
-                for name, column in self.columns.items()
-                if column.codec is not None and isinstance(column.column_type, DecimalType)
-            }
-        return self._zones
 
     def bytes_for(self, names) -> float:
         return sum(self.column_bytes.get(name, 0.0) for name in names)

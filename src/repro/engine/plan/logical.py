@@ -1,8 +1,8 @@
 """Logical plan nodes (paper Figure 3: SQL -> logical plan -> physical plan).
 
-The logical plan is deliberately small: a linear chain of relational
-operators over the query's select items, whose expression trees the JIT
-engine compiles at physical planning time.
+The logical plan is deliberately small: a list of relational operators,
+bottom-up (scan first), over the query's select items, whose expression
+trees the JIT engine compiles at physical planning time.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from repro.engine.sql.ast_nodes import Comparison, Join, OrderKey, Query, Select
 @dataclass
 class LogicalNode:
     """Base logical operator."""
-
-    child: Optional["LogicalNode"] = field(default=None, init=False)
 
 
 @dataclass
@@ -85,8 +83,8 @@ def build_logical_plan(
     query: Query,
     available_columns: List[str],
     joined_columns: "Optional[dict]" = None,
-) -> LogicalNode:
-    """Turn a parsed query into a logical operator chain (root last).
+) -> List[LogicalNode]:
+    """Turn a parsed query into its logical operators, bottom-up (scan first).
 
     Nodes get copies of the query's lists, so a rewrite rule that edits a
     node in place never edits the query (the session plan cache re-plans
@@ -103,62 +101,27 @@ def build_logical_plan(
     for column in on_columns:
         if column in available_columns and column not in referenced:
             referenced.append(column)
-    node: LogicalNode = LogicalScan(query.table, referenced)
+    nodes: List[LogicalNode] = [LogicalScan(query.table, referenced)]
     for join in query.joins:
         right_available = joined_columns.get(join.table, [])
         right_needed = _referenced_columns(query, right_available)
         for column in on_columns:
             if column in right_available and column not in right_needed:
                 right_needed.append(column)
-        join_node = LogicalJoin(join, right_needed)
-        join_node.child = node
-        node = join_node
+        nodes.append(LogicalJoin(join, right_needed))
     if query.where:
-        filter_node = LogicalFilter(list(query.where))
-        filter_node.child = node
-        node = filter_node
+        nodes.append(LogicalFilter(list(query.where)))
     if query.has_aggregates:
-        aggregate_node = LogicalAggregate(list(query.select_items), list(query.group_by))
-        aggregate_node.child = node
-        node = aggregate_node
+        nodes.append(LogicalAggregate(list(query.select_items), list(query.group_by)))
         if query.having:
-            having_node = LogicalHaving(list(query.having))
-            having_node.child = node
-            node = having_node
+            nodes.append(LogicalHaving(list(query.having)))
     else:
-        project_node = LogicalProject(list(query.select_items))
-        project_node.child = node
-        node = project_node
+        nodes.append(LogicalProject(list(query.select_items)))
     if query.order_by:
-        sort_node = LogicalSort(list(query.order_by))
-        sort_node.child = node
-        node = sort_node
+        nodes.append(LogicalSort(list(query.order_by)))
     if query.limit is not None:
-        limit_node = LogicalLimit(query.limit)
-        limit_node.child = node
-        node = limit_node
-    return node
-
-
-def chain_to_list(root: LogicalNode) -> List[LogicalNode]:
-    """Flatten a logical chain into bottom-up (scan-first) order."""
-    nodes: List[LogicalNode] = []
-    node: Optional[LogicalNode] = root
-    while node is not None:
-        nodes.append(node)
-        node = node.child
-    nodes.reverse()
+        nodes.append(LogicalLimit(query.limit))
     return nodes
-
-
-def list_to_chain(nodes: List[LogicalNode]) -> LogicalNode:
-    """Re-link a bottom-up node list into a chain; returns the root."""
-    previous: Optional[LogicalNode] = None
-    for node in nodes:
-        node.child = previous
-        previous = node
-    assert previous is not None
-    return previous
 
 
 def _referenced_columns(query: Query, available: List[str]) -> List[str]:

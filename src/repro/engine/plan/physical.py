@@ -132,11 +132,6 @@ class ExecutionReport:
             + self.pipeline_seconds
         )
 
-    @property
-    def execution_seconds(self) -> float:
-        """Everything except JIT compilation (the Figure 14(b) split)."""
-        return self.total_seconds - self.compile_seconds
-
 
 @dataclass
 class Batch:

@@ -1,6 +1,6 @@
 """Logical -> physical planning: rewrite rules, costing, physical choice.
 
-``plan_query`` builds the logical chain, drives the rewrite-rule engine
+``plan_query`` builds the logical plan, drives the rewrite-rule engine
 (:mod:`repro.engine.plan.rules`) to a fixpoint, and lowers each logical
 node to a physical operator, choosing between physical alternatives
 (hash vs nested-loop join) with the
@@ -11,9 +11,10 @@ each join, and EXPLAIN for every line it prints.
 
 It is also the one place that compiles: every kernel of the plan is
 compiled once, through the kernel cache the caller passes, and recorded
-on its operator, where the executor, the plan analyzer and EXPLAIN read
-it.  :func:`kernel_view` looks a reused plan's kernels up again through
-the same cache, by the same rule, for each further execution.
+on its operator, where the executor and EXPLAIN (with the plan analyzer
+it runs) read it.  :func:`kernel_view` looks a reused plan's kernels up
+again through the same cache, by the same rule, for each further
+execution.
 
 The returned :class:`PhysicalPlan` behaves like the plain operator list
 older call sites expect, and additionally carries the rewrite trace and
@@ -49,7 +50,6 @@ from repro.engine.plan.logical import (
     LogicalScan,
     LogicalSort,
     build_logical_plan,
-    chain_to_list,
 )
 from repro.engine.plan.physical import (
     AggregateOp,
@@ -90,9 +90,6 @@ class PhysicalPlan:
         self.ops = list(ops)
         self.events = list(events or [])
         self.choices = list(choices or [])
-        #: :class:`repro.analysis.AnalysisReport` from the plan-level
-        #: static analyzer, which ``plan_query`` runs over every plan.
-        self.analysis = None
 
     def __iter__(self) -> Iterator[PhysicalOp]:
         return iter(self.ops)
@@ -114,7 +111,6 @@ def plan_query(
     cost_model: Optional[CostModel] = None,
     kernel_cache: Optional[KernelCache] = None,
     jit_options: Optional[JitOptions] = None,
-    label: Optional[str] = None,
 ) -> PhysicalPlan:
     """Build the physical operator plan for a parsed query.
 
@@ -122,8 +118,7 @@ def plan_query(
     fixed-shape translation (plus the always-on sort-key retention pass),
     and ``cost_model`` to :class:`CostModel`'s defaults.  Every kernel is
     compiled through ``kernel_cache`` (a fresh one when None) with
-    ``jit_options``.  The plan-level static analyzer then runs over the
-    plan, its findings labelled ``label``.
+    ``jit_options``.
 
     The plan holds only what planning decided.  Estimates are
     :func:`estimate_plan`'s, read here only for the rows entering each
@@ -133,8 +128,7 @@ def plan_query(
     optimizer = optimizer if optimizer is not None else OptimizerConfig.off()
     cost_model = cost_model if cost_model is not None else CostModel()
     cache = kernel_cache if kernel_cache is not None else KernelCache()
-    logical = build_logical_plan(query, available_columns, joined_columns)
-    nodes = chain_to_list(logical)
+    nodes = build_logical_plan(query, available_columns, joined_columns)
     nodes, events = apply_rules(nodes, default_rules(optimize=optimizer.enabled), stats)
 
     choices: List[str] = []
@@ -181,20 +175,7 @@ def plan_query(
             raise PlanningError(f"unknown logical node {type(node).__name__}")
         ops.append(op)
     _push_zone_predicates(ops)
-    plan = PhysicalPlan(ops, events, choices)
-    # Imported lazily: repro.analysis.plan imports the physical operators,
-    # so importing it at module level would be circular.
-    from repro.analysis import Severity
-    from repro.analysis.plan import analyze_plan
-    from repro.errors import PlanAnalysisError
-
-    plan.analysis = analyze_plan(plan, stats=stats, label=label or query.table)
-    if optimizer.strict_plan_analysis and plan.analysis.has_errors:
-        raise PlanAnalysisError(
-            "plan analysis failed:\n" + plan.analysis.format(Severity.ERROR),
-            report=plan.analysis,
-        )
-    return plan
+    return PhysicalPlan(ops, events, choices)
 
 
 def estimate_plan(

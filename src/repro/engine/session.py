@@ -16,8 +16,8 @@ the actual row count.
 
 A repeated query is planned once: :class:`PlanCache` keeps each planned
 text and reuses it while what its planning read of the catalog is
-unchanged, so a repeat skips parsing, rewriting, planning and plan
-analysis and only looks its kernels up again
+unchanged, so a repeat skips parsing, rewriting and planning and only
+looks its kernels up again
 (:func:`~repro.engine.plan.planner.kernel_view`).  A join-free plan under
 an explicit ``simulate_rows`` read only its table's column names and
 types, so it outlives appends; a plan with a join, or one made with
@@ -160,7 +160,6 @@ class Database:
         jit_options: Optional[JitOptions] = None,
         streaming: Optional[StreamingConfig] = None,
         optimizer: Optional[OptimizerConfig] = None,
-        residency: Optional[DeviceResidency] = None,
     ):
         self.catalog = Catalog()
         self.device = device
@@ -173,11 +172,11 @@ class Database:
         self.optimizer = optimizer if optimizer is not None else OptimizerConfig()
         self.kernel_cache = KernelCache()
         self.plan_cache = PlanCache()
-        #: Cross-query device residency of scanned columns.  ``None`` (the
-        #: default) keeps single-query semantics -- every query ships its
-        #: columns; the serving layer installs a shared tracker so
-        #: concurrent sessions pay each transfer once per column version.
-        self.residency = residency
+        #: Cross-query device residency of scanned columns.  ``None`` keeps
+        #: single-query semantics -- every query ships its columns; the
+        #: serving layer installs a shared tracker so concurrent sessions
+        #: pay each transfer once per column version.
+        self.residency: Optional[DeviceResidency] = None
         #: Serializes writers (``append``/``register``) against each other.
         #: Readers never take it: a query captures its relation snapshot in
         #: one catalog lookup and appends swap in *new* Relation/Column
@@ -315,7 +314,6 @@ class Database:
                 cost_model=cost_model,
                 kernel_cache=self.kernel_cache,
                 jit_options=self.jit_options,
-                label=query.table,
             )
             self.plan_cache.put(key, PlannedQuery(query, chain, reads))
         batch = run_plan(chain, context)
@@ -368,7 +366,6 @@ class Database:
             cost_model=cost_model,
             kernel_cache=KernelCache(),
             jit_options=self.jit_options,
-            label=query.table,
         )
         result = explain_query(
             chain,

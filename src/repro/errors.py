@@ -43,19 +43,6 @@ class CodegenError(ExpressionError):
     """Kernel code generation failed."""
 
 
-class AnalysisError(ExpressionError):
-    """The kernel IR static analyzer found errors in strict mode.
-
-    Carries the offending :class:`repro.analysis.AnalysisReport` as
-    ``report`` so callers can inspect every diagnostic, not just the
-    rendered message.
-    """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
-
-
 class GpuSimError(ReproError):
     """Base class for GPU-simulator errors."""
 
@@ -90,21 +77,6 @@ class PlanningError(EngineError):
 
 class ExecutionError(EngineError):
     """Query execution failed at runtime."""
-
-
-class PlanAnalysisError(PlanningError):
-    """The plan-level static analyzer found errors in strict mode.
-
-    Raised by the planner when ``OptimizerConfig.strict_plan_analysis`` is
-    set and a schema-dataflow, precision-dataflow or rewrite-soundness
-    check fails.  Carries the offending
-    :class:`repro.analysis.AnalysisReport` as ``report`` so callers can
-    inspect every diagnostic, not just the rendered message.
-    """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
 
 
 class ServingError(EngineError):

@@ -76,11 +76,6 @@ class DeviceResidency:
         with self._lock:
             return key in self._entries
 
-    @property
-    def resident_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

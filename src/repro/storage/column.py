@@ -50,8 +50,8 @@ class Column:
     :attr:`rows` and :attr:`bytes_stored` from the indices, gathers the
     root's bytes on the first read of :attr:`data`, and gathers the
     root's expansion in :meth:`decimal_vector`.  Derived forms (register
-    expansion, encoding, statistics, and whatever :meth:`derive` keeps)
-    are cached per :attr:`version` on the column that computed them.
+    expansion, encoding, statistics, key codes, build sides) are kept by
+    :meth:`derive`, per :attr:`version`, on the column that computed them.
     """
 
     def __init__(
@@ -81,9 +81,7 @@ class Column:
         #: ``(root, root version, indices)`` for a view, else None.
         self._view: "Optional[Tuple[Column, int, np.ndarray]]" = None
         self._version = next(_VERSIONS)
-        self._vector_cache: "Optional[Tuple[int, DecimalVector]]" = None
-        self._encoding_cache: "Optional[Tuple[int, EncodedColumn]]" = None
-        #: Other version-keyed derived forms by kind (:meth:`derive`).
+        #: Version-keyed derived forms by kind (:meth:`derive`).
         self._derived: Dict[str, Tuple[int, Any]] = {}
 
     def __repr__(self) -> str:
@@ -108,8 +106,6 @@ class Column:
             self._data = self.data
             self._view = None
         self._version = next(_VERSIONS)
-        self._vector_cache = None
-        self._encoding_cache = None
         self._derived = {}
 
     @property
@@ -193,8 +189,6 @@ class Column:
             _data=None,
             _view=(root, root._version, indices),
             _version=next(_VERSIONS),
-            _vector_cache=None,
-            _encoding_cache=None,
             _derived={},
         )
 
@@ -245,7 +239,7 @@ class Column:
         """
         column = cls(name, DecimalType(vector.spec), vector.to_compact())
         if not vector.has_negative_zero():
-            column._vector_cache = (column._version, vector)
+            column._keep("vector", vector)
         return column
 
     def decimal_vector(self) -> DecimalVector:
@@ -260,17 +254,15 @@ class Column:
         :class:`~repro.core.decimal.vectorized.DecimalVector` aliasing
         contract: never write into its planes (``.copy()`` first).
         """
+        return self.derive("vector", Column._expand)
+
+    def _expand(self) -> DecimalVector:
+        """The register expansion, computed afresh (see :meth:`decimal_vector`)."""
         spec = self._decimal_spec()
-        cached = self._vector_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
         root, indices = self.lineage()
         if indices is not None:
-            vector = root.decimal_vector().take(indices)
-        else:
-            vector = DecimalVector.from_compact(self.data, spec)
-        self._vector_cache = (self._version, vector)
-        return vector
+            return root.decimal_vector().take(indices)
+        return DecimalVector.from_compact(self.data, spec)
 
     def unscaled(self) -> List[int]:
         """Signed unscaled values (oracle interface)."""
@@ -296,9 +288,9 @@ class Column:
             codec=codec,
             encoding_chunk_rows=chunk_rows,
         )
-        cached = self._vector_cache
-        if cached is not None and cached[0] == self._version:
-            column._vector_cache = (column._version, cached[1])
+        vector = self._cached("vector")
+        if vector is not None:
+            column._keep("vector", vector)
         return column
 
     def encoding(self) -> EncodedColumn:
@@ -309,15 +301,12 @@ class Column:
         version with :meth:`appended`, which encodes it before it is
         published -- snapshot isolation for zone maps.
         """
-        if self.codec is None:
+        codec = self.codec
+        if codec is None:
             raise SchemaError(f"column {self.name!r} has no storage codec")
-        self._decimal_spec()
-        cached = self._encoding_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        encoded = self._encode(self.codec, self.decimal_vector(), 0)
-        self._encoding_cache = (self._version, encoded)
-        return encoded
+        return self.derive(
+            "encoding", lambda column: column._encode(codec, column.decimal_vector(), 0)
+        )
 
     def _encode(
         self, codec: DecimalCodec, vector: DecimalVector, row_start: int
@@ -344,12 +333,7 @@ class Column:
         Lets filter operators use encoded-byte comparisons only when the
         scan (or the cost model) has already paid for the encode.
         """
-        if self.codec is None:
-            return None
-        cached = self._encoding_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        return None
+        return None if self.codec is None else self._cached("encoding")
 
     def appended(self, addition: "Column") -> "Column":
         """The next version: this column's rows followed by ``addition``'s.
@@ -383,31 +367,31 @@ class Column:
         # The encoding is read first: :meth:`encoding` fills the expansion
         # before it, so a current encoding comes with a current expansion,
         # and ``merged.decimal_vector()`` below returns the carried one.
-        encoding_cache = self._encoding_cache
-        vector_cache = self._vector_cache
-        if vector_cache is not None and vector_cache[0] == self._version:
-            vector = DecimalVector.concatenate(
-                [vector_cache[1], addition.decimal_vector()], spec
+        prefix = self._cached("encoding")
+        vector = self._cached("vector")
+        if vector is not None:
+            merged._keep(
+                "vector", DecimalVector.concatenate([vector, addition.decimal_vector()], spec)
             )
-            merged._vector_cache = (merged._version, vector)
         if self.codec is None:
             return merged
-        if encoding_cache is None or encoding_cache[0] != self._version:
+        if prefix is None:
             merged.encoding()
             return merged
-        prefix = encoding_cache[1]
         full = self.rows // prefix.chunk_rows
         tail_start = full * prefix.chunk_rows
         tail = merged._encode(
             self.codec, merged.decimal_vector().tail(tail_start), tail_start
         )
-        encoded = EncodedColumn(
-            codec=self.codec,
-            spec=spec,
-            chunk_rows=prefix.chunk_rows,
-            chunks=prefix.chunks[:full] + tail.chunks,
+        merged._keep(
+            "encoding",
+            EncodedColumn(
+                codec=self.codec,
+                spec=spec,
+                chunk_rows=prefix.chunk_rows,
+                chunks=prefix.chunks[:full] + tail.chunks,
+            ),
         )
-        merged._encoding_cache = (merged._version, encoded)
         return merged
 
     # --------------------------------------------------------- derived forms
@@ -426,6 +410,15 @@ class Column:
         self._derived[kind] = (version, value)
         return value
 
+    def _cached(self, kind: str) -> Optional[Any]:
+        """The current-version ``kind`` if :meth:`derive` has kept it, else None."""
+        hit = self._derived.get(kind)
+        return hit[1] if hit is not None and hit[0] == self._version else None
+
+    def _keep(self, kind: str, value: Any) -> None:
+        """Keep ``value`` as this version's ``kind``, as :meth:`derive` would."""
+        self._derived[kind] = (self._version, value)
+
     def cached_stats(self) -> Optional[object]:
         """The current-version planner statistics, or None if stale/absent.
 
@@ -434,8 +427,7 @@ class Column:
         ``Database.append`` (fresh Columns) and :meth:`invalidate`
         naturally discard stale statistics.
         """
-        hit = self._derived.get("stats")
-        return hit[1] if hit is not None and hit[0] == self._version else None
+        return self._cached("stats")
 
     # --------------------------------------------------------------- others
 

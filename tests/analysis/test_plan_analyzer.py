@@ -2,12 +2,9 @@
 
 The acceptance bar for each pass: a deliberately broken rewrite rule (a
 pushdown that drops a conjunct) is caught by the differential audit; a
-tampered physical plan trips the schema pass; a real query's precision
-proof agrees with the kernel range pass (``PREC004``); and strict mode
-escalates analyzer errors to :class:`repro.errors.PlanAnalysisError`.
+tampered physical plan trips the schema pass; and a real query's
+precision proof agrees with the kernel range pass (``PREC004``).
 """
-
-import pytest
 
 from repro.analysis.plan import analyze_plan, check_rewrites
 from repro.analysis.plan import precision, rewrite_audit, schema_flow
@@ -18,7 +15,6 @@ from repro.engine.plan.physical import FilterOp, ProjectOp, ScanOp, SortOp
 from repro.engine.plan.planner import plan_query
 from repro.engine.plan.rules import RewriteEvent, RewriteRule
 from repro.engine.sql.parser import parse_query
-from repro.errors import PlanAnalysisError
 
 
 def make_db() -> Database:
@@ -43,7 +39,7 @@ def make_db() -> Database:
 
 
 def planned(db: Database, sql: str, optimizer=None):
-    """Plan through the real session statistics, returning the PhysicalPlan."""
+    """Plan through the real session statistics; returns ``(plan, stats)``."""
     query = parse_query(sql)
     relation = db.catalog.get(query.table)
     joined = {join.table: db.catalog.get(join.table) for join in query.joins}
@@ -53,7 +49,6 @@ def planned(db: Database, sql: str, optimizer=None):
         {name: rel.column_names for name, rel in joined.items()},
         stats=db._plan_stats(relation, joined, relation.rows),
         optimizer=optimizer if optimizer is not None else OptimizerConfig(),
-        label=query.table,
     ), db._plan_stats(relation, joined, relation.rows)
 
 
@@ -85,21 +80,10 @@ class TestSeededRuleBugs:
             lambda **kwargs: [BrokenPushdownRule()],
         )
         db = make_db()
-        plan, _stats = planned(db, self.SQL)
-        assert plan.analysis is not None
-        rules = {d.rule for d in plan.analysis.errors}
-        assert rewrite_audit.PUSHDOWN_CONJUNCTS in rules, plan.analysis.format()
-
-    def test_strict_mode_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.plan.planner.default_rules",
-            lambda **kwargs: [BrokenPushdownRule()],
-        )
-        db = make_db()
-        with pytest.raises(PlanAnalysisError) as caught:
-            planned(db, self.SQL, optimizer=OptimizerConfig(strict_plan_analysis=True))
-        assert caught.value.report is not None
-        assert caught.value.report.has_errors
+        plan, stats = planned(db, self.SQL)
+        report = analyze_plan(plan, stats=stats)
+        rules = {d.rule for d in report.errors}
+        assert rewrite_audit.PUSHDOWN_CONJUNCTS in rules, report.format()
 
 
 class TestSeededPlanTampering:

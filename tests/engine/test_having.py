@@ -105,10 +105,9 @@ class TestHavingColumnReferences:
             table="sales",
             having=[Comparison("cost", ">", 1)],
         )
-        node = build_logical_plan(query, ["region", "amount", "cost"])
-        while not isinstance(node, LogicalScan):
-            node = node.child
-        assert "cost" in node.columns
+        scan = build_logical_plan(query, ["region", "amount", "cost"])[0]
+        assert isinstance(scan, LogicalScan)
+        assert "cost" in scan.columns
 
     def test_having_over_non_selected_group_key(self, db):
         result = db.execute(

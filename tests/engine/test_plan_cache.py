@@ -5,9 +5,10 @@ and reuses it while every planning input is unchanged and the catalog
 reads as planning read it: a join-free plan under an explicit
 ``simulate_rows`` while its table keeps its column names and types, any
 other plan while every column it read keeps its version.  A reuse skips
-parsing, rewriting, planning and plan analysis, looks each kernel up
-again in the session ``KernelCache``, and must return exactly the rows
-and the report that planning afresh would give.
+parsing, rewriting and planning, looks each kernel up again in the
+session ``KernelCache``, and must return exactly the rows and the report
+that planning afresh would give.  Execution never runs the plan
+analyzer; EXPLAIN does.
 """
 
 import dataclasses
@@ -27,12 +28,7 @@ from repro.engine.plan.cost import OptimizerConfig, TableStats
 from repro.engine.plan.logical import LogicalFilter
 from repro.engine.plan.physical import _KernelOp
 from repro.engine.plan.rules import RewriteRule
-from repro.errors import (
-    ExecutionError,
-    PlanAnalysisError,
-    QueryCancelledError,
-    TypeInferenceError,
-)
+from repro.errors import ExecutionError, QueryCancelledError, TypeInferenceError
 from repro.storage import Column, Relation
 
 JOIN_SQL = (
@@ -109,10 +105,13 @@ class TestReuse:
         db = make_db()
         cold = db.execute(sql)
         planned = dict(calls)
-        assert planned["parse"] == planned["plan"] == planned["analyze"] == 1
+        assert planned["parse"] == planned["plan"] == 1 and planned["analyze"] == 0
         warm = db.execute(sql)
         assert calls == planned
         assert db.plan_cache.hits == 1 and db.plan_cache.misses == 1
+        for explains in (1, 2):
+            db.explain(sql)
+            assert calls["analyze"] == explains
 
         # The same two executions, the second planned afresh.
         fresh = make_db()
@@ -396,28 +395,6 @@ class TestInvalidation:
 
 
 class TestFailureCachesNothing:
-    def test_strict_plan_analysis_error(self, monkeypatch):
-        class DroppingRule(RewriteRule):
-            """A seeded rule bug the plan analyzer reports as an error."""
-
-            name = "filter-pushdown"
-
-            def apply(self, nodes, stats=None):
-                for node in nodes:
-                    if getattr(node, "predicates", None) and len(node.predicates) > 1:
-                        node.predicates = node.predicates[:-1]
-                        return nodes, "dropped a conjunct"
-                return None
-
-        monkeypatch.setattr(planner, "default_rules", lambda **kwargs: [DroppingRule()])
-        db = make_db()
-        strict = OptimizerConfig(strict_plan_analysis=True)
-        sql = "SELECT f_amount FROM fact WHERE f_key > 1 AND f_amount < 9.00"
-        for _ in range(2):
-            with pytest.raises(PlanAnalysisError):
-                db.execute(sql, optimizer=strict)
-        assert len(db.plan_cache) == 0 and db.plan_cache.misses == 0
-
     def test_cancelled_before_planning(self):
         db = make_db()
         with pytest.raises(QueryCancelledError):

@@ -9,10 +9,9 @@ with the real ones.  A join's order and algorithm come from statistics,
 so planning one the same way must fail.
 """
 
-from unittest import mock
-
 import pytest
 
+from repro.analysis.plan import analyze_plan
 from repro.core.decimal.context import DecimalSpec
 from repro.core.jit.pipeline import CompiledExpression, KernelCache
 from repro.engine.plan.cost import OptimizerConfig, PlanStats, TableStats
@@ -20,9 +19,6 @@ from repro.engine.plan.physical import PhysicalOp
 from repro.engine.plan.planner import plan_query
 from repro.engine.sql.ast_nodes import Comparison, OrderKey, SelectItem
 from repro.engine.sql.parser import parse_query
-from repro.storage.codecs import OrderPreservingCodec
-from repro.storage.column import Column
-from repro.storage.schema import DecimalType
 from repro.workloads import tpch_queries
 
 from tests.engine.test_explain_golden import tpch_olap_database
@@ -122,13 +118,13 @@ def plan(database, sql, optimizer, main):
         stats=stats,
         optimizer=optimizer,
         kernel_cache=KernelCache(),
-        label=query.table,
     )
+    report = analyze_plan(planned, stats=stats, label=query.table)
     return (
         render(list(planned)),
         [event.format() for event in planned.events],
         list(planned.choices),
-        [diagnostic.format() for diagnostic in planned.analysis.diagnostics],
+        [diagnostic.format() for diagnostic in report.diagnostics],
     )
 
 
@@ -156,62 +152,3 @@ def test_planning_a_join_reads_statistics(optimizer):
     with pytest.raises(DataRead):
         plan(make_db(), JOIN_SQL, optimizer, schema_only)
 
-
-def eager_stats(relation):
-    """A relation's statistics with every wire width and zone map computed
-    up front, as ``TableStats.from_relation`` once built them."""
-    rows = max(relation.rows, 1)
-    return TableStats(
-        rows=relation.rows,
-        column_bytes={column.name: column.wire_bytes / rows for column in relation.columns},
-        column_types={column.name: column.column_type for column in relation.columns},
-        zones={
-            column.name: column.encoding().zones
-            for column in relation.columns
-            if column.codec is not None and isinstance(column.column_type, DecimalType)
-        },
-        columns={column.name: column for column in relation.columns},
-    )
-
-
-def codec_join_database():
-    """``JOIN_SQL``'s tables with every DECIMAL column under ``dinf``, two
-    rows per chunk, and no encoding built yet."""
-    database = make_db()
-    for name in ("fact", "dim"):
-        relation = database.catalog.get(name)
-        decimals = [c.name for c in relation.columns if isinstance(c.column_type, DecimalType)]
-        codecs = {column: OrderPreservingCodec() for column in decimals}
-        database.register(relation.with_codecs(codecs, chunk_rows=2), replace=True)
-    return database
-
-
-@pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=["optimizer-on", "optimizer-off"])
-def test_join_free_planning_encodes_nothing(optimizer):
-    database = serve_rw_database()
-    encoding = Column.encoding
-    calls = []
-
-    def counted(column):
-        calls.append(column.name)
-        return encoding(column)
-
-    with mock.patch.object(Column, "encoding", counted):
-        for sql in SERVE_RW_READS:
-            plan(database, sql, optimizer, TableStats.from_relation)
-    assert calls == []
-
-
-@pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=["optimizer-on", "optimizer-off"])
-def test_join_planning_reads_the_eager_widths_and_zones(optimizer):
-    database = codec_join_database()
-    tables = [database.catalog.get(name) for name in ("fact", "dim")]
-    for relation in tables:
-        lazy, eager = TableStats.from_relation(relation), eager_stats(relation)
-        assert lazy.column_bytes == eager.column_bytes
-        assert lazy.zones == eager.zones and set(lazy.zones) == {
-            c.name for c in relation.columns if isinstance(c.column_type, DecimalType)
-        }
-    assert plan(database, JOIN_SQL, optimizer, TableStats.from_relation) == plan(
-        database, JOIN_SQL, optimizer, eager_stats
-    )

@@ -86,7 +86,7 @@ def assert_same_encoding(carried, fresh):
 
 def assert_carried_vector(column, spec):
     """The carried expansion equals what the merged bytes unpack to."""
-    carried = column._vector_cache[1]
+    carried = column._cached("vector")
     expected = DecimalVector.from_compact(column.data, spec)
     assert np.array_equal(carried.negative, expected.negative)
     assert np.array_equal(carried.words, expected.words)
@@ -229,7 +229,7 @@ class TestAppendCarry:
                 column.encoding()
             if warm in ("both", "vector"):
                 column.decimal_vector()
-            old_vector = column._vector_cache
+            old_vector = column._cached("vector")
             old_encoding = column.cached_encoding()
             old_bytes = (
                 [chunk.data.copy() for chunk in old_encoding.chunks]
@@ -250,10 +250,10 @@ class TestAppendCarry:
             carried = merged.cached_encoding()
             assert carried is not None
             assert_same_encoding(carried, fresh_encoding(merged))
-            if merged._vector_cache is not None:
+            if merged._cached("vector") is not None:
                 assert_carried_vector(merged, spec)
             # The old snapshot keeps exactly the caches it had.
-            assert column._vector_cache is old_vector
+            assert column._cached("vector") is old_vector
             assert column.cached_encoding() is old_encoding
             if old_encoding is not None:
                 for chunk, before in zip(old_encoding.chunks, old_bytes):
@@ -272,7 +272,7 @@ class TestAppendCarry:
         spec = SPECS[30]
         column = Column.decimal_from_unscaled("v", old_values, spec)
         merged = column.appended(Column.decimal_from_unscaled("v", new_values, spec))
-        vector = merged._vector_cache[1]
+        vector = merged._cached("vector")
         assert (vector._planes is None) == lanes
         assert (vector._int64 is not None) == lanes
         assert merged.unscaled() == old_values + new_values
@@ -284,7 +284,7 @@ class TestAppendCarry:
         addition = Column.decimal_from_unscaled("v", [3], spec)
         bare = Column("v", addition.column_type, addition.data)  # lanes not folded
         merged = column.appended(bare)
-        vector = merged._vector_cache[1]
+        vector = merged._cached("vector")
         assert vector._planes is not None and vector._int64 is None
         assert column.decimal_vector()._planes is not None  # filled, not replaced
         assert merged.unscaled() == [1, -2, 3]
@@ -316,7 +316,7 @@ class TestAppendCarry:
             merged = column.appended(addition)
         tail = merged.cached_encoding().chunks[2:]
         assert [chunk.zone.row_start for chunk in tail] == [8, 12]
-        assert merged._vector_cache[1]._planes is None  # still lane-only
+        assert merged._cached("vector")._planes is None  # still lane-only
         assert_same_encoding(merged.cached_encoding(), fresh_encoding(merged))
 
     def test_a_tail_shares_the_carried_lanes_or_planes(self):
@@ -370,9 +370,9 @@ class TestWithCodecCarry:
         built = Column.decimal_from_unscaled("v", [7, -8, 9], spec)
         column = Column("v", built.column_type, built.data)
         coded = column.with_codec(CompactCodec(), 2)
-        assert coded._vector_cache is None
+        assert coded._cached("vector") is None
         assert coded.unscaled() == [7, -8, 9]
-        assert column._vector_cache is None
+        assert column._cached("vector") is None
 
 
 @pytest.mark.parametrize("spec", [SPECS[1], LEN32])
