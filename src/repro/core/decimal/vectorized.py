@@ -60,9 +60,15 @@ class DecimalVector:
     expansion to every caller.  Never write into a vector's planes in
     place -- build new arrays (or :meth:`copy` first).  The int64 lanes are
     shared the same way and are read-only (``writeable`` is off).  Reader
-    threads may fill both memos concurrently: every fill of the lanes
+    threads may fill the memos concurrently: every fill of the lanes
     stores the same values, every fill of the planes stores equal arrays,
-    both planes land in one assignment, and nothing is written in place.
+    every fill of the lane bound the same int, both planes land in one
+    assignment, and nothing is written in place.
+
+    A vector with lanes knows an upper bound on ``|lane|``
+    (:meth:`lane_bound`): carried from the kernel register it stores
+    (:meth:`from_int64`) or from the vector it was gathered, sliced or
+    merged from, and otherwise measured once.
     """
 
     def __init__(self, spec: DecimalSpec, negative: np.ndarray, words: np.ndarray):
@@ -73,14 +79,20 @@ class DecimalVector:
         #: ``(lanes,)`` once :meth:`to_int64` has answered (``(None,)`` when
         #: the values do not fit int64); None before.
         self._int64: Optional[Tuple[Optional[np.ndarray]]] = None
+        #: An upper bound on every ``|lane|`` once known (:meth:`lane_bound`).
+        self._bound: Optional[int] = None
 
     @classmethod
-    def _from_lanes(cls, spec: DecimalSpec, lanes: np.ndarray) -> "DecimalVector":
-        """A vector holding only read-only int64 ``lanes`` (checked by the caller)."""
+    def _from_lanes(
+        cls, spec: DecimalSpec, lanes: np.ndarray, bound: Optional[int]
+    ) -> "DecimalVector":
+        """A vector holding only read-only int64 ``lanes`` (checked by the
+        caller) whose magnitudes stay within ``bound``, when it is known."""
         vector = cls.__new__(cls)
         vector.spec = spec
         vector._planes = None
         vector._int64 = (lanes,)
+        vector._bound = bound
         return vector
 
     @property
@@ -134,35 +146,46 @@ class DecimalVector:
         return cls(spec, negative, words)
 
     @classmethod
-    def from_int64(cls, values: np.ndarray, spec: DecimalSpec) -> "DecimalVector":
+    def from_int64(
+        cls, values: np.ndarray, spec: DecimalSpec, bound: Optional[int] = None
+    ) -> "DecimalVector":
         """Build from signed int64 unscaled values, storing only them as lanes.
 
         Every ``|value|`` must be below ``2**63`` and within ``spec``'s
         precision (the kernel executor's bounds guarantee both); a one-word
-        ``spec`` takes no magnitude of ``2**32`` or more.  ``values``
-        becomes this vector's read-only :meth:`to_int64` answer, so the
-        caller must not write to it afterwards.
+        ``spec`` takes no magnitude of ``2**32`` or more.  ``bound``, when
+        given, is an upper bound below ``2**63`` on every ``|value|`` (a
+        kernel register's): the vector keeps it, and the checks read it
+        instead of measuring the values unless it is too loose to pass
+        them.  ``values`` becomes this vector's read-only :meth:`to_int64`
+        answer, so the caller must not write to it afterwards.
         """
         values = np.asarray(values, dtype=np.int64)
-        if values.size:
-            low = int(values.min())
-            if low == _INT64_MIN:
-                raise ValueError("int64 lanes must stay above -2**63")
-            if spec.words == 1 and max(-low, int(values.max())) >= WORD_BASE:
+        if bound is None or (spec.words == 1 and bound >= WORD_BASE):
+            bound = 0
+            if values.size:
+                low = int(values.min())
+                if low == _INT64_MIN:
+                    raise ValueError("int64 lanes must stay above -2**63")
+                bound = max(-low, int(values.max()))
+            if spec.words == 1 and bound >= WORD_BASE:
                 raise PrecisionOverflowError(f"values do not fit {spec}")
         values.setflags(write=False)
-        return cls._from_lanes(spec, values)
+        return cls._from_lanes(spec, values, bound)
 
     @classmethod
     def concatenate(cls, parts: Sequence["DecimalVector"], spec: DecimalSpec) -> "DecimalVector":
         """The rows of ``parts`` in order: their lanes when every part's
-        lanes are memoized, their planes otherwise."""
+        lanes are memoized (with the largest bound when every part knows
+        one), their planes otherwise."""
         lanes = [part._memoized_lanes() for part in parts]
         present = [part for part in lanes if part is not None]
         if len(present) == len(parts):
             merged = np.concatenate(present)
             merged.setflags(write=False)
-            return cls._from_lanes(spec, merged)
+            bounds = [part._bound for part in parts]
+            bound = None if None in bounds else max(bounds, default=0)
+            return cls._from_lanes(spec, merged, bound)
         planes = [part._expand() for part in parts]
         return cls(
             spec,
@@ -232,6 +255,23 @@ class DecimalVector:
             self._int64 = memo
         return memo[0]
 
+    def lane_bound(self) -> Optional[int]:
+        """An upper bound on every ``|lane|``, or None when the values do
+        not fit int64 (:meth:`to_int64`).
+
+        Carried when this vector was built from a kernel register, or
+        gathered, sliced or merged from vectors that knew one; otherwise
+        ``max|lane|``, measured once and memoized.
+        """
+        bound = self._bound
+        if bound is None:
+            lanes = self.to_int64()
+            if lanes is None:
+                return None
+            bound = max(int(lanes.max()), -int(lanes.min())) if lanes.size else 0
+            self._bound = bound
+        return bound
+
     def _memoized_lanes(self) -> Optional[np.ndarray]:
         """The int64 lanes if :meth:`to_int64` has answered with them, without folding."""
         memo = self._int64
@@ -278,26 +318,27 @@ class DecimalVector:
         """The rows ``indices``: only their int64 lanes when the values fit.
 
         The lanes are gathered from this vector's :meth:`to_int64`, which
-        folds once per vector: a cached column expansion pays it once per
-        version, not once per query.  The planes are gathered only when
-        the lanes do not answer.
+        folds once per vector, and carry its :meth:`lane_bound`, measured
+        at most once per vector: a cached column expansion pays both once
+        per version, not once per query.  The planes are gathered only
+        when the lanes do not answer.
         """
         source = self.to_int64()
         if source is not None:
             lanes = source[indices]
             lanes.setflags(write=False)
-            return DecimalVector._from_lanes(self.spec, lanes)
+            return DecimalVector._from_lanes(self.spec, lanes, self.lane_bound())
         negative, words = self._expand()
         return DecimalVector(self.spec, negative[indices], np.take(words, indices, axis=0))
 
-    def tail(self, start: int) -> "DecimalVector":
-        """The rows ``start:``, sharing this vector's memoized lanes, else
-        its planes: nothing is copied."""
+    def tail(self, start: int, stop: Optional[int] = None) -> "DecimalVector":
+        """The rows ``start:stop``, sharing this vector's memoized lanes
+        (and bound, when known), else its planes: nothing is copied."""
         lanes = self._memoized_lanes()
         if lanes is not None:
-            return DecimalVector._from_lanes(self.spec, lanes[start:])
+            return DecimalVector._from_lanes(self.spec, lanes[start:stop], self._bound)
         negative, words = self._expand()
-        return DecimalVector(self.spec, negative[start:], words[start:])
+        return DecimalVector(self.spec, negative[start:stop], words[start:stop])
 
     # --------------------------------------------------------------- rescale
 

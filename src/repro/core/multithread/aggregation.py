@@ -235,11 +235,15 @@ def _segment_sums(vector: DecimalVector, starts: np.ndarray) -> List[int]:
     """Exact signed sum of every segment.
 
     Int64 lanes sum directly when ``rows * max|x|`` stays below ``2**63``,
-    so no partial sum can wrap; otherwise per-limb column sums.
+    so no partial sum can wrap; otherwise per-limb column sums.  The test
+    reads the vector's carried :meth:`~DecimalVector.lane_bound`, and
+    measures ``max|x|`` only when that bound is too loose to pass it.
     """
     lanes = vector.to_int64()
     if lanes is not None:
-        bound = max(int(lanes.max()), -int(lanes.min()))
+        bound = vector.lane_bound()
+        if lanes.size * bound >= _INT64_LIMIT:
+            bound = max(int(lanes.max()), -int(lanes.min()))
         if lanes.size * bound < _INT64_LIMIT:
             return np.add.reduceat(lanes, starts).tolist()
     words, negative = vector.words, vector.negative

@@ -28,7 +28,13 @@ from repro.core.jit.pipeline import CompiledExpression
 from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.cost import CostModel, OptimizerConfig
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey, SelectItem
-from repro.errors import ExecutionError, MultithreadError, PlanningError, StorageError
+from repro.errors import (
+    DivisionByZeroError,
+    ExecutionError,
+    MultithreadError,
+    PlanningError,
+    StorageError,
+)
 from repro.gpusim import executor as gpu_executor
 from repro.gpusim.residency import DeviceResidency
 from repro.gpusim.streaming import StreamingConfig, StreamTiming, execute_streamed
@@ -146,6 +152,10 @@ class Batch:
             return self.columns[name]
         except KeyError:
             raise ExecutionError(f"column {name!r} not in batch") from None
+
+    def taken(self, indices: np.ndarray) -> Dict[str, Column]:
+        """Every column's view of the rows ``indices`` (:meth:`Column.take_all`)."""
+        return dict(zip(self.columns, Column.take_all(self.columns.values(), indices)))
 
 
 @dataclass
@@ -314,9 +324,8 @@ class FilterOp(PhysicalOp):
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
         if self.always_false:
-            empty = np.empty(0, dtype=np.int64)
             return Batch(
-                columns={name: column.take(empty) for name, column in batch.columns.items()},
+                columns=batch.taken(np.empty(0, dtype=np.int64)),
                 rows=0,
                 simulated_rows=0.0,
             )
@@ -335,7 +344,7 @@ class FilterOp(PhysicalOp):
             predicate_bytes, batch.simulated_rows
         )
         return Batch(
-            columns={name: column.take(indices) for name, column in batch.columns.items()},
+            columns=batch.taken(indices),
             rows=len(indices),
             simulated_rows=batch.simulated_rows * selectivity,
         )
@@ -366,6 +375,11 @@ class _JoinOp(PhysicalOp):
         #: ``(versions, keep, survival)`` of the last build-side evaluation,
         #: keyed by the versions of the columns the predicates read.
         self._right_mask: Optional[Tuple[Tuple[int, ...], np.ndarray, float]] = None
+        #: ``(versions, probe map)`` of the last :func:`_probe_map`, keyed by
+        #: the versions of the two key columns' roots.
+        self._probe: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
+        #: ``(right key version, keep, runs)`` of the last :func:`_build_runs`.
+        self._runs: Optional[Tuple[int, Optional[np.ndarray], _Runs]] = None
 
     def _right_keep(self, relation: Relation) -> Tuple[Optional[np.ndarray], float]:
         """``(keep, survival)``: the read-only mask of ``relation``'s rows
@@ -434,19 +448,28 @@ class _JoinOp(PhysicalOp):
         """The matched rows, left-major with each row's matches in right-scan order.
 
         Both join algorithms produce this one result; they differ only in
-        the simulated cost their ``run`` charges.
+        the simulated cost their ``run`` charges.  The probe map and the
+        filtered build side depend only on column versions and the kept
+        ``keep`` mask, so this plan node keeps the last of each, as
+        :meth:`_right_keep` keeps its mask.
         """
-        left_take, right_take = _join_indices(
-            batch.column(self.join.left_column),
-            right_relation.column(self.join.right_column),
-            keep,
+        left = batch.column(self.join.left_column)
+        right = right_relation.column(self.join.right_column)
+        versions = (left.lineage()[0].version, right.lineage()[0].version)
+        probe = self._probe
+        if probe is None or probe[0] != versions:
+            probe = self._probe = (versions, _probe_map(left, right))
+        runs = self._runs
+        if runs is None or runs[0] != right.version or runs[1] is not keep:
+            runs = self._runs = (right.version, keep, _build_runs(right, keep))
+        left_take, right_take = _equi_join_indices(probe[1][_key_codes(left)[0]], *runs[2])
+        columns = batch.taken(left_take)
+        right_names = [name for name in self.right_columns if name not in columns]
+        # The left side wins on (unexpected) name collisions.
+        right_views = Column.take_all(
+            [right_relation.column(name) for name in right_names], right_take
         )
-        columns = {
-            name: column.take(left_take) for name, column in batch.columns.items()
-        }
-        for name in self.right_columns:
-            if name not in columns:  # left side wins on (unexpected) name collisions
-                columns[name] = right_relation.column(name).take(right_take)
+        columns.update(zip(right_names, right_views))
         return Batch(
             columns=columns,
             rows=len(left_take),
@@ -570,6 +593,12 @@ class GroupAggregateOp(_KernelOp):
     multi-pass aggregation.  The simulated cost adds the key sort, a
     per-aggregate payload gather (every value moves into its group's
     segment), and each group's multi-pass reduction.
+
+    On the host, the aggregates read a group-ordered view of the batch:
+    each shared row selection is composed with the group order once, and
+    each input column is gathered from its root once, by the first
+    aggregate that reads it, so kernels run over rows already in group
+    order and their results need no gather.
     """
 
     def __init__(self, group_by: List[str], items: List[SelectItem]):
@@ -595,17 +624,10 @@ class GroupAggregateOp(_KernelOp):
             group_keys = values[codes[first_rows]].tolist()
             columns[name] = _column_from_keys(name, group_keys, batch.column(name))
 
+        grouped = Batch(batch.taken(order), rows, batch.simulated_rows)
         groups = len(starts)
         charged = max(int(sim_n / max(groups, 1)), 1)
         charges: List[float] = []
-        # Each aggregate is evaluated and charged on its own, in item
-        # order, but each distinct input moves into group order once.
-        readers: Dict[str, List[Tuple[int, str]]] = {}
-        for index, item in enumerate(self.items):
-            call = item.expression
-            if isinstance(call, AggregateCall) and call.function != "COUNT":
-                readers.setdefault(item.text, []).append((index, call.function.lower()))
-        reduced: Dict[int, mt_aggregation.SegmentedRun] = {}
         for index, item in enumerate(self.items):
             call = item.expression
             assert isinstance(call, AggregateCall)
@@ -615,23 +637,21 @@ class GroupAggregateOp(_KernelOp):
                     item.name, counts, inference.count_spec(sim_n)
                 )
                 continue
-            vector = _evaluate_expression(item, batch, context, self.kernels[index])
+            try:
+                vector = _evaluate_expression(item, grouped, context, self.kernels[index])
+            except DivisionByZeroError:
+                # Name the zero divisor's row in the batch's own order.
+                _evaluate_expression(item, batch, context, self.kernels[index])
+                raise
             # Payload gather: every (4*Lw+1)-byte value moves into its
             # group segment before the blockwise reduction.
             context.report.aggregate_seconds += cost.payload_gather(
                 4 * vector.spec.words + 1, batch.simulated_rows
             )
             started = time.perf_counter()
-            if index not in reduced:
-                # The input's first reader reduces it for every reader, so
-                # the gathered rows are freed before the next item runs.
-                ordered = vector.take(order)
-                for reader, function in readers[item.text]:
-                    reduced[reader] = mt_aggregation.aggregate_segments(
-                        ordered, starts, op=function, simulate_tuples=charged
-                    )
-                del ordered
-            run = reduced.pop(index)
+            run = mt_aggregation.aggregate_segments(
+                vector, starts, op=call.function.lower(), simulate_tuples=charged
+            )
             context.report.data_plane_seconds += time.perf_counter() - started
             charges.append(cost.reduction(run.spec.words, charged))
             columns[item.name] = Column.decimal_from_unscaled(item.name, run.values, run.spec)
@@ -694,7 +714,7 @@ class SortOp(PhysicalOp):
             order = order[ranks]
         context.report.sort_seconds += context.cost_model.sort()
         return Batch(
-            columns={name: column.take(order) for name, column in batch.columns.items()},
+            columns=batch.taken(order),
             rows=batch.rows,
             simulated_rows=batch.simulated_rows,
         )
@@ -1011,6 +1031,8 @@ def _rank_keys(column: Column) -> Tuple[np.ndarray, np.ndarray]:
     INT/DATE keys, and DECIMALs whose values fit 63 bits, rank as int64
     values.  Other keys are factorized on their stored bytes first, so
     Python work (decoding, sorting) touches each distinct value once.
+    The codes are kept in the narrowest unsigned dtype that holds them, so
+    a view gathers them cheaply.
     """
     exact = _int64_keys(column)
     if exact is not None:
@@ -1021,6 +1043,7 @@ def _rank_keys(column: Column) -> Tuple[np.ndarray, np.ndarray]:
         rank = {value: code for code, value in enumerate(ranked)}
         codes = np.array([rank[value] for value in distinct], dtype=np.int64)[ids]
         values = np.array(ranked, dtype=object)
+    codes = codes.astype(np.min_scalar_type(max(len(values) - 1, 0)))
     codes.setflags(write=False)
     values.setflags(write=False)
     return codes, values
@@ -1041,12 +1064,17 @@ def _distinct_values(column: Column) -> Tuple[np.ndarray, List]:
 
     Rows with equal stored bytes share an id; CHARs come back with
     trailing whitespace stripped, so two ids may still carry one value.
+    Stored rows of 1, 2, 4 or 8 bytes rank as one unsigned integer each,
+    other rows up to 8 bytes zero-padded to one: the same integers, so
+    the same ids.
     """
     data = column.data
     rows = len(data)
     width = data.dtype.itemsize * int(np.prod(data.shape[1:]))
     stored = np.ascontiguousarray(data).view(np.uint8).reshape(rows, width)
-    if width <= 8:
+    if width in (1, 2, 4, 8):
+        ids, _keys = _dense_ids(stored.view(f"u{width}").ravel())
+    elif width < 8:
         padded = np.zeros((rows, 8), dtype=np.uint8)
         padded[:, :width] = stored
         ids, _keys = _dense_ids(padded.view(np.uint64).ravel())
@@ -1100,6 +1128,10 @@ def _stable_argsort(codes: np.ndarray, count: int) -> np.ndarray:
     return np.argsort(codes.astype(narrow), kind="stable")
 
 
+#: ``(lengths, starts, order)`` of a join's build side (:func:`_build_side`).
+_Runs = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _join_indices(
     left: Column, right: Column, keep: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1109,42 +1141,51 @@ def _join_indices(
     DECIMALs compare by value aligned to the wider scale (INT and DATE
     count as scale 0) and CHARs ignore trailing whitespace.  Only the two
     sides' distinct values meet: each left value is looked up in the
-    right column's code space, and the probe runs on the right column's
-    build side (:func:`_build_side`).
+    right column's code space (:func:`_probe_map`), and the probe runs on
+    the right column's build side (:func:`_build_runs`).
     """
+    probe = _probe_map(left, right)[_key_codes(left)[0]]
+    return _equi_join_indices(probe, *_build_runs(right, keep))
+
+
+def _probe_map(left: Column, right: Column) -> np.ndarray:
+    """The right code of each of ``left``'s distinct key values (indexed by
+    its key code); the right column's code count for a value it does not
+    hold.  Depends only on the versions of the two columns' roots."""
     types = {type(left.column_type), type(right.column_type)}
     if len(types) > 1 and (CharType in types or {DecimalType, DoubleType} <= types):
         raise ExecutionError(
             f"key columns {left.name} ({left.column_type}), "
             f"{right.name} ({right.column_type}) are not comparable"
         )
-    left_codes, left_values = _key_codes(left)
-    right_codes, right_values = _key_codes(right)
-    probe = _right_codes_of(left, left_values, right, right_values)[left_codes]
-    lengths, starts, order = right.derive("build_side", _build_side)
-    if keep is not None:
-        order = order[keep[order]]
-        lengths = np.bincount(right_codes[keep], minlength=len(lengths))
-        starts = np.cumsum(lengths) - lengths
-    return _equi_join_indices(probe, lengths, starts, order)
-
-
-def _right_codes_of(
-    left: Column, left_values: np.ndarray, right: Column, right_values: np.ndarray
-) -> np.ndarray:
-    """The right code of each of ``left_values``; ``len(right_values)``
-    for a value the right column does not hold."""
     scale = max(_key_scale(left), _key_scale(right))
-    lhs = _aligned(left_values, scale - _key_scale(left))
-    rhs = _aligned(right_values, scale - _key_scale(right))
+    lhs = _aligned(_key_codes(left.lineage()[0])[1], scale - _key_scale(left))
+    rhs = _aligned(_key_codes(right.lineage()[0])[1], scale - _key_scale(right))
     absent = len(rhs)
     if lhs.dtype != object and rhs.dtype != object:
         found = np.searchsorted(rhs, lhs)
         hit = found < absent
         hit[hit] = rhs[found[hit]] == lhs[hit]
-        return np.where(hit, found, absent)
-    rank = {value: code for code, value in enumerate(rhs.tolist())}
-    return np.array([rank.get(value, absent) for value in lhs.tolist()], dtype=np.int64)
+        probe = np.where(hit, found, absent)
+    else:
+        rank = {value: code for code, value in enumerate(rhs.tolist())}
+        probe = np.array([rank.get(value, absent) for value in lhs.tolist()], dtype=np.int64)
+    probe.setflags(write=False)
+    return probe
+
+
+def _build_runs(right: Column, keep: Optional[np.ndarray]) -> _Runs:
+    """``right``'s build side (:func:`_build_side`) over the rows ``keep``
+    passes: the kept rows of each run, recounted."""
+    lengths, starts, order = right.derive("build_side", _build_side)
+    if keep is None:
+        return lengths, starts, order
+    order = order[keep[order]]
+    lengths = np.bincount(_key_codes(right)[0][keep], minlength=len(lengths))
+    starts = np.cumsum(lengths) - lengths
+    for array in (lengths, starts, order):
+        array.setflags(write=False)
+    return lengths, starts, order
 
 
 def _key_scale(column: Column) -> int:
@@ -1207,6 +1248,12 @@ def _equi_join_indices(
     return left_take, order[first + np.arange(len(left_take))]
 
 
+#: Composite group keys spanning at most this many values are neither
+#: re-ranked nor widened: they sort as 16-bit keys at most, by numpy's
+#: linear-time radix sort (see :func:`_stable_argsort`).
+_RADIX_SPAN = 1 << 16
+
+
 def _group_rows(
     keys: List[Tuple[np.ndarray, int]], rows: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1215,7 +1262,22 @@ def _group_rows(
     ``order`` lists row indices group by group, groups in ascending key
     order (lexicographic over the order-preserving codes) and rows within
     a group in ascending row order; group ``g`` starts at ``starts[g]``.
+    A composite of at most :data:`_RADIX_SPAN` values is built in the
+    narrowest unsigned dtype that holds its span, and one ``bincount``
+    gives the group sizes; wider composites are ranked densely.
     """
+    span = int(np.prod([count for _codes, count in keys], dtype=object))
+    if span <= _RADIX_SPAN:
+        narrow = np.min_scalar_type(max(span - 1, 0))
+        # A key of one value splits no group; skipping such keys keeps
+        # every later radix below ``span`` and so within ``narrow``.
+        radices = [(codes.astype(narrow), count) for codes, count in keys if count > 1]
+        group = radices[0][0] if radices else np.zeros(rows, dtype=narrow)
+        for codes, count in radices[1:]:
+            group = group * narrow.type(count) + codes
+        sizes = np.bincount(group, minlength=span)
+        sizes = sizes[sizes > 0]
+        return np.argsort(group, kind="stable"), np.cumsum(sizes) - sizes
     group = np.zeros(rows, dtype=np.int64)
     span = 1  # every composite is below ``span``
     for codes, count in keys:

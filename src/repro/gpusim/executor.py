@@ -11,8 +11,12 @@ the simulated time breakdown.
 type (a DECIMAL(285,2) price still fits 24 bits), so a register is held as
 one int64 column while an exact magnitude bound shows that its values fit
 both 63 bits and the register's declared precision.  Loads take the bound
-from the data, constants from their literal, and each instruction
-propagates it (``a+b``, ``a*b``, ``*10**k``, a measured quotient).  Within
+their vector carries (:meth:`DecimalVector.lane_bound`), constants from
+their literal, and each instruction propagates it (``a+b``, ``a*b``,
+``*10**k``, a measured quotient); the store hands it to the result
+vector.  A constant stays one 0-d lane that numpy broadcasts, and becomes
+a full column only where a limb step, a division dividend or the store
+needs one.  Within
 those bounds the limb operations can neither raise nor wrap, so both paths
 compute the same integers; any instruction whose bound or type does not
 allow lanes runs the limb operation instead, over planes rebuilt from the
@@ -50,7 +54,10 @@ class KernelRun:
 
 @dataclass(frozen=True)
 class _Lanes:
-    """A register held as int64: ``bound`` >= every ``|value|``, <= ``_limit(spec)``."""
+    """A register held as int64: ``bound`` >= every ``|value|``, <= ``_limit(spec)``.
+
+    ``values`` holds one lane per row, or is 0-d for a constant.
+    """
 
     values: np.ndarray
     spec: DecimalSpec
@@ -83,7 +90,7 @@ def execute(
 
     for instruction in kernel.instructions:
         if isinstance(instruction, ir.StoreResult):
-            result = _vector(registers[instruction.src])
+            result = _vector(registers[instruction.src], rows)
             continue
         register: Optional[_Register]
         if isinstance(instruction, ir.LoadColumn):
@@ -127,11 +134,19 @@ def _load(
     return data
 
 
-def _vector(register: _Register) -> DecimalVector:
-    """The register in limb form (lanes rebuild the limb path's exact planes)."""
+def _vector(register: _Register, rows: int) -> DecimalVector:
+    """The register as a ``rows``-row vector, keeping its lanes and their
+    bound (lanes rebuild the limb path's exact planes)."""
     if isinstance(register, _Lanes):
-        return DecimalVector.from_int64(register.values, register.spec)
+        return DecimalVector.from_int64(
+            _column(register.values, rows), register.spec, bound=register.bound
+        )
     return register
+
+
+def _column(values: np.ndarray, rows: int) -> np.ndarray:
+    """Lane ``values`` as one lane per row: a 0-d constant is broadcast."""
+    return np.full(rows, values, dtype=np.int64) if values.ndim == 0 else values
 
 
 def _limit(spec: DecimalSpec) -> int:
@@ -140,14 +155,11 @@ def _limit(spec: DecimalSpec) -> int:
 
 
 def _lane_load(vector: DecimalVector) -> Optional[_Lanes]:
-    """The loaded column as lanes, if its values fit 63 bits and its type."""
-    values = vector.to_int64()
-    if values is None:
+    """The loaded column as lanes, if its bound fits 63 bits and its type."""
+    bound = vector.lane_bound()
+    if bound is None or bound > _limit(vector.spec):
         return None
-    bound = max(int(values.max()), -int(values.min())) if values.size else 0
-    if bound > _limit(vector.spec):
-        return None
-    return _Lanes(values, vector.spec, bound)
+    return _Lanes(vector.to_int64(), vector.spec, bound)
 
 
 def _lane_step(
@@ -166,7 +178,7 @@ def _lane_step(
         if not 0 <= magnitude <= _limit(spec) or (instruction.negative and not magnitude):
             return None
         value = -magnitude if instruction.negative else magnitude
-        return _Lanes(np.full(rows, value, dtype=np.int64), spec, magnitude)
+        return _Lanes(np.array(value, dtype=np.int64), spec, magnitude)
     if isinstance(instruction, (ir.Align, ir.NegOp, ir.AbsOp)):
         source = registers[instruction.src]
         if not isinstance(source, _Lanes):
@@ -195,7 +207,7 @@ def _lane_step(
             return None
         return _Lanes(a.values * b.values, spec, bound)
     if isinstance(instruction, ir.DivOp):
-        return _lane_div(a, b, spec)
+        return _lane_div(a, b, spec, rows)
     typed = inference.add_result(a.spec, b.spec)
     factor_a = 10 ** (typed.scale - a.spec.scale)
     factor_b = 10 ** (typed.scale - b.spec.scale)
@@ -212,12 +224,14 @@ def _lane_step(
     return _Lanes(values, spec, bound)
 
 
-def _lane_div(a: _Lanes, b: _Lanes, spec: DecimalSpec) -> Optional[_Lanes]:
+def _lane_div(a: _Lanes, b: _Lanes, spec: DecimalSpec, rows: int) -> Optional[_Lanes]:
     """Truncating division of magnitudes, as the limb path divides.
 
     The sign is ``sign_a XOR sign_b`` (numpy's ``//`` would floor negative
     quotients).  A zero divisor, or a quotient beyond its type, stays on
     limbs: they raise the same error, or wrap into the same container.
+    The quotient is computed in place over a full column of ``rows``
+    dividends.
     """
     typed = inference.div_result(a.spec, b.spec)
     factor = 10 ** inference.div_prescale(b.spec)
@@ -225,7 +239,7 @@ def _lane_div(a: _Lanes, b: _Lanes, spec: DecimalSpec) -> Optional[_Lanes]:
         return None
     if not b.values.all():
         return None
-    quotient = np.abs(a.values) * factor
+    quotient = np.abs(_column(a.values, rows)) * factor
     quotient //= np.abs(b.values)
     bound = int(quotient.max()) if quotient.size else 0
     if bound > min(_limit(typed), _limit(spec)):
@@ -240,7 +254,7 @@ def _limb_step(
     """Run ``instruction`` on limb planes (every type, value and error)."""
 
     def operand(register: int) -> DecimalVector:
-        return _vector(registers[register])
+        return _vector(registers[register], rows)
 
     if isinstance(instruction, ir.LoadConst):
         from repro.core.decimal import words as w

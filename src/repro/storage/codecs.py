@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.decimal import dinf
 from repro.core.decimal.context import DecimalSpec
+from repro.core.decimal.vectorized import DecimalVector
 from repro.errors import StorageError
 
 #: Rows per encoded chunk (and zone map) unless the column overrides it.
@@ -151,9 +152,9 @@ class DecimalCodec:
     ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
         """Encode one chunk; returns ``(data, lengths, wire_bytes)``.
 
-        ``values`` is an int64 slice or a list of Python ints, as
-        :meth:`encode_column` received them; ``zone`` is the chunk's zone
-        map, already computed from them.
+        ``values`` is an int64 slice or a list of Python ints (see
+        :meth:`encode_column`); ``zone`` is the chunk's zone map, already
+        computed from them.
         """
         raise NotImplementedError
 
@@ -174,26 +175,39 @@ class DecimalCodec:
     def encode_column(
         self,
         compact: np.ndarray,
-        unscaled: Union[Sequence[int], np.ndarray],
+        unscaled: Union[Sequence[int], np.ndarray, DecimalVector],
         spec: DecimalSpec,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         row_start: int = 0,
     ) -> EncodedColumn:
         """Chunk a column, encode each chunk, record its zone map.
 
-        ``unscaled`` is either the column's int64 lanes, when every value
-        fits 63 bits (``DecimalVector.to_int64``), or a sequence of Python
-        ints, the only form for wider values.  ``row_start`` is the
-        absolute row of ``compact[0]``, so a column's tail can be encoded
-        on its own (``Column.appended``): each chunk's bytes, padding and
-        zone depend only on its own rows.
+        ``unscaled`` is the column's int64 lanes, when every value fits 63
+        bits (``DecimalVector.to_int64``); a sequence of Python ints; or
+        the column's register expansion, whose chunks are read as lanes
+        wherever their values fit 63 bits and as Python ints only
+        elsewhere.  ``row_start`` is the absolute row of ``compact[0]``, so
+        a column's tail can be encoded on its own (``Column.appended``):
+        each chunk's bytes, padding and zone depend only on its own rows.
         """
         if chunk_rows <= 0:
             raise StorageError(f"chunk_rows must be positive, got {chunk_rows}")
-        rows = len(unscaled)
+        vector = None
+        if isinstance(unscaled, DecimalVector):
+            lanes = unscaled.to_int64()
+            if lanes is None:
+                vector = unscaled
+            else:
+                unscaled = lanes
+        rows = len(unscaled) if vector is None else vector.rows
         encoded = EncodedColumn(codec=self, spec=spec, chunk_rows=chunk_rows)
         for start in range(0, rows, chunk_rows):
-            values = unscaled[start : start + chunk_rows]
+            if vector is None:
+                values = unscaled[start : start + chunk_rows]
+            else:
+                part = vector.tail(start, start + chunk_rows)
+                lanes = part.to_int64()
+                values = part.to_unscaled() if lanes is None else lanes
             if isinstance(values, np.ndarray):
                 lo, hi = int(values.min()), int(values.max())
                 zeros = int(np.count_nonzero(values == 0))

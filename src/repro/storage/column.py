@@ -7,13 +7,14 @@ kernels load and expand.  Other types use plain numpy arrays.
 A column either owns its bytes or is a *view*: a selection of another
 column's rows (:meth:`Column.take`, :meth:`Column.head`) that gathers
 bytes, expansion or key codes from that column only when something reads
-them.
+them.  A DECIMAL column built from a vector whose lanes provably fit the
+compact layout packs its bytes only when something reads them, too.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -49,9 +50,12 @@ class Column:
     indices, composed when a view is taken again.  It answers
     :attr:`rows` and :attr:`bytes_stored` from the indices, gathers the
     root's bytes on the first read of :attr:`data`, and gathers the
-    root's expansion in :meth:`decimal_vector`.  Derived forms (register
-    expansion, encoding, statistics, key codes, build sides) are kept by
-    :meth:`derive`, per :attr:`version`, on the column that computed them.
+    root's expansion in :meth:`decimal_vector`.  A column built by
+    :meth:`decimal_from_vector` may likewise hold no bytes yet: it packs
+    them from its vector on the first read of :attr:`data`.  Derived forms
+    (register expansion, packed bytes, encoding, statistics, key codes,
+    build sides) are kept by :meth:`derive`, per :attr:`version`, on the
+    column that computed them.
     """
 
     def __init__(
@@ -76,7 +80,8 @@ class Column:
         self.codec = codec
         #: Rows per encoded chunk / zone map; ``None`` -> codec default.
         self.encoding_chunk_rows = encoding_chunk_rows
-        #: The bytes; None for a view that has not gathered them yet.
+        #: The bytes; None for a view that has not gathered them yet, or a
+        #: column built from a vector that has not packed them yet.
         self._data: Optional[np.ndarray] = data
         #: ``(root, root version, indices)`` for a view, else None.
         self._view: "Optional[Tuple[Column, int, np.ndarray]]" = None
@@ -100,28 +105,35 @@ class Column:
         Anything that mutates the compact bytes directly (the storage layer
         itself never does; tests and loaders might) must call this so a
         stale register expansion is never served.  A view gathers its
-        bytes first and from then on owns them.
+        bytes first, and a column built from a vector packs them, and from
+        then on owns them.
         """
-        if self._view is not None:
-            self._data = self.data
-            self._view = None
+        self._data = self.data
+        self._view = None
         self._version = next(_VERSIONS)
         self._derived = {}
 
     @property
     def rows(self) -> int:
         view = self._view
-        return self.data.shape[0] if view is None else len(view[2])
+        if view is not None:
+            return len(view[2])
+        data = self._data
+        return self._cached("vector").rows if data is None else data.shape[0]
 
     @property
     def bytes_stored(self) -> int:
-        """Bytes this column occupies on disk / in memory (a view counts
-        the bytes its rows gather, without gathering them)."""
-        view = self._view
-        if view is None or self._data is not None:
-            return int(self.data.nbytes)
-        root_data = view[0].data
-        return len(view[2]) * (int(root_data.nbytes) // max(root_data.shape[0], 1))
+        """Bytes this column occupies on disk / in memory (a view, or a
+        column not yet packed, counts the bytes it would hold without
+        gathering or packing them)."""
+        data = self._data
+        if data is not None:
+            return int(data.nbytes)
+        if isinstance(self.column_type, DecimalType):
+            return self.rows * self.column_type.spec.compact_bytes
+        root, _version, indices = self._view
+        root_data = root.data
+        return len(indices) * (int(root_data.nbytes) // max(root_data.shape[0], 1))
 
     @property
     def wire_bytes(self) -> int:
@@ -138,14 +150,22 @@ class Column:
 
     @property
     def data(self) -> np.ndarray:
-        """The stored bytes; a view gathers its root's rows on first read."""
+        """The stored bytes; a view gathers its root's rows on first read,
+        and a column built from a vector packs them on first read."""
         data = self._data
         if data is None:
             root, indices = self.lineage()
-            assert indices is not None  # only a view lacks bytes, and it is pinned
-            data = np.take(root.data, indices, axis=0)
+            if indices is None:
+                # Kept per version, so renamed twins share one array.
+                data = self.derive("compact", Column._pack)
+            else:
+                data = np.take(root.data, indices, axis=0)
             self._data = data
         return data
+
+    def _pack(self) -> np.ndarray:
+        """The compact bytes of the vector this column was built from."""
+        return self._cached("vector").to_compact()
 
     @data.setter
     def data(self, data: np.ndarray) -> None:
@@ -181,16 +201,36 @@ class Column:
 
         The view keeps ``indices``: the caller must not write to them.
         """
-        root, selected = self.lineage()
+        (view,) = Column.take_all([self], indices)
+        return view
+
+    @staticmethod
+    def take_all(columns: Iterable["Column"], indices: np.ndarray) -> List["Column"]:
+        """Each column's view of the rows ``indices`` (see :meth:`take`).
+
+        Columns that share one selection -- a filter's, join's or sort's
+        output views share its indices -- compose it with ``indices`` once.
+        """
         indices = np.asarray(indices, dtype=np.intp)
-        if selected is not None:
-            indices = selected[indices]
-        return self._replace(
-            _data=None,
-            _view=(root, root._version, indices),
-            _version=next(_VERSIONS),
-            _derived={},
-        )
+        composed: Dict[int, np.ndarray] = {}
+        views = []
+        for column in columns:
+            root, selected = column.lineage()
+            rows = indices
+            if selected is not None:
+                # ``selected`` stays alive with ``column``, so its id is unique here.
+                rows = composed.get(id(selected))
+                if rows is None:
+                    rows = composed[id(selected)] = selected[indices]
+            views.append(
+                column._replace(
+                    _data=None,
+                    _view=(root, root._version, rows),
+                    _version=next(_VERSIONS),
+                    _derived={},
+                )
+            )
+        return views
 
     def head(self, count: int) -> "Column":
         """A view of the first ``count`` rows (LIMIT, benchmark sampling)."""
@@ -226,18 +266,30 @@ class Column:
         if lanes is None:
             vector = DecimalVector.from_unscaled(values, spec)
         else:
-            vector = DecimalVector.from_int64(lanes, spec)
+            vector = DecimalVector.from_int64(lanes[0], spec, bound=lanes[1])
         return cls.decimal_from_vector(name, vector)
 
     @classmethod
     def decimal_from_vector(cls, name: str, vector: DecimalVector) -> "Column":
-        """A DECIMAL column packed from ``vector``, kept as its cached expansion.
+        """A DECIMAL column of ``vector``'s values, kept as its cached expansion.
 
-        A vector whose sign plane marks a zero is not kept: packing drops
-        that sign, and the cached expansion must equal what
-        :meth:`decimal_vector` would unpack from ``data``.
+        When the vector's lanes carry a bound below the compact layout's
+        sign bit, packing cannot fail, and the bytes are packed on the
+        first read of :attr:`data`; otherwise they are packed here, so
+        pack's :class:`~repro.errors.ConversionError` surfaces when the
+        column is built.  A vector whose sign plane marks a zero is not
+        kept: packing drops that sign, and the cached expansion must equal
+        what :meth:`decimal_vector` would unpack from ``data``.
         """
-        column = cls(name, DecimalType(vector.spec), vector.to_compact())
+        spec = vector.spec
+        lazy = (
+            vector._memoized_lanes() is not None
+            and vector.lane_bound() < 1 << (8 * spec.compact_bytes - 1)
+        )
+        data = np.empty((0, spec.compact_bytes), np.uint8) if lazy else vector.to_compact()
+        column = cls(name, DecimalType(spec), data)
+        if lazy:
+            column._data = None
         if not vector.has_negative_zero():
             column._keep("vector", vector)
         return column
@@ -313,15 +365,12 @@ class Column:
     ) -> EncodedColumn:
         """Encode the rows ``row_start:``, whose expansion is ``vector``.
 
-        The codec reads int64 lanes whenever every value fits 63 bits, and
-        Python ints only otherwise.
+        The codec reads each chunk as int64 lanes wherever its values fit
+        63 bits, and as Python ints only otherwise.
         """
-        values: Union[np.ndarray, List[int], None] = vector.to_int64()
-        if values is None:
-            values = vector.to_unscaled()
         return codec.encode_column(
             self.data[row_start:],
-            values,
+            vector,
             self._decimal_spec(),
             chunk_rows=self.encoding_chunk_rows or DEFAULT_CHUNK_ROWS,
             row_start=row_start,
@@ -449,10 +498,10 @@ class Column:
         return cls(name, CharType(width), data)
 
 
-def _int64_lanes(values: list, spec: DecimalSpec) -> Optional[np.ndarray]:
-    """``values`` as int64 lanes when they are signed integers within int64
-    and ``spec``, else None (``np.array`` infers no int64 dtype for floats,
-    strings, bools alone or integers of ``2**63`` and more)."""
+def _int64_lanes(values: list, spec: DecimalSpec) -> Optional[Tuple[np.ndarray, int]]:
+    """``(lanes, max|lane|)`` when ``values`` are signed integers within
+    int64 and ``spec``, else None (``np.array`` infers no int64 dtype for
+    floats, strings, bools alone or integers of ``2**63`` and more)."""
     try:
         lanes = np.array(values)
     except (ValueError, TypeError, OverflowError):
@@ -463,4 +512,4 @@ def _int64_lanes(values: list, spec: DecimalSpec) -> Optional[np.ndarray]:
     limit = spec.max_unscaled
     if low == _INT64_MIN or low < -limit or high > limit:
         return None
-    return lanes
+    return lanes, max(-low, high)

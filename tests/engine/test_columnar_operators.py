@@ -9,6 +9,8 @@ are often views (takes of takes, heads, repeated or no indices), whose
 codes are gathered from their base column's.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from repro.core.multithread.aggregation import aggregate_segments, result_spec
 from repro.engine.plan import physical, reference
 from repro.engine.plan.physical import Batch, GroupAggregateOp, QueryContext
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, SelectItem
-from repro.errors import MultithreadError
+from repro.engine import Database
+from repro.errors import DivisionByZeroError, MultithreadError
 from repro.storage.column import Column
 from repro.storage.relation import Relation
 from repro.storage.schema import DecimalType
@@ -198,6 +201,70 @@ class TestGroupBy:
             assert column.column_type == want.columns[name].column_type, name
             assert np.array_equal(column.data, want.columns[name].data), name
         assert fast.report.aggregate_seconds == slow.report.aggregate_seconds
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_group_rows_agree_across_the_radix_span_switch(self, data):
+        """Narrow composites (span up to 65,536) and densely ranked wide
+        ones give the same order and starts as a stable lexicographic sort."""
+        rows = data.draw(st.sampled_from([0, 1, data.draw(st.integers(2, 40))]))
+        counts = data.draw(
+            st.lists(
+                st.sampled_from([1, 2, 3, 255, 256, 257, 65535, 65536, 65537]),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        keys = [
+            (
+                np.array(
+                    data.draw(st.lists(st.integers(0, count - 1), min_size=rows, max_size=rows)),
+                    dtype=np.int64,
+                ),
+                count,
+            )
+            for count in counts
+        ]
+        order, starts = physical._group_rows(keys, rows)
+        # np.lexsort is stable and sorts by its last key first.
+        want = np.lexsort([codes for codes, _count in reversed(keys)]) if rows else []
+        assert order.tolist() == list(want)
+        composite = [tuple(int(codes[row]) for codes, _count in keys) for row in want]
+        new_group = [i for i in range(rows) if i == 0 or composite[i] != composite[i - 1]]
+        assert starts.tolist() == new_group
+        if int(np.prod(counts, dtype=object)) <= physical._RADIX_SPAN:
+            # The dense-ranking side of the switch answers the same.
+            with mock.patch.object(physical, "_RADIX_SPAN", 0):
+                ranked_order, ranked_starts = physical._group_rows(keys, rows)
+            assert ranked_order.tolist() == order.tolist()
+            assert ranked_starts.tolist() == starts.tolist()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8])
+    def test_distinct_values_of_narrow_stored_rows(self, width):
+        """Rows of 1, 2, 4 and 8 bytes rank in place, the same ids as the
+        rows zero-padded to 8 bytes."""
+        pool = ["", "a", "b", "a b", "zz", "\x01", "~~~~~~~~", "a\x01"]
+        values = [pool[(i * 5) % len(pool)] for i in range(40)] + ["z" * width]
+        column = Column.chars("c", values, width)
+        ids, distinct = physical._distinct_values(column)
+        padded = np.zeros((len(values), 8), dtype=np.uint8)
+        padded[:, :width] = column.data.view(np.uint8).reshape(len(values), width)
+        want, _keys = physical._dense_ids(padded.view(np.uint64).ravel())
+        assert ids.tolist() == want.tolist()
+        assert [distinct[i] for i in ids] == [value[:width].rstrip() for value in values]
+
+    def test_a_zero_divisor_is_named_at_its_row_in_batch_order(self):
+        """Kernels run over group-ordered rows, but an error names the row
+        as the ungrouped batch holds it (row 1 here, row 0 in group order)."""
+        database = Database()
+        database.create_table(
+            "t",
+            {"g": "CHAR(1)", "a": "DECIMAL(6,2)", "b": "DECIMAL(30,2)"},
+            rows=[("b", "1.00", "2.00"), ("a", "3.00", "0.00"), ("a", "1.00", "1.00")],
+        )
+        for sql in ("SELECT g, SUM(a / b) AS s FROM t GROUP BY g", "SELECT SUM(a / b) AS s FROM t"):
+            with pytest.raises(DivisionByZeroError, match="division by zero at row 1$"):
+                database.execute(sql)
 
     def test_zero_groups_keep_each_functions_result_type(self):
         """MIN/MAX/AVG over no rows are typed as over rows, not as SUM."""

@@ -3,11 +3,12 @@
 Join and group key codes and join build sides are kept with the column
 version that owns the rows, so a repeated read computes none of them; a
 join node keeps its build-side predicate mask for the column versions it
-read, so a repeated read evaluates none; a filter, join or sort hands on
+read, so a repeated read evaluates none, and its probe map and filtered
+build side likewise; a filter, join or sort hands on
 views of its input, and a bare projection renames its input, so a
 repeated read expands no column either.  Within one read, a grouped
-aggregate gathers each distinct input once, and the result values hold no
-limb words until something reads them.
+aggregate gathers each input column once, straight into group order, and
+the result values hold no limb words until something reads them.
 """
 
 import dataclasses
@@ -179,6 +180,34 @@ class TestBuildSideMaskOncePerVersion:
         assert answers(warm) == answers(fresh)
 
 
+class TestJoinArraysOncePerNode:
+    JOINS = (tpch_queries.Q3_SQL, tpch_queries.Q5_SQL, tpch_queries.Q10_SQL)
+
+    def test_second_read_builds_no_probe_map_or_build_runs(self):
+        database = tpch_database()
+        counts = Counter()
+        probe_map, build_runs = physical._probe_map, physical._build_runs
+
+        def counted_probe_map(left, right):
+            counts["probe map"] += 1
+            return probe_map(left, right)
+
+        def counted_build_runs(right, keep):
+            counts["filtered build side" if keep is not None else "build side"] += 1
+            return build_runs(right, keep)
+
+        with mock.patch.object(physical, "_probe_map", counted_probe_map), mock.patch.object(
+            physical, "_build_runs", counted_build_runs
+        ):
+            first = [database.execute(sql) for sql in self.JOINS]
+            assert counts["probe map"] >= 3 and counts["filtered build side"] >= 2
+            counts.clear()
+            again = [database.execute(sql) for sql in self.JOINS]
+        assert counts == Counter()
+        assert answers(again) == answers(first)
+        assert all(result.rows for result in first)
+
+
 class TestBareProjectionsShareTheirInput:
     SQL = "SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_quantity < 10"
 
@@ -241,12 +270,13 @@ class TestGroupInputsGatheredOnce:
     def test_q1_gathers_each_input_once_with_unchanged_rows_and_charges(self):
         sql = tpch_queries.Q1_SQL
         result, rows, sizes = self.run_grouped(sql, physical.GroupAggregateOp.run)
-        # Four columns (l_quantity, l_extendedprice, l_discount, l_tax)
-        # gathered through the filter's view, and five distinct aggregate
-        # inputs (three columns, two kernels) into group order: SUM and
-        # AVG of one column share a gather.  Each input used to move into
-        # group order once per aggregate: 4 + 7.
-        assert sizes == [rows] * 9
+        # Four columns (l_quantity, l_extendedprice, l_discount, l_tax),
+        # each gathered from its root once, straight into group order
+        # through the filter's selection composed with the group order;
+        # the kernels run on group-ordered rows, so no result is gathered.
+        # The filtered rows used to move into group order once more per
+        # distinct aggregate input: 4 + 5.
+        assert sizes == [rows] * 4
         self.assert_matches_the_row_loop(sql, result, rows)
 
     def test_a_repeated_kernel_runs_per_aggregate_and_is_gathered_once(self):
@@ -257,7 +287,9 @@ class TestGroupInputsGatheredOnce:
         )
         result, rows, sizes = self.run_grouped(sql, physical.GroupAggregateOp.run)
         assert len(result.report.kernel_executions) == 3
-        assert sizes == [rows] * 2
+        # l_extendedprice, l_discount and l_tax, each gathered once into
+        # group order (the three kernel runs share the two inputs).
+        assert sizes == [rows] * 3
         self.assert_matches_the_row_loop(sql, result, rows)
 
 

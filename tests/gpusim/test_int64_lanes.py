@@ -130,6 +130,48 @@ class TestLanesMatchLimbs:
         lanes, limbs = both_ways(compiled.kernel, {"a": a, "b": b}, len(a))
         assert lanes == limbs
 
+    @pytest.mark.parametrize(
+        "text,a",
+        [
+            # A constant dividend, divisor, negative constant and a
+            # product of constants: each is one 0-d lane broadcast by numpy
+            # or widened where a full column is needed.
+            ("7 / a", [3, -2, 5]),
+            ("2.25 / a", [3, -7, 1]),
+            ("a / 7", [22, -22, 0]),
+            ("a / -2.25", [9, -10, 0]),
+            ("-(7) * a + 12345678901234", [3, -2, 0]),
+            ("(0.5 - 2.25) * a", [4, -4, 1]),
+            ("a / (2.25 * 7)", [100, -100, 1]),
+        ],
+    )
+    def test_constants_as_dividend_divisor_and_negative(self, text, a):
+        compiled = compile_expression(text, {"a": DecimalSpec(12, 2)})
+        lanes, limbs = both_ways(compiled.kernel, {"a": a}, len(a))
+        assert lanes == limbs, text
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_constant_only_kernels(self, rows):
+        """A kernel of constants alone stores one value per row."""
+        two = ir.LoadConst(0, DecimalSpec(3, 2), negative=False, unscaled=225)
+        minus = ir.LoadConst(1, DecimalSpec(1, 0), negative=True, unscaled=7)
+        zero = ir.LoadConst(2, DecimalSpec(3, 1), negative=True, unscaled=0)
+        product = ir.MulOp(3, DecimalSpec(4, 2), 0, 1)
+        quotient = ir.DivOp(4, DecimalSpec(12, 6), 1, 0, prescale=6)
+        bodies = [
+            [two, minus, product, ir.StoreResult(9, product.spec, 3)],
+            [two, minus, quotient, ir.StoreResult(9, quotient.spec, 4)],
+            [two, ir.StoreResult(9, two.spec, 0)],
+            # A negative zero stays on limbs, which keep its sign plane.
+            [zero, ir.StoreResult(9, zero.spec, 2)],
+        ]
+        for body in bodies:
+            lanes = outcome(hand_built(body, {}), {}, rows)
+            with limbs_only():
+                limbs = outcome(hand_built(body, {}), {}, rows)
+            assert lanes == limbs
+            assert len(lanes[1]) == rows
+
     def test_quotient_past_its_one_word_container_wraps(self):
         # DECIMAL(5,0) / DECIMAL(5,4) is DECIMAL(9,4), one word: 99999 / 0.0001
         # fits int64 but not 32 bits, so the limbs wrap it.
@@ -242,6 +284,67 @@ class TestQuotientsBeyondTheirType:
             compiled = compile_expression(text, specs)
             lanes, limbs = both_ways(compiled.kernel, {"a": [1000], "b": [1]}, 1)
             assert lanes == limbs, text
+
+
+def measured(vector):
+    lanes = vector.to_int64()
+    return max((abs(value) for value in lanes.tolist()), default=0)
+
+
+class TestCarriedBounds:
+    """Every bound a vector carries holds each of its ``|lane|``."""
+
+    @given(
+        values=st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_take_tail_and_concatenate(self, values, data):
+        spec = DecimalSpec(30, 2)
+        vector = DecimalVector.from_unscaled(values, spec)
+        assert vector.lane_bound() == measured(vector)
+        indices = np.array(
+            data.draw(st.lists(st.integers(0, len(values) - 1), max_size=12)), dtype=np.intp
+        )
+        taken = vector.take(indices)
+        start = data.draw(st.integers(0, len(values)))
+        tail = vector.tail(start)
+        merged = DecimalVector.concatenate([taken, tail, vector], spec)
+        for derived in (taken, tail, merged, merged.take(indices)):
+            assert derived.lane_bound() >= measured(derived)
+            assert derived.to_unscaled() == [int(v) for v in derived.to_int64().tolist()]
+
+    def test_kernel_store_carries_the_register_bound(self):
+        compiled = compile_expression(
+            "a * (1 - b) + a / 3", {"a": DecimalSpec(15, 2), "b": DecimalSpec(15, 2)}
+        )
+        columns = {
+            "a": DecimalVector.from_unscaled([12345, -99, 0, 700], DecimalSpec(15, 2)),
+            "b": DecimalVector.from_unscaled([5, 10, -3, 0], DecimalSpec(15, 2)),
+        }
+        result = executor.execute(compiled.kernel, columns, 4).result
+        assert result._bound is not None  # handed over, not measured
+        assert result.lane_bound() >= measured(result)
+        # The carried bound is the register's: looser than the values here.
+        assert result.lane_bound() > measured(result)
+
+    def test_a_loose_bound_is_measured_before_sums_leave_the_lanes(self):
+        from repro.core.multithread.aggregation import aggregate_segments
+
+        lanes = np.array([2**61, -(2**61), 5], dtype=np.int64)
+        loose = DecimalVector.from_int64(lanes, DecimalSpec(30, 0), bound=2**62 - 1)
+        with mock.patch.object(
+            DecimalVector, "words", property(lambda self: pytest.fail("left the lanes"))
+        ):
+            run = aggregate_segments(loose, np.array([0, 2]), op="sum")
+        assert run.values == [0, 5]
+
+    def test_from_int64_measures_a_bound_too_loose_for_one_word(self):
+        spec = DecimalSpec(9, 0)
+        vector = DecimalVector.from_int64(np.array([5, -7]), spec, bound=2**40)
+        assert vector.lane_bound() == 7
+        with pytest.raises(PrecisionOverflowError):
+            DecimalVector.from_int64(np.array([2**32]), spec, bound=2**40)
 
 
 class TestMemoizedLanes:

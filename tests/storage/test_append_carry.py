@@ -386,3 +386,28 @@ def test_wide_values_still_take_the_python_path(spec):
         (-spec.max_unscaled, spec.max_unscaled),
         (5, 5),
     ]
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_CASES))
+def test_one_wide_value_leaves_the_other_chunks_on_lanes(name):
+    """Only the chunk holding a value of 64 bits or more is read as Python
+    ints; the chunks and zone maps equal the all-Python-int encoding."""
+    spec = SPECS[30]
+    values = [(row * 7919) % 10**12 - 5 * 10**11 for row in range(40)]
+    values[17] = 2**70
+    column = Column.decimal_from_unscaled("v", values, spec)
+    assert column.decimal_vector().to_int64() is None
+    codec = carry_codec(name)
+    coded = column.with_codec(codec, 8)
+    unscaled = []
+    to_unscaled = DecimalVector.to_unscaled
+
+    def counted(vector):
+        unscaled.append(vector.rows)
+        return to_unscaled(vector)
+
+    with mock.patch.object(DecimalVector, "to_unscaled", counted):
+        encoding = coded.encoding()
+    assert unscaled == [8]
+    assert_same_encoding(encoding, codec.encode_column(coded.data, list(values), spec, 8))
+    assert encoding.zones[2].max_unscaled == 2**70

@@ -1,13 +1,15 @@
 """Readers racing the lazy fills of shared vectors and columns.
 
-A lane-only ``DecimalVector`` builds its planes on first access, a
-``Column`` its expansion on first ``decimal_vector()``, a view its bytes on
-first ``data``, and a base column its join and group key codes and its
-join build side on first use.  All may be shared by reader threads (the
+A lane-only ``DecimalVector`` builds its planes on first access and any
+vector measures its lane bound on first ``lane_bound()``; a ``Column``
+builds its expansion on first ``decimal_vector()``, a view its bytes on
+first ``data``, a column built from a vector packs its bytes on first
+``data``, and a base column its join and group key codes and its join
+build side on first use.  All may be shared by reader threads (the
 serving layer's sessions read one catalog), so every reader that makes the
-first access must see equal planes, equal compact bytes, equal codes and
-equal values, whichever fill it got.  More readers than cores and a short
-switch interval make the interleavings likely.
+first access must see equal planes, equal compact bytes, equal bounds,
+equal codes and equal values, whichever fill it got.  More readers than
+cores and a short switch interval make the interleavings likely.
 """
 
 import os
@@ -84,6 +86,33 @@ def test_first_plane_access_on_a_shared_lane_vector():
             for member, array in seen:
                 assert np.array_equal(array, expected[member]), member
         assert shared.to_unscaled() == VALUES
+
+
+def test_first_lane_bound_of_a_shared_vector():
+    bound = max(abs(value) for value in VALUES)
+    for _ in range(ROUNDS):
+        # Planes only: the first reader folds the lanes, then measures.
+        shared = DecimalVector.from_unscaled(VALUES, SPEC)
+        assert race(lambda reader: shared.lane_bound()) == [bound] * READERS
+        assert shared.take(np.arange(3)).lane_bound() == bound
+
+
+def test_first_data_read_of_a_built_column():
+    expected = DecimalVector.from_unscaled(VALUES, SPEC).to_compact()
+    for _ in range(ROUNDS):
+        built = Column.decimal_from_vector(
+            "v", DecimalVector.from_int64(np.array(VALUES, dtype=np.int64), SPEC)
+        )
+        twin = built.renamed("w")
+        assert built._data is None  # packed on first read
+
+        def read(reader):
+            column = built if reader % 2 else twin
+            return column.data.copy(), column.bytes_stored, column.rows
+
+        for data, stored, rows in race(read):
+            assert np.array_equal(data, expected)
+            assert (stored, rows) == (expected.nbytes, len(VALUES))
 
 
 def test_first_expansion_of_a_shared_column():
