@@ -45,15 +45,9 @@ def _cells(experiment):
 def test_ext_compression_pcie_reduction(benchmark, experiment):
     relation = tpch.lineitem_for_len(8, rows=1536, seed=7)
     column = relation.column("l_extendedprice")
-    compact, unscaled, spec = (
-        column.data,
-        column.unscaled(),
-        column.column_type.spec,
-    )
+    compact, vector = column.data, column.decimal_vector()
     benchmark(
-        lambda: OrderPreservingCodec().encode_column(
-            compact, unscaled, spec, chunk_rows=256
-        )
+        lambda: OrderPreservingCodec().encode_column(compact, vector, chunk_rows=256)
     )
 
     cells = _cells(experiment)

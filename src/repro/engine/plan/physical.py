@@ -442,19 +442,20 @@ class _JoinOp(PhysicalOp):
         sim_right = right_relation.rows * right_scale * survival
         return right_relation, keep, sim_right
 
-    def _join(
-        self, batch: Batch, right_relation: Relation, keep: Optional[np.ndarray]
-    ) -> Batch:
-        """The matched rows, left-major with each row's matches in right-scan order.
+    def _matches(
+        self, left: Column, right: Column, keep: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row pairs with equal keys, in hash-join order, over the right rows
+        ``keep`` passes (a boolean mask; None keeps every row).
 
-        Both join algorithms produce this one result; they differ only in
-        the simulated cost their ``run`` charges.  The probe map and the
-        filtered build side depend only on column versions and the kept
-        ``keep`` mask, so this plan node keeps the last of each, as
-        :meth:`_right_keep` keeps its mask.
+        DECIMALs compare by value aligned to the wider scale (INT and DATE
+        count as scale 0) and CHARs ignore trailing whitespace.  Only the
+        two sides' distinct values meet: each left value is looked up in
+        the right column's code space (:func:`_probe_map`), and the probe
+        runs on the right column's build side (:func:`_build_runs`).  Both
+        depend only on column versions and ``keep``, so this plan node
+        keeps the last of each, filled as :meth:`_right_keep` fills its mask.
         """
-        left = batch.column(self.join.left_column)
-        right = right_relation.column(self.join.right_column)
         versions = (left.lineage()[0].version, right.lineage()[0].version)
         probe = self._probe
         if probe is None or probe[0] != versions:
@@ -462,7 +463,21 @@ class _JoinOp(PhysicalOp):
         runs = self._runs
         if runs is None or runs[0] != right.version or runs[1] is not keep:
             runs = self._runs = (right.version, keep, _build_runs(right, keep))
-        left_take, right_take = _equi_join_indices(probe[1][_key_codes(left)[0]], *runs[2])
+        return _equi_join_indices(probe[1][_key_codes(left)[0]], *runs[2])
+
+    def _join(
+        self, batch: Batch, right_relation: Relation, keep: Optional[np.ndarray]
+    ) -> Batch:
+        """The matched rows, left-major with each row's matches in right-scan order.
+
+        Both join algorithms produce this one result; they differ only in
+        the simulated cost their ``run`` charges.
+        """
+        left_take, right_take = self._matches(
+            batch.column(self.join.left_column),
+            right_relation.column(self.join.right_column),
+            keep,
+        )
         columns = batch.taken(left_take)
         right_names = [name for name in self.right_columns if name not in columns]
         # The left side wins on (unexpected) name collisions.
@@ -598,7 +613,11 @@ class GroupAggregateOp(_KernelOp):
     each shared row selection is composed with the group order once, and
     each input column is gathered from its root once, by the first
     aggregate that reads it, so kernels run over rows already in group
-    order and their results need no gather.
+    order and their results need no gather.  A kernel reading two or more
+    columns that own their rows (no filter or join selected them) runs on
+    the batch itself instead, and only its result moves into group order,
+    once for every aggregate of the same argument: one gather, not one
+    per input.
     """
 
     def __init__(self, group_by: List[str], items: List[SelectItem]):
@@ -625,6 +644,8 @@ class GroupAggregateOp(_KernelOp):
             columns[name] = _column_from_keys(name, group_keys, batch.column(name))
 
         grouped = Batch(batch.taken(order), rows, batch.simulated_rows)
+        # Results of kernels run on ``batch``, moved into group order, by argument.
+        ordered: Dict[str, DecimalVector] = {}
         groups = len(starts)
         charged = max(int(sim_n / max(groups, 1)), 1)
         charges: List[float] = []
@@ -637,11 +658,16 @@ class GroupAggregateOp(_KernelOp):
                     item.name, counts, inference.count_spec(sim_n)
                 )
                 continue
+            planned = self.kernels[index]
+            on_batch = planned is not None and _owns_inputs(planned, batch)
             try:
-                vector = _evaluate_expression(item, grouped, context, self.kernels[index])
+                vector = _evaluate_expression(
+                    item, batch if on_batch else grouped, context, planned
+                )
             except DivisionByZeroError:
-                # Name the zero divisor's row in the batch's own order.
-                _evaluate_expression(item, batch, context, self.kernels[index])
+                if not on_batch:
+                    # Name the zero divisor's row in the batch's own order.
+                    _evaluate_expression(item, batch, context, planned)
                 raise
             # Payload gather: every (4*Lw+1)-byte value moves into its
             # group segment before the blockwise reduction.
@@ -649,6 +675,10 @@ class GroupAggregateOp(_KernelOp):
                 4 * vector.spec.words + 1, batch.simulated_rows
             )
             started = time.perf_counter()
+            if on_batch:
+                if item.text not in ordered:
+                    ordered[item.text] = vector.take(order)
+                vector = ordered[item.text]
             run = mt_aggregation.aggregate_segments(
                 vector, starts, op=call.function.lower(), simulate_tuples=charged
             )
@@ -741,6 +771,15 @@ class DropOp(PhysicalOp):
 
 
 # ------------------------------------------------------------------ helpers
+
+
+def _owns_inputs(planned: PlannedKernel, batch: Batch) -> bool:
+    """Whether the kernel reads two or more columns and every one owns its
+    rows in ``batch`` (no filter, join or sort selected them)."""
+    names = planned[0].kernel.input_columns
+    return len(names) > 1 and all(
+        batch.column(name).lineage()[1] is None for name in names
+    )
 
 
 def _evaluate_expression(
@@ -1130,22 +1169,6 @@ def _stable_argsort(codes: np.ndarray, count: int) -> np.ndarray:
 
 #: ``(lengths, starts, order)`` of a join's build side (:func:`_build_side`).
 _Runs = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _join_indices(
-    left: Column, right: Column, keep: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row pairs with equal keys, in hash-join order, over the right rows
-    ``keep`` passes (a boolean mask; None keeps every row).
-
-    DECIMALs compare by value aligned to the wider scale (INT and DATE
-    count as scale 0) and CHARs ignore trailing whitespace.  Only the two
-    sides' distinct values meet: each left value is looked up in the
-    right column's code space (:func:`_probe_map`), and the probe runs on
-    the right column's build side (:func:`_build_runs`).
-    """
-    probe = _probe_map(left, right)[_key_codes(left)[0]]
-    return _equi_join_indices(probe, *_build_runs(right, keep))
 
 
 def _probe_map(left: Column, right: Column) -> np.ndarray:

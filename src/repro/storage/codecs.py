@@ -175,44 +175,33 @@ class DecimalCodec:
     def encode_column(
         self,
         compact: np.ndarray,
-        unscaled: Union[Sequence[int], np.ndarray, DecimalVector],
-        spec: DecimalSpec,
+        vector: DecimalVector,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         row_start: int = 0,
     ) -> EncodedColumn:
         """Chunk a column, encode each chunk, record its zone map.
 
-        ``unscaled`` is the column's int64 lanes, when every value fits 63
-        bits (``DecimalVector.to_int64``); a sequence of Python ints; or
-        the column's register expansion, whose chunks are read as lanes
-        wherever their values fit 63 bits and as Python ints only
-        elsewhere.  ``row_start`` is the absolute row of ``compact[0]``, so
-        a column's tail can be encoded on its own (``Column.appended``):
-        each chunk's bytes, padding and zone depend only on its own rows.
+        ``vector`` is the column's register expansion: each chunk is read
+        as int64 lanes when its values fit 63 bits, and as Python ints
+        only otherwise.  ``row_start`` is the absolute row of
+        ``compact[0]``, so a column's tail can be encoded on its own
+        (``Column.appended``): each chunk's bytes, padding and zone depend
+        only on its own rows.
         """
         if chunk_rows <= 0:
             raise StorageError(f"chunk_rows must be positive, got {chunk_rows}")
-        vector = None
-        if isinstance(unscaled, DecimalVector):
-            lanes = unscaled.to_int64()
-            if lanes is None:
-                vector = unscaled
-            else:
-                unscaled = lanes
-        rows = len(unscaled) if vector is None else vector.rows
-        encoded = EncodedColumn(codec=self, spec=spec, chunk_rows=chunk_rows)
-        for start in range(0, rows, chunk_rows):
-            if vector is None:
-                values = unscaled[start : start + chunk_rows]
-            else:
-                part = vector.tail(start, start + chunk_rows)
-                lanes = part.to_int64()
-                values = part.to_unscaled() if lanes is None else lanes
+        # Lanes for the whole column, when they answer, are shared by every chunk.
+        vector.to_int64()
+        encoded = EncodedColumn(codec=self, spec=vector.spec, chunk_rows=chunk_rows)
+        for start in range(0, vector.rows, chunk_rows):
+            part = vector.tail(start, start + chunk_rows)
+            values = part.to_int64()
+            if values is None:
+                values = part.to_unscaled()
             if isinstance(values, np.ndarray):
                 lo, hi = int(values.min()), int(values.max())
                 zeros = int(np.count_nonzero(values == 0))
             else:
-                values = list(values)
                 lo, hi = min(values), max(values)
                 zeros = sum(1 for v in values if v == 0)
             zone = ZoneMap(
@@ -224,7 +213,7 @@ class DecimalCodec:
                 zero_count=zeros,
             )
             data, lengths, wire = self._encode_chunk(
-                values, compact[start : start + len(values)], spec, zone
+                values, compact[start : start + len(values)], vector.spec, zone
             )
             encoded.chunks.append(EncodedChunk(zone, data, lengths, wire))
         return encoded
@@ -246,8 +235,6 @@ class CompactCodec(DecimalCodec):
         return data, None, int(data.nbytes)
 
     def decode_chunk(self, chunk, spec):
-        from repro.core.decimal.vectorized import DecimalVector
-
         return DecimalVector.from_compact(chunk.data, spec).to_unscaled()
 
 

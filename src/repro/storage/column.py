@@ -73,6 +73,18 @@ class Column:
                     f"decimal column {name!r} needs shape (N, {expected}), "
                     f"got {data.shape}"
                 )
+        self._setup(name, column_type, data, codec, encoding_chunk_rows)
+
+    def _setup(
+        self,
+        name: str,
+        column_type: ColumnType,
+        data: Optional[np.ndarray],
+        codec: Optional[DecimalCodec] = None,
+        encoding_chunk_rows: Optional[int] = None,
+    ) -> None:
+        """Set the attributes of a new column that owns its rows; ``data``
+        is None only for one that packs them later (:meth:`decimal_from_vector`)."""
         self.name = name
         self.column_type = column_type
         #: Wire/disk codec for DECIMAL columns; ``None`` ships compact bytes
@@ -282,14 +294,12 @@ class Column:
         what :meth:`decimal_vector` would unpack from ``data``.
         """
         spec = vector.spec
-        lazy = (
+        fits = (
             vector._memoized_lanes() is not None
             and vector.lane_bound() < 1 << (8 * spec.compact_bytes - 1)
         )
-        data = np.empty((0, spec.compact_bytes), np.uint8) if lazy else vector.to_compact()
-        column = cls(name, DecimalType(spec), data)
-        if lazy:
-            column._data = None
+        column = object.__new__(cls)
+        column._setup(name, DecimalType(spec), None if fits else vector.to_compact())
         if not vector.has_negative_zero():
             column._keep("vector", vector)
         return column
@@ -371,7 +381,6 @@ class Column:
         return codec.encode_column(
             self.data[row_start:],
             vector,
-            self._decimal_spec(),
             chunk_rows=self.encoding_chunk_rows or DEFAULT_CHUNK_ROWS,
             row_start=row_start,
         )

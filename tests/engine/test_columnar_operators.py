@@ -115,6 +115,11 @@ def context_for(columns):
     return QueryContext(relation=Relation("t", columns), simulate_rows=10_000_000)
 
 
+def join_node():
+    """A join plan node with nothing kept yet (only ``_matches`` is used)."""
+    return physical._JoinOp(None, [])
+
+
 def decimal_literal(unscaled, scale):
     digits = str(abs(unscaled)).rjust(scale + 1, "0")
     text = f"{digits[:-scale]}.{digits[-scale:]}" if scale else digits
@@ -139,13 +144,15 @@ class TestJoinMatcher:
                 ),
             )
         )
-        left_take, right_take = physical._join_indices(left, right, keep)
+        node = join_node()
+        left_take, right_take = node._matches(left, right, keep)
         assert (left_take.tolist(), right_take.tolist()) == join_pairs(left, right, keep)
-        # The build side was kept with the right column: a second join
-        # answers the same, and so does the join the other way round.
-        again = physical._join_indices(left, right, keep)
-        assert (again[0].tolist(), again[1].tolist()) == join_pairs(left, right, keep)
-        swapped = physical._join_indices(right, left)
+        # The build side was kept with the right column, and the probe map
+        # and runs with the node: a second join answers the same, and so
+        # do a fresh node and the join the other way round.
+        for again in (node._matches(left, right, keep), join_node()._matches(left, right, keep)):
+            assert (again[0].tolist(), again[1].tolist()) == join_pairs(left, right, keep)
+        swapped = node._matches(right, left)
         assert (swapped[0].tolist(), swapped[1].tolist()) == join_pairs(right, left)
 
     def test_scale_gap_beyond_int64_with_empty_or_zero_side(self):
@@ -154,7 +161,7 @@ class TestJoinMatcher:
         for ints in ([], [0, 0], [1, 0]):
             left = Column.integers("l", ints)
             for columns in ([left, wide], [wide, left], [left.take(np.arange(len(ints))), wide]):
-                left_take, right_take = physical._join_indices(*columns)
+                left_take, right_take = join_node()._matches(*columns)
                 assert (left_take.tolist(), right_take.tolist()) == join_pairs(*columns)
 
     @pytest.mark.parametrize("count", [1, 256, 257, 65536, 65537, 2**40])
@@ -168,7 +175,7 @@ class TestJoinMatcher:
         keys = Column.integers("k", [1, 2, 2])
         empty = Column.integers("e", [])
         for left, right in ((keys, empty), (empty, keys), (empty, empty), (keys.head(0), keys)):
-            left_take, right_take = physical._join_indices(left, right)
+            left_take, right_take = join_node()._matches(left, right)
             assert left_take.tolist() == right_take.tolist() == []
 
 

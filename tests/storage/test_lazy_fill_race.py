@@ -4,9 +4,10 @@ A lane-only ``DecimalVector`` builds its planes on first access and any
 vector measures its lane bound on first ``lane_bound()``; a ``Column``
 builds its expansion on first ``decimal_vector()``, a view its bytes on
 first ``data``, a column built from a vector packs its bytes on first
-``data``, and a base column its join and group key codes and its join
-build side on first use.  All may be shared by reader threads (the
-serving layer's sessions read one catalog), so every reader that makes the
+``data``, a base column its join and group key codes and its join build
+side on first use, and a join plan node its probe map and build runs.  All
+may be shared by reader threads (the serving layer's sessions read one
+catalog and one plan cache), so every reader that makes the
 first access must see equal planes, equal compact bytes, equal bounds,
 equal codes and equal values, whichever fill it got.  More readers than
 cores and a short switch interval make the interleavings likely.
@@ -148,20 +149,22 @@ def test_first_key_codes_and_build_side_of_a_shared_column():
     codes, values = physical._key_codes(reference)
     lengths, starts, order = reference.derive("build_side", physical._build_side)
     probe = Column.integers("p", list(range(0, 700, 3)))
-    pairs = physical._join_indices(probe, reference)
+    pairs = physical._JoinOp(None, [])._matches(probe, reference)
     for _ in range(ROUNDS // 3):
-        # Each round a fresh column (a new version): readers race its
-        # first coding, or its first build side, or a join needing both.
+        # Each round a fresh column (a new version) and a fresh join node:
+        # readers race the column's first coding, or its first build side,
+        # or the node's first probe map and runs, which need both.
         shared = Column.integers("k", keys)
+        node = physical._JoinOp(None, [])
 
-        def read(reader, shared=shared):
+        def read(reader, shared=shared, node=node):
             step = reader % 3
             if step == 0:
                 return "codes", [array.copy() for array in physical._key_codes(shared)]
             if step == 1:
                 build = shared.derive("build_side", physical._build_side)
                 return "build", [array.copy() for array in build]
-            return "join", [array.copy() for array in physical._join_indices(probe, shared)]
+            return "join", [array.copy() for array in node._matches(probe, shared)]
 
         expected = {
             "codes": [codes, values],
