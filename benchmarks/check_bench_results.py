@@ -97,6 +97,13 @@ EXPECTED_HEADERS = {
         "speedup vs compact",
         "bit_exact",
     ],
+    "ext_kernel_analysis": [
+        "workload",
+        "kernel",
+        "expression",
+        "diagnostics",
+        "fast paths",
+    ],
     "ext_plan_analysis": [
         "workload",
         "codec",

@@ -9,6 +9,7 @@ Run:  python examples/jit_deep_dive.py
 """
 
 from repro import DecimalSpec, JitOptions, compile_expression
+from repro.core.jit.codegen import render_source
 from repro.core.multithread import plan_load, render_load_code
 from repro.gpusim import kernel_time, profile_kernel
 
@@ -19,7 +20,7 @@ def main() -> None:
     print("=" * 70)
     schema = {"c1_4_2": DecimalSpec(4, 2), "c2_4_1": DecimalSpec(4, 1)}
     compiled = compile_expression("c1_4_2 + c2_4_1", schema)
-    print(compiled.kernel.source)
+    print(render_source(compiled.kernel))
     print(f"\nresult spec: {compiled.kernel.result_spec} "
           f"(Lw={compiled.kernel.result_spec.words}, "
           f"Lb={compiled.kernel.result_spec.compact_bytes})")

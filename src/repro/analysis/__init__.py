@@ -7,7 +7,7 @@ and the soundness argument; ``python -m repro.analysis`` sweeps every
 workload kernel and is wired into CI as a gate.
 """
 
-from repro.analysis.analyzer import analyze_kernel, apply_fast_paths
+from repro.analysis.analyzer import analyze_kernel, apply_fast_paths, gate_kernel
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 
 __all__ = [
@@ -16,4 +16,5 @@ __all__ = [
     "Severity",
     "analyze_kernel",
     "apply_fast_paths",
+    "gate_kernel",
 ]

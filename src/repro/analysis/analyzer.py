@@ -5,7 +5,8 @@
 then ranges, lifetime and the IR schedule lint; the tree-level schedule
 lint runs whenever the caller supplies the optimised expression tree.
 Structural errors short-circuit the IR passes: analysing a kernel whose
-registers are undefined would only produce noise.
+registers are undefined would only produce noise.  EXPLAIN and the sweep
+call it; compilation runs only ``gate_kernel``.
 
 ``apply_fast_paths`` feeds the range pass's proven division facts back
 into the IR: Div/Mod instructions whose single-word or 64-bit route is
@@ -22,13 +23,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-from repro.analysis.diagnostics import AnalysisReport
+from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.lifetime import check_lifetime
 from repro.analysis.ranges import analyze_ranges
 from repro.analysis.schedule import check_schedule_ir, check_schedule_tree
 from repro.analysis.structure import check_structure
 from repro.core.jit import ir
 from repro.core.jit.expr_ast import Expr
+from repro.errors import CodegenError
 
 
 def analyze_kernel(kernel: ir.KernelIR, tree: Optional[Expr] = None) -> AnalysisReport:
@@ -44,6 +46,27 @@ def analyze_kernel(kernel: ir.KernelIR, tree: Optional[Expr] = None) -> Analysis
     if tree is not None:
         report.extend(check_schedule_tree(tree, kernel.name))
     return report
+
+
+def gate_kernel(kernel: ir.KernelIR) -> ir.KernelIR:
+    """The passes compilation runs: verify a kernel, apply its division routes.
+
+    A structural finding is a code generator bug and raises
+    :class:`~repro.errors.CodegenError`.  A kernel with a Div/Mod also runs
+    the range and lifetime passes and gets its fast paths when neither
+    reports an error: :func:`analyze_kernel`'s verdict, as the schedule
+    lints only warn and no pass reads ``fast_path``.
+    """
+    broken = check_structure(kernel)
+    if broken:
+        raise CodegenError(broken[0].message)
+    if not any(isinstance(op, (ir.DivOp, ir.ModOp)) for op in kernel.instructions):
+        return kernel
+    findings, fast_paths = analyze_ranges(kernel)
+    findings += check_lifetime(kernel)
+    if not fast_paths or any(d.severity is Severity.ERROR for d in findings):
+        return kernel
+    return apply_fast_paths(kernel, fast_paths)
 
 
 def apply_fast_paths(kernel: ir.KernelIR, fast_paths: Dict[int, str]) -> ir.KernelIR:

@@ -45,6 +45,7 @@ from repro.analysis.ranges import (
     _mod_interval,
     _mul_interval,
     _rescale_interval,
+    analyze_ranges,
 )
 from repro.core.decimal import inference
 from repro.core.decimal.context import DecimalSpec
@@ -140,10 +141,8 @@ def _check_kernel(compiled: CompiledExpression, report, position: int) -> Decima
     overflows: List[Tuple[str, int, DecimalSpec]] = []
     _walk_intervals(compiled.tree, overflows)
     plan_overflow = bool(overflows)
-    analysis = compiled.kernel.analysis
-    kernel_overflow = analysis is not None and any(
-        diagnostic.rule == POSSIBLE_OVERFLOW for diagnostic in analysis.errors
-    )
+    range_findings, _ = analyze_ranges(compiled.kernel)
+    kernel_overflow = any(d.rule == POSSIBLE_OVERFLOW for d in range_findings)
 
     for node_sql, magnitude, spec in overflows:
         report(

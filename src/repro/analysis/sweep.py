@@ -13,6 +13,11 @@ each storage-codec variant, and the plan-level analyzer's
 ``PLAN*``/``PREC*``/``RULE*`` findings are gated the same way -- the
 schema/precision/rewrite-soundness counterpart of the kernel gate.
 
+With ``--output PATH`` either sweep also writes its findings as a
+harness-shaped table; CI regenerates ``bench_results/ext_kernel_analysis.json``
+(every kernel's diagnostics and fast paths) and
+``bench_results/ext_plan_analysis.json`` and fails on any diff.
+
 Relations are built tiny (the analyzer only reads specs, never data), so
 both sweeps are compile-bound and fast.
 """
@@ -57,10 +62,7 @@ def _database(*relations) -> "Database":
 
 def _explain_kernels(workload: str, db, sql: str) -> Iterator[SweptKernel]:
     for plan in db.explain(sql).kernels:
-        report = plan.diagnostics
-        if report is None:  # pragma: no cover - pipeline always attaches one
-            report = AnalysisReport(kernel=plan.name)
-        yield SweptKernel(workload, plan.name, plan.expression.strip(), report)
+        yield SweptKernel(workload, plan.name, plan.expression.strip(), plan.diagnostics)
 
 
 def iter_workload_kernels(workloads: Optional[Sequence[str]] = None) -> Iterator[SweptKernel]:
@@ -113,18 +115,28 @@ def iter_workload_kernels(workloads: Optional[Sequence[str]] = None) -> Iterator
                 yield from _explain_kernels(f"trig/{column}/terms{terms}", db, sql)
 
 
+def _write_artifact(path: Path, title: str, headers: List[str], rows: List[list]) -> None:
+    """Write a sweep as a harness-shaped bench artifact."""
+    payload = {"id": path.stem, "title": title, "headers": headers, "rows": rows}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
 def run_sweep(
     workloads: Optional[Sequence[str]] = None,
     min_severity: Severity = Severity.WARNING,
     verbose: bool = False,
     max_warnings: Optional[int] = None,
+    output: Optional[Path] = None,
 ) -> int:
     """Sweep, print a summary, return the process exit code (0 = clean).
 
     ``max_warnings`` turns warning creep into a failure too: the sweep
     exits non-zero when the total warning count exceeds the budget, so a
     change that silently doubles the advisory findings trips CI instead
-    of scrolling past.
+    of scrolling past.  ``output`` also writes every kernel's findings
+    and fast paths, so a changed finding shows as a diff.
     """
     order = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.INFO: 2}
     cutoff = order[min_severity]
@@ -142,6 +154,22 @@ def run_sweep(
         for diagnostic in shown:
             print(f"  {diagnostic.format()}")
 
+    if output is not None:
+        _write_artifact(
+            output,
+            "Kernel-level static analysis sweep (every workload kernel)",
+            ["workload", "kernel", "expression", "diagnostics", "fast paths"],
+            [
+                [
+                    item.workload,
+                    item.kernel,
+                    item.expression,
+                    [diagnostic.format() for diagnostic in item.report.diagnostics],
+                    item.report.fast_paths,
+                ]
+                for item in swept
+            ],
+        )
     print(
         f"analyzed {len(swept)} kernel(s): "
         f"{errors} error(s), {warnings} warning(s), {infos} info(s)"
@@ -245,40 +273,6 @@ def iter_plan_reports(
                 )
 
 
-def _write_plan_artifact(path: Path, swept: Sequence[SweptPlan]) -> None:
-    """Write the plan sweep as a harness-shaped bench artifact."""
-    payload = {
-        "id": path.stem,
-        "title": "Plan-level static analysis sweep (TPC-H x optimizer x codec)",
-        "headers": [
-            "workload",
-            "codec",
-            "optimizer",
-            "operators",
-            "kernels",
-            "errors",
-            "warnings",
-            "infos",
-        ],
-        "rows": [
-            [
-                item.workload,
-                item.codec,
-                item.optimizer,
-                item.operators,
-                item.kernels,
-                len(item.report.errors),
-                len(item.report.warnings),
-                len(item.report.infos),
-            ]
-            for item in swept
-        ],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {path}")
-
-
 def run_plan_sweep(
     min_severity: Severity = Severity.WARNING,
     verbose: bool = False,
@@ -306,7 +300,33 @@ def run_plan_sweep(
             print(f"  {diagnostic.format()}")
 
     if output is not None:
-        _write_plan_artifact(output, swept)
+        _write_artifact(
+            output,
+            "Plan-level static analysis sweep (TPC-H x optimizer x codec)",
+            [
+                "workload",
+                "codec",
+                "optimizer",
+                "operators",
+                "kernels",
+                "errors",
+                "warnings",
+                "infos",
+            ],
+            [
+                [
+                    item.workload,
+                    item.codec,
+                    item.optimizer,
+                    item.operators,
+                    item.kernels,
+                    len(item.report.errors),
+                    len(item.report.warnings),
+                    len(item.report.infos),
+                ]
+                for item in swept
+            ],
+        )
     print(
         f"analyzed {len(swept)} plan(s): "
         f"{errors} error(s), {warnings} warning(s), {infos} info(s)"
@@ -360,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=Path,
         default=None,
         metavar="PATH",
-        help="with --plans: write a bench_results-style JSON artifact here",
+        help="write the sweep's findings as a bench_results-style JSON artifact here",
     )
     arguments = parser.parse_args(argv)
     if arguments.plans:
@@ -375,4 +395,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         min_severity=Severity(arguments.min_severity),
         verbose=arguments.verbose,
         max_warnings=arguments.max_warnings,
+        output=arguments.output,
     )

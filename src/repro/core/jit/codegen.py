@@ -195,11 +195,7 @@ def generate_kernel(
     runtime_constants: bool = False,
     cse: bool = False,
 ) -> ir.KernelIR:
-    """Generate a kernel for a type-annotated binary expression tree.
-
-    The kernel has no ``source`` yet: ``compile_expression`` renders it
-    (:func:`render_source`) once the analyzer's fast-path routes are in.
-    """
+    """Generate a kernel for a type-annotated binary expression tree."""
     emitter = _Emitter(runtime_constants=runtime_constants, cse=cse)
     if cse:
         emitter.count_subtrees(expr)
@@ -207,7 +203,6 @@ def generate_kernel(
     emitter.instructions.append(ir.StoreResult(result_register, expr.spec, result_register))
     return ir.KernelIR(
         name=name,
-        expression_sql=expr.to_sql(),
         instructions=tuple(emitter.instructions),
         input_columns=emitter.columns,
         result_spec=expr.spec,

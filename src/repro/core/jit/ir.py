@@ -16,12 +16,9 @@ instruction's ``spec``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.decimal.context import DecimalSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.analysis.diagnostics import AnalysisReport
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,9 @@ class KernelIR:
     ``instructions`` evaluate one expression; ``input_columns`` maps the
     referenced column names to their specs; ``result_spec`` is the inferred
     output.  ``register_words`` is the peak number of 32-bit value words
-    live at once per thread, which drives the occupancy model.
+    live at once per thread, which drives the occupancy model.  Its listing
+    and analyzer report are built where read (``codegen.render_source``,
+    ``repro.analysis.analyze_kernel``).
 
     Frozen: a kernel is shared through the kernel cache and priced from
     :attr:`profiles`, so an edit builds a new one with
@@ -181,12 +180,10 @@ class KernelIR:
     """
 
     name: str
-    expression_sql: str
     instructions: Tuple[Instruction, ...]
     input_columns: Dict[str, DecimalSpec]
     result_spec: DecimalSpec
     register_words: int
-    source: str = ""
     tpi: int = 1
     #: Register pool release schedule recorded by the emitter: register id
     #: -> index of the instruction after which it was returned to the pool.
@@ -194,10 +191,6 @@ class KernelIR:
     #: ``None`` (hand-built kernels) disables the pool-based lifetime
     #: checks.
     released_after: Optional[Dict[int, int]] = None
-    #: Diagnostics attached by the JIT pipeline's analyzer run (the import
-    #: is type-checking-only to keep this module free of upward runtime
-    #: dependencies).
-    analysis: Optional["AnalysisReport"] = field(default=None, repr=False, compare=False)
     #: Per-device cost profiles, filled on a kernel's first pricing for a
     #: device by :func:`repro.gpusim.timing.kernel_profile`.
     profiles: Dict[Any, Any] = field(

@@ -9,7 +9,9 @@
 4. fold constants and apply shortcuts (section III-D2);
 5. pre-align surviving constants to their neighbours' scales;
 6. alignment-schedule n-ary sums by ascending scale (section III-D1);
-7. convert back to a binary tree, re-infer, and generate the kernel.
+7. convert back to a binary tree, re-infer, and generate the kernel;
+8. verify it and apply its proven division routes (``gate_kernel``);
+   EXPLAIN builds the listing and the analyzer report from the kernel.
 
 Optimisations can be switched off individually, which is how the Figure
 10/11/12 ablation benchmarks measure each one's contribution.
@@ -22,7 +24,6 @@ other schemas and options.  Every pass builds its own nodes, starting with
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from repro.core.jit import alignment, codegen, constant_folding, nary, type_infe
 from repro.core.jit.expr_ast import Expr
 from repro.core.jit.ir import KernelIR
 from repro.core.jit.parser import parse_expression
-from repro.errors import CodegenError
 
 Schema = Mapping[str, DecimalSpec]
 
@@ -93,6 +93,8 @@ def expand_powers(expr: Expr) -> Expr:
 
     Like every other pass, this is value-oriented: the caller's tree is
     never modified, so one parsed tree can flow through the whole pipeline.
+    Only the nodes above a POWER call are rebuilt; every other subtree is
+    returned as handed in, so a tree without POWER comes back itself.
     """
     import copy
 
@@ -105,28 +107,35 @@ def expand_powers(expr: Expr) -> Expr:
     )
 
     if isinstance(expr, FuncCall):
+        argument = expand_powers(expr.argument)
         if expr.function == "POWER":
-            base = expand_powers(expr.argument)
 
             def power(k: int) -> Expr:
                 if k == 1:
-                    return copy.deepcopy(base)
+                    return copy.deepcopy(argument)
                 half = power(k // 2)
                 squared = BinaryOp("*", half, copy.deepcopy(half))
                 if k % 2:
-                    return BinaryOp("*", squared, copy.deepcopy(base))
+                    return BinaryOp("*", squared, copy.deepcopy(argument))
                 return squared
 
             return power(expr.scale_arg)
-        return FuncCall(expr.function, expand_powers(expr.argument), expr.scale_arg)
+        if argument is expr.argument:
+            return expr
+        return FuncCall(expr.function, argument, expr.scale_arg)
     if isinstance(expr, BinaryOp):
-        return BinaryOp(expr.op, expand_powers(expr.left), expand_powers(expr.right))
+        left, right = expand_powers(expr.left), expand_powers(expr.right)
+        if left is expr.left and right is expr.right:
+            return expr
+        return BinaryOp(expr.op, left, right)
     if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, expand_powers(expr.operand))
-    if isinstance(expr, NaryAdd):
-        return NaryAdd([expand_powers(term) for term in expr.terms])
-    if isinstance(expr, NaryMul):
-        return NaryMul([expand_powers(factor) for factor in expr.factors])
+        operand = expand_powers(expr.operand)
+        return expr if operand is expr.operand else UnaryOp(expr.op, operand)
+    if isinstance(expr, (NaryAdd, NaryMul)):
+        expanded = [expand_powers(child) for child in expr.children()]
+        if all(new is old for new, old in zip(expanded, expr.children())):
+            return expr
+        return type(expr)(expanded)
     return expr
 
 
@@ -179,23 +188,10 @@ def compile_expression(
         runtime_constants=not options.constant_construction,
         cse=options.subexpression_elimination,
     )
-    from repro.analysis import analyze_kernel, apply_fast_paths
+    from repro.analysis import gate_kernel
 
-    report = analyze_kernel(kernel, tree=tree)
-    # A structurally broken kernel (undefined register, misaligned add, no
-    # stored result, ...) is a code generator bug: fail before it can run.
-    broken = [d for d in report.diagnostics if d.rule.startswith("STRUCT")]
-    if broken:
-        raise CodegenError(broken[0].message)
-    if report.fast_paths and not report.has_errors:
-        # Feed the proven division facts back into the IR (and the rendered
-        # listing) so the executor skips the per-row size dispatch.
-        kernel = apply_fast_paths(kernel, report.fast_paths)
-    kernel = dataclasses.replace(
-        kernel, source=codegen.render_source(kernel), analysis=report
-    )
     return CompiledExpression(
-        kernel=kernel,
+        kernel=gate_kernel(kernel),
         tree=tree,
         options=options,
         alignments_before=alignments_before,

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis import AnalysisReport
+from repro.analysis import AnalysisReport, analyze_kernel
 from repro.analysis import plan as plan_analysis
+from repro.core.jit import codegen
 from repro.engine.plan.cost import CostModel, OptimizerConfig, PlanStats
 from repro.engine.plan.physical import (
     AggregateOp,
@@ -52,6 +53,8 @@ class KernelPlan:
     alignments_after: int
     estimated_ms: float
     source: str
+    #: ``analyze_kernel`` over the kernel and its optimised tree.
+    diagnostics: AnalysisReport
     #: Chunked-streaming estimate (set when the plan streams): chunk count
     #: and the serial-vs-pipelined split for this kernel.
     timing: Optional[StreamTiming] = None
@@ -60,9 +63,6 @@ class KernelPlan:
     #: stored rows, as opposed to ``estimated_ms`` which is simulated.
     data_plane_ms: Optional[float] = None
     data_plane_rows_per_s: Optional[float] = None
-    #: Static-analyzer findings for this kernel (an
-    #: ``repro.analysis.AnalysisReport``), attached by the JIT pipeline.
-    diagnostics: Optional["AnalysisReport"] = None
 
 
 @dataclass
@@ -120,9 +120,8 @@ class ExplainResult:
                         f"      data plane (measured): {kernel.data_plane_ms:.2f} ms "
                         f"({kernel.data_plane_rows_per_s:,.0f} rows/s)"
                     )
-                if kernel.diagnostics is not None and kernel.diagnostics.diagnostics:
-                    for diagnostic in kernel.diagnostics.diagnostics:
-                        lines.append(f"      {diagnostic.format()}")
+                for diagnostic in kernel.diagnostics.diagnostics:
+                    lines.append(f"      {diagnostic.format()}")
                 if with_source:
                     lines.append("      " + kernel.source.replace("\n", "\n      "))
         lines.append(f"  estimated compile: {self.estimated_compile_ms:.0f} ms")
@@ -153,7 +152,8 @@ def explain_query(
     transfers are deferred as execution defers them: a column's first
     kernel overlaps it, a bare aggregated column and whatever no kernel
     read ship serially.  The kernel table comes from the kernels the
-    planner recorded on the operators; nothing is compiled here.  With
+    planner recorded on the operators; nothing is compiled here, but each
+    kernel's listing is rendered and its analyzer report built.  With
     ``measure_data_plane`` each kernel is additionally run once over the
     relation's real stored columns and its wall-clock
     (``KernelPlan.data_plane_ms``) recorded -- the measured counterpart of
@@ -191,9 +191,9 @@ def explain_query(
             alignments_before=compiled.alignments_before,
             alignments_after=compiled.alignments_after,
             estimated_ms=timing.pipelined_seconds * 1e3,
-            source=kernel.source,
+            source=codegen.render_source(kernel),
+            diagnostics=analyze_kernel(kernel, tree=compiled.tree),
             timing=timing if streaming.enabled else None,
-            diagnostics=kernel.analysis,
         )
         if measure_data_plane:
             inputs = {}

@@ -62,7 +62,6 @@ class KernelExecution:
     """
 
     name: str
-    expression: str
     streamed: bool
     timing: StreamTiming
     #: Measured wall-clock of the kernel's *data plane* (the numpy limb
@@ -869,7 +868,6 @@ def _evaluate_expression(
     context.report.kernel_executions.append(
         KernelExecution(
             name=kernel.name,
-            expression=kernel.expression_sql,
             streamed=streaming.enabled,
             timing=timing,
             data_plane_seconds=elapsed,

@@ -21,7 +21,6 @@ SPEC = DecimalSpec(6, 1)
 def _kernel(instructions, released_after=None, register_words=8):
     return ir.KernelIR(
         name="hand",
-        expression_sql="<test>",
         instructions=instructions,
         input_columns={"a": SPEC, "b": SPEC},
         result_spec=instructions[-1].spec,

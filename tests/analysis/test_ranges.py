@@ -13,14 +13,13 @@ from repro.analysis.ranges import (
     analyze_ranges,
 )
 from repro.core.decimal.context import DecimalSpec
-from repro.core.jit import ir
+from repro.core.jit import codegen, ir
 from repro.core.jit.pipeline import compile_expression
 
 
 def _kernel(instructions, input_columns, result_spec, name="adversarial"):
     return ir.KernelIR(
         name=name,
-        expression_sql="<test>",
         instructions=instructions,
         input_columns=input_columns,
         result_spec=result_spec,
@@ -58,7 +57,7 @@ class TestAdversarialOverflow:
         compiled = compile_expression(
             "x / y", {"x": DecimalSpec(9, 2), "y": DecimalSpec(5, 0)}
         )
-        report = compiled.kernel.analysis
+        report = analyze_kernel(compiled.kernel, tree=compiled.tree)
         assert POSSIBLE_OVERFLOW in report.rules()
         # Proven fast-path facts are reported, but never applied to the IR
         # while the kernel has range errors.
@@ -73,7 +72,7 @@ class TestAdversarialOverflow:
             compiled = compile_expression(
                 expression, {"a": DecimalSpec(10, 2), "b": DecimalSpec(8, 1)}
             )
-            assert not compiled.kernel.analysis.has_errors, expression
+            assert not analyze_kernel(compiled.kernel, tree=compiled.tree).has_errors, expression
 
 
 class TestOverAllocation:
@@ -114,14 +113,15 @@ class TestDivisionFastPaths:
         compiled = compile_expression("x / 7", {"x": DecimalSpec(9, 2)})
         [div] = [i for i in compiled.kernel.instructions if isinstance(i, ir.DivOp)]
         assert div.fast_path == "native64"
-        assert NATIVE64 in compiled.kernel.analysis.rules()
-        assert not compiled.kernel.analysis.has_errors
+        report = analyze_kernel(compiled.kernel, tree=compiled.tree)
+        assert NATIVE64 in report.rules()
+        assert not report.has_errors
 
     def test_short_for_wide_dividend_single_word_divisor(self):
         compiled = compile_expression("x / 120", {"x": DecimalSpec(30, 2)})
         [div] = [i for i in compiled.kernel.instructions if isinstance(i, ir.DivOp)]
         assert div.fast_path == "short"
-        assert SHORT_DIVISOR in compiled.kernel.analysis.rules()
+        assert SHORT_DIVISOR in analyze_kernel(compiled.kernel, tree=compiled.tree).rules()
 
     def test_modulo_routes_mirror_division(self):
         narrow = compile_expression("x % 97", {"x": DecimalSpec(9, 0)})
@@ -133,7 +133,7 @@ class TestDivisionFastPaths:
 
     def test_annotation_appears_in_rendered_source(self):
         compiled = compile_expression("x / 120", {"x": DecimalSpec(30, 2)})
-        assert "// short fast path" in compiled.kernel.source
+        assert "// short fast path" in codegen.render_source(compiled.kernel)
 
 
 class TestIntervalTransfer:

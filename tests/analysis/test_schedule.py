@@ -1,5 +1,6 @@
 """Tests for the schedule lint (misordered sums, surviving constant subtrees)."""
 
+from repro.analysis import analyze_kernel
 from repro.analysis.schedule import CONSTANT_SUBTREE, MISORDERED_SUM, check_schedule_ir
 from repro.core.decimal.context import DecimalSpec
 from repro.core.jit import ir
@@ -13,19 +14,19 @@ class TestMisorderedSums:
         compiled = compile_expression(
             "a + c + b", SCHEMA, JitOptions(alignment_scheduling=False)
         )
-        report = compiled.kernel.analysis
+        report = analyze_kernel(compiled.kernel, tree=compiled.tree)
         assert MISORDERED_SUM in report.rules()
         assert not report.has_errors  # wasted alignments, not wrong answers
 
     def test_scheduled_chain_is_clean(self):
         compiled = compile_expression("a + c + b", SCHEMA)
-        assert MISORDERED_SUM not in compiled.kernel.analysis.rules()
+        assert MISORDERED_SUM not in analyze_kernel(compiled.kernel, tree=compiled.tree).rules()
 
     def test_already_optimal_order_is_clean(self):
         compiled = compile_expression(
             "a + b + c", SCHEMA, JitOptions(alignment_scheduling=False)
         )
-        assert MISORDERED_SUM not in compiled.kernel.analysis.rules()
+        assert MISORDERED_SUM not in analyze_kernel(compiled.kernel, tree=compiled.tree).rules()
 
 
 class TestSurvivingConstants:
@@ -33,7 +34,6 @@ class TestSurvivingConstants:
         spec = DecimalSpec(4, 0)
         kernel = ir.KernelIR(
             name="hand",
-            expression_sql="2 * 3",
             instructions=[
                 ir.LoadConst(0, spec, False, 2),
                 ir.LoadConst(1, spec, False, 3),
@@ -51,6 +51,6 @@ class TestSurvivingConstants:
 
     def test_folded_pipeline_kernels_are_clean(self):
         compiled = compile_expression("a + 2 * 3", {"a": DecimalSpec(8, 0)})
-        assert CONSTANT_SUBTREE not in compiled.kernel.analysis.rules()
+        assert CONSTANT_SUBTREE not in analyze_kernel(compiled.kernel, tree=compiled.tree).rules()
         # The optimiser folded 2 * 3 before emission: no MulOp remains.
         assert compiled.kernel.count(ir.MulOp) == 0

@@ -286,7 +286,7 @@ class TestDecimalFromVector:
         if aligned:
             body.append(ir.Align(1, DecimalSpec(5, 3), 0, exponent=2))
         body.append(ir.StoreResult(9, body[-1].spec, body[-1].dst))
-        kernel = ir.KernelIR("k", "k", body, {}, body[-1].spec, register_words=8)
+        kernel = ir.KernelIR("k", body, {}, body[-1].spec, register_words=8)
         base = Column.decimal_from_unscaled("a", [1, 2], DecimalSpec(3, 1))
         op = physical.ProjectOp([SelectItem("-0.0", alias="x")])
         op.kernels = [(SimpleNamespace(kernel=kernel), True)]

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.plan import analyze_plan
 from repro.core.decimal.context import DecimalSpec
+from repro.core.jit.codegen import render_source
 from repro.core.jit.pipeline import CompiledExpression, KernelCache
 from repro.engine.plan.cost import OptimizerConfig, PlanStats, TableStats
 from repro.engine.plan.physical import PhysicalOp
@@ -95,7 +96,7 @@ def render(value):
             str(kernel.result_spec),
             sorted((name, str(spec)) for name, spec in kernel.input_columns.items()),
             value.tree.to_sql(),
-            kernel.source,
+            render_source(kernel),
         )
     if isinstance(value, (Comparison, OrderKey, DecimalSpec)):
         return str(value)

@@ -185,7 +185,7 @@ class TestLanesMatchLimbs:
 def hand_built(instructions, columns):
     """A kernel the compiler would not emit, over ``columns`` name -> spec."""
     result = instructions[-1].spec
-    return ir.KernelIR("k", "k", instructions, columns, result, register_words=8)
+    return ir.KernelIR("k", instructions, columns, result, register_words=8)
 
 
 class TestHandBuiltRegisters:

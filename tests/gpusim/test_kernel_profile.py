@@ -14,6 +14,7 @@ from unittest import mock
 
 import pytest
 
+from repro.analysis import analyze_kernel
 from repro.core.decimal.context import DecimalSpec
 from repro.core.jit import codegen, ir, pipeline
 from repro.core.jit.pipeline import JitOptions, compile_expression
@@ -127,7 +128,7 @@ class TestProfiledPricingIsExact:
                     # The first call fills the profile, the second reads it.
                     for _ in range(2):
                         timing = kernel_time(kernel, tuples, device)
-                        assert timing == expected, (kernel.expression_sql, tuples)
+                        assert timing == expected, (codegen.render_source(kernel), tuples)
                         assert timing.seconds == expected.seconds
                         assert timing.sm_utilization == expected.sm_utilization
                         assert timing.memory_bound == expected.memory_bound
@@ -233,7 +234,7 @@ class TestKernelsAreImmutable:
     def test_a_list_of_instructions_becomes_a_tuple(self):
         spec = DecimalSpec(6, 1)
         body = [ir.LoadColumn(0, spec, "a"), ir.StoreResult(0, spec, 0)]
-        kernel = ir.KernelIR("k", "a", body, {"a": spec}, spec, register_words=2)
+        kernel = ir.KernelIR("k", body, {"a": spec}, spec, register_words=2)
         assert kernel.instructions == tuple(body)
 
     def test_replace_starts_with_no_profile(self):
@@ -250,11 +251,14 @@ class TestKernelsAreImmutable:
         [("a + b * 2", DecimalSpec(10, 2), None), ("a / 7", DecimalSpec(9, 2), "native64")],
     )
     def test_compiled_kernel_carries_its_source_and_analysis(self, expression, spec, fast_path):
-        kernel = compile_expression(expression, {"a": spec, "b": DecimalSpec(8, 1)}).kernel
-        assert kernel.source == codegen.render_source(kernel)
-        assert kernel.analysis is not None and not kernel.analysis.has_errors
+        """The listing and the report are built from the kernel by their readers."""
+        compiled = compile_expression(expression, {"a": spec, "b": DecimalSpec(8, 1)})
+        kernel = compiled.kernel
+        source = codegen.render_source(kernel)
+        analysis = analyze_kernel(kernel, tree=compiled.tree)
+        assert not analysis.has_errors
         assert kernel.profiles == {}
         routes = [i.fast_path for i in kernel.instructions if isinstance(i, ir.DivOp)]
         assert routes == ([] if fast_path is None else [fast_path])
         if fast_path is not None:
-            assert f"// {fast_path} fast path" in kernel.source
+            assert f"// {fast_path} fast path" in source

@@ -165,7 +165,6 @@ class TestSegmentsFromReport:
             kernel_executions=[
                 KernelExecution(
                     name="calc_expr_0",
-                    expression="a + b",
                     streamed=True,
                     timing=StreamTiming(4, 0.01, 0.1),
                     occupancy=0.5,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.decimal.context import DecimalSpec
-from repro.core.jit import ir
+from repro.core.jit import codegen, ir
 from repro.core.jit import pipeline
 from repro.core.jit.pipeline import JitOptions, KernelCache, compile_expression
 from repro.errors import TypeInferenceError
@@ -35,7 +35,7 @@ class TestKernelIR:
 
     def test_source_looks_like_listing1(self):
         compiled = compile_expression("c1_4_2 + c2_4_1", self.SCHEMA)
-        source = compiled.kernel.source
+        source = codegen.render_source(compiled.kernel)
         assert "__global__ void" in source
         assert "Decimal<1>" in source
         assert "toCompact" in source

@@ -66,7 +66,6 @@ class TestRejectsBrokenKernels:
         spec_b = DecimalSpec(6, 1)
         kernel = ir.KernelIR(
             name="bad",
-            expression_sql="a + b",
             instructions=[
                 ir.LoadColumn(0, spec_a, "a"),
                 ir.LoadColumn(1, spec_b, "b"),
@@ -91,7 +90,6 @@ class TestRejectsBrokenKernels:
         spec = DecimalSpec(6, 1)
         kernel = ir.KernelIR(
             name="bad",
-            expression_sql="a",
             instructions=[
                 ir.LoadColumn(0, spec, "a"),
                 ir.Align(1, DecimalSpec(9, 3), 0, 1),  # +1 but scale jumps 2
@@ -106,7 +104,6 @@ class TestRejectsBrokenKernels:
     def test_overflowing_constant(self):
         kernel = ir.KernelIR(
             name="bad",
-            expression_sql="9999",
             instructions=[
                 ir.LoadConst(0, DecimalSpec(2, 0), False, 9999),
                 ir.StoreResult(0, DecimalSpec(2, 0), 0),
@@ -121,7 +118,6 @@ class TestRejectsBrokenKernels:
         spec = DecimalSpec(6, 1)
         kernel = ir.KernelIR(
             name="bad",
-            expression_sql="a % a",
             instructions=[
                 ir.LoadColumn(0, spec, "a"),
                 ir.ModOp(1, DecimalSpec(6, 0), 0, 0),
@@ -161,7 +157,6 @@ class TestCollectAllFindings:
         spec = DecimalSpec(6, 1)
         return ir.KernelIR(
             name="bad",
-            expression_sql="<multi>",
             instructions=[
                 ir.LoadConst(0, DecimalSpec(2, 0), False, 9999),  # does not fit
                 ir.LoadColumn(1, spec, "ghost"),  # column not in input_columns
